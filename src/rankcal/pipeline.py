@@ -183,9 +183,20 @@ def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
     return model
 
 
+def _finite_rows(values, name: str) -> np.ndarray:
+    rows = np.asarray(values, dtype=float).reshape(-1, 3)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name} row {int(np.argmax(bad))} is not finite")
+    return rows
+
+
 def map_forward(model: PipelineModel, raws: np.ndarray) -> np.ndarray:
-    """Raw rows (n, 3) to predicted rendered rows in [0, 1]^3."""
-    raws = np.asarray(raws, dtype=float).reshape(-1, 3)
+    """Raw rows (n, 3) to predicted rendered rows in [0, 1]^3.
+
+    Raises ValueError naming the first row with a NaN or infinite value.
+    """
+    raws = _finite_rows(raws, "raw")
     corrected = np.clip(raws @ model.matrix.rows.T, 0.0, 1.0)
     toned = np.column_stack([
         model.forward_tones[ch](corrected[:, ch]) for ch in range(3)
@@ -194,8 +205,11 @@ def map_forward(model: PipelineModel, raws: np.ndarray) -> np.ndarray:
 
 
 def map_backward(model: PipelineModel, rendered: np.ndarray) -> np.ndarray:
-    """Rendered rows (n, 3) to predicted raw rows in [0, 1]^3."""
-    rendered = np.asarray(rendered, dtype=float).reshape(-1, 3)
+    """Rendered rows (n, 3) to predicted raw rows in [0, 1]^3.
+
+    Raises ValueError naming the first row with a NaN or infinite value.
+    """
+    rendered = _finite_rows(rendered, "rendered")
     linearized = np.column_stack([
         model.inverse_tones[ch](rendered[:, ch]) for ch in range(3)
     ])

@@ -2,14 +2,17 @@
 
 Each pair of pixels whose rendered values differ in a channel pins the
 corresponding matrix row to one side of a plane through the origin. Rows
-are recovered by scoring candidate directions, sampled densely on the
-unit sphere, against those half-space constraints; repeated trials over
-random colour subsets are arbitrated by how monotone the induced
-raw-to-rendered relation is.
+are recovered by finding the candidate directions, from a fixed dense
+sample of the unit sphere, that satisfy the most of those half-space
+constraints; a branch-and-bound over caps of the sample finds exactly
+the points a dense scan would while scoring only a few of them.
+Repeated trials over random colour subsets are arbitrated by how
+monotone the induced raw-to-rendered relation is.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,17 @@ ACHROMATIC_SPREAD = 0.04
 ACHROMATIC_BRIGHTNESS = (0.25, 0.75)
 
 _SCORE_BLOCK = 4096
+
+# Caps of the row search: points are grouped around this many Fibonacci
+# spiral centres over the upper hemisphere. 256 caps prune too little and
+# 4096 spend more on bounds than they save.
+_CAP_CENTRES = 1024
+
+# Angular margin (radians) added to each cap radius. The float32 sign
+# test errs only for constraints within about 1e-6 rad of a point's
+# plane, so a constraint 1e-5 rad clear of a cap reads the same sign at
+# every point in it.
+_CAP_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,27 @@ class SphereSample:
     @property
     def count(self) -> int:
         return self.points.shape[0]
+
+    @functools.cached_property
+    def caps(self) -> CapIndex:
+        """Cap index of the scored points, built on first use."""
+        return _build_caps(self.points, self.antipodal)
+
+
+@dataclass(frozen=True)
+class CapIndex:
+    """Scored sphere points grouped into caps around coarse centres.
+
+    Cap k holds the points ``order[offsets[k]:offsets[k + 1]]``, each
+    within ``radius[k]`` radians of ``centres[k]``. An antipodal sample
+    indexes its first half; any other sample indexes every point, around
+    the hemisphere centres and their negations. Empty caps are dropped.
+    """
+
+    centres: np.ndarray
+    order: np.ndarray
+    offsets: np.ndarray
+    radius: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,14 +158,38 @@ def sample_sphere(n: int) -> SphereSample:
     return SphereSample(_fibonacci_spiral(z))
 
 
-def _constraint_pool(pairs: PixelPairSet) -> PixelPairSet:
-    """Entries eligible for rank evidence: unflagged and unclipped."""
+def _build_caps(points: np.ndarray, antipodal: bool) -> CapIndex:
+    scored = points[:points.shape[0] // 2] if antipodal else points
+    z = 1.0 - (np.arange(_CAP_CENTRES, dtype=float) + 0.5) / _CAP_CENTRES
+    centres = _fibonacci_spiral(z)
+    if not antipodal:
+        centres = np.vstack([centres, -centres])
+    # nearest centre by float32 products: a near tie may go either way,
+    # and the radii below hold for whichever centre was picked
+    c32 = np.ascontiguousarray(centres.T, dtype=np.float32)
+    p32 = scored.astype(np.float32)
+    label = np.concatenate([
+        np.argmax(p32[s:s + _SCORE_BLOCK] @ c32, axis=1)
+        for s in range(0, scored.shape[0], _SCORE_BLOCK)
+    ])
+    cosine = np.einsum("ij,ij->i", scored, centres[label])
+    angle = np.arccos(np.clip(cosine, -1.0, 1.0))
+    order = np.argsort(label, kind="stable")
+    counts = np.bincount(label, minlength=centres.shape[0])
+    used = counts > 0
+    offsets = np.concatenate([[0], np.cumsum(counts[used])])
+    radius = np.maximum.reduceat(angle[order], offsets[:-1])
+    return CapIndex(centres[used], order, offsets, radius)
+
+
+def _constraint_pool(pairs: PixelPairSet) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and rendered rows eligible for rank evidence: unflagged and unclipped."""
     ok = (
         ~pairs.saturated
         & (pairs.raw < SATURATION_LIMIT).all(axis=1)
         & (pairs.rendered < SATURATION_LIMIT).all(axis=1)
     )
-    return pairs.subset(np.flatnonzero(ok))
+    return pairs.raw[ok], pairs.rendered[ok]
 
 
 def build_half_spaces(pairs: PixelPairSet, channel: int,
@@ -144,15 +203,17 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
     """
     if channel not in (1, 2, 3):
         raise ValueError(f"channel must be 1..3, got {channel}")
-    pool = _constraint_pool(pairs)
-    if len(pool) < 2:
+    if max_colors < 2:
+        raise ValueError(f"max_colors must be >= 2 to form a pair, got {max_colors}")
+    raw, rendered = _constraint_pool(pairs)
+    if raw.shape[0] < 2:
         raise InsufficientData(
-            f"need at least 2 unsaturated entries, have {len(pool)}"
+            f"need at least 2 unsaturated entries, have {raw.shape[0]}"
         )
-    _, first_idx = np.unique(pool.raw, axis=0, return_index=True)
+    _, first_idx = np.unique(raw, axis=0, return_index=True)
     first_idx.sort()
-    raws = pool.raw[first_idx]
-    rend = pool.rendered[first_idx, channel - 1]
+    raws = raw[first_idx]
+    rend = rendered[first_idx, channel - 1]
     if raws.shape[0] > max_colors:
         rng = np.random.default_rng(rng_seed)
         chosen = rng.choice(raws.shape[0], size=max_colors, replace=False)
@@ -176,33 +237,52 @@ def score_candidate(m: np.ndarray, hs: HalfSpaceSet) -> int:
     return int(np.count_nonzero(hs.differences @ m > 0.0))
 
 
-def _score_all(sphere: SphereSample, diffs: np.ndarray) -> np.ndarray:
-    """Constraint counts for every sphere point.
+def _tied_points(sphere: SphereSample, diffs: np.ndarray) -> tuple[int, np.ndarray]:
+    """Most constraints any sphere point satisfies, and the points that do.
 
-    Products are formed in float32 (each is a three-term dot product, so
-    the result is independent of blocking) and read by sign. For an
-    antipodal sample the negated half reuses the same products with the
-    opposite sign test.
+    The indices come in ascending order and equal those of scoring every
+    point. Each cap is bounded from its centre c: with g = c . d/|d| and
+    s = sin(radius + margin), all of its points satisfy the constraints
+    with g > s and fail those with g < -s, and their negations the
+    reverse. Only caps whose upper bound reaches the best lower bound are
+    scored, in float32 products read by sign; for an antipodal sample
+    each product serves a point and its negation.
     """
-    points = sphere.points
-    n = points.shape[0]
-    dt = np.ascontiguousarray(diffs.T, dtype=np.float32)
+    caps = sphere.caps
+    m = diffs.shape[0]
+    unit = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+    g = caps.centres @ unit.T
+    s = np.sin(caps.radius + _CAP_MARGIN)[:, None]
+    hit = np.count_nonzero(g > s, axis=1)
+    miss = np.count_nonzero(g < -s, axis=1)
     if sphere.antipodal:
-        half = n // 2
-        p32 = points[:half].astype(np.float32)
-        pos = np.empty(half, dtype=np.int64)
-        neg = np.empty(half, dtype=np.int64)
-        for s in range(0, half, _SCORE_BLOCK):
-            prod = p32[s:s + _SCORE_BLOCK] @ dt
-            pos[s:s + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
-            neg[s:s + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
-        return np.concatenate([pos, neg])
-    p32 = points.astype(np.float32)
-    out = np.empty(n, dtype=np.int64)
-    for s in range(0, n, _SCORE_BLOCK):
-        prod = p32[s:s + _SCORE_BLOCK] @ dt
-        out[s:s + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
-    return out
+        floor = max(hit.max(), miss.max())
+        open_caps = (m - miss >= floor) | (m - hit >= floor)
+    else:
+        floor = hit.max()
+        open_caps = m - miss >= floor
+    if m == 1:
+        # numpy forms a one-column product with gemv, which rounds the
+        # last rows of a call differently from the rest; scoring every
+        # point keeps each product as the dense blocks form it
+        open_caps[:] = True
+    idx = np.sort(caps.order[np.repeat(open_caps, np.diff(caps.offsets))])
+
+    dt = np.ascontiguousarray(diffs.T, dtype=np.float32)
+    p32 = sphere.points[idx].astype(np.float32)
+    pos = np.empty(idx.size, dtype=np.int64)
+    neg = np.empty(idx.size, dtype=np.int64)
+    for start in range(0, idx.size, _SCORE_BLOCK):
+        prod = p32[start:start + _SCORE_BLOCK] @ dt
+        pos[start:start + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
+        neg[start:start + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
+    if sphere.antipodal:
+        scores = np.concatenate([pos, neg])
+        idx = np.concatenate([idx, idx + sphere.count // 2])
+    else:
+        scores = pos
+    best = int(scores.max())
+    return best, idx[scores == best]
 
 
 def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -239,11 +319,11 @@ def monotonicity_score(pairs: PixelPairSet, m: np.ndarray, channel: int) -> floa
     m = np.asarray(m, dtype=float).reshape(3)
     if np.linalg.norm(m) < 1e-15:
         raise ValueError("candidate row must be non-zero")
-    pool = pairs.unsaturated()
-    if len(pool) == 0:
+    keep = ~pairs.saturated
+    if not keep.any():
         raise InsufficientData("no unsaturated pairs to score")
-    x = pool.raw @ m
-    y = pool.rendered[:, channel - 1]
+    x = pairs.raw[keep] @ m
+    y = pairs.rendered[keep, channel - 1]
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ys = y[order]
@@ -285,10 +365,8 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
     candidates = []
     for trial in range(trials):
         hs = build_half_spaces(pairs, channel, max_colors, rng_seed + trial)
-        scores = _score_all(sphere, hs.differences)
-        best = scores.max()
-        tied = sphere.points[scores == best]
-        candidates.append(_median_direction(tied))
+        _, tied = _tied_points(sphere, hs.differences)
+        candidates.append(_median_direction(sphere.points[tied]))
     residuals = np.array([monotonicity_score(pairs, c, channel) for c in candidates])
     return candidates[int(np.argmin(residuals))]
 

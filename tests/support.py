@@ -1,4 +1,5 @@
-"""Shared test helpers: exact nearest-neighbour search and angle math."""
+"""Shared test helpers: exact nearest-neighbour search, angle math and the
+dense sphere scan that the row search is checked against."""
 
 from collections import defaultdict
 
@@ -55,3 +56,41 @@ def grid_max_nn_gap(points: np.ndarray, cell: float = 0.05) -> float:
         assert best.max() < cell, "cell too small for exact grid search"
         worst_chord = max(worst_chord, float(best.max()))
     return chord_to_degrees(worst_chord)
+
+
+_SCORE_BLOCK = 4096
+
+
+def score_all(sphere, diffs: np.ndarray) -> np.ndarray:
+    """Constraint counts for every sphere point: the dense-scan oracle.
+
+    Products are formed in float32 in blocks of 4096 points and read by
+    sign. For an antipodal sample the negated half reuses the same
+    products with the opposite sign test.
+    """
+    points = sphere.points
+    n = points.shape[0]
+    dt = np.ascontiguousarray(diffs.T, dtype=np.float32)
+    if sphere.antipodal:
+        half = n // 2
+        p32 = points[:half].astype(np.float32)
+        pos = np.empty(half, dtype=np.int64)
+        neg = np.empty(half, dtype=np.int64)
+        for s in range(0, half, _SCORE_BLOCK):
+            prod = p32[s:s + _SCORE_BLOCK] @ dt
+            pos[s:s + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
+            neg[s:s + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
+        return np.concatenate([pos, neg])
+    p32 = points.astype(np.float32)
+    out = np.empty(n, dtype=np.int64)
+    for s in range(0, n, _SCORE_BLOCK):
+        prod = p32[s:s + _SCORE_BLOCK] @ dt
+        out[s:s + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
+    return out
+
+
+def dense_tied_points(sphere, diffs: np.ndarray):
+    """Best score and ascending tied indices, read off the dense scan."""
+    scores = score_all(sphere, diffs)
+    best = int(scores.max())
+    return best, np.flatnonzero(scores == best)

@@ -118,6 +118,17 @@ class TestApply:
         assert fwd.min() >= 0.0 and fwd.max() <= 1.0
         assert bwd.min() >= 0.0 and bwd.max() <= 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_non_finite_row_named(self, bad, direction):
+        mapping = map_forward if direction == "forward" else map_backward
+        name = "raw" if direction == "forward" else "rendered"
+        values = np.full((6, 3), 0.5)
+        values[4, 1] = bad
+        values[5, 0] = bad
+        with pytest.raises(ValueError, match=f"{name} row 4 is not finite"):
+            mapping(PipelineModel.identity(), values)
+
     def test_dark_end_prediction(self):
         # realistic tone curves have a finite-slope toe (an sRGB-style
         # linear segment); a degree-7 polynomial cannot chase the

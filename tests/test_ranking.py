@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import angle_degrees, brute_force_max_nn_gap, grid_max_nn_gap
+from support import (
+    angle_degrees,
+    brute_force_max_nn_gap,
+    dense_tied_points,
+    grid_max_nn_gap,
+    score_all,
+)
 
+from rankcal import ranking
+from rankcal.cli import main as cli_main
 from rankcal.errors import DegenerateChannel, NoAchromaticSample
 from rankcal.model import ColorMatrix, PixelPairSet
 from rankcal.ranking import (
@@ -16,7 +26,7 @@ from rankcal.ranking import (
     rescale_achromatic,
     sample_sphere,
     score_candidate,
-    _score_all,
+    _tied_points,
 )
 
 
@@ -108,6 +118,13 @@ class TestBuildHalfSpaces:
         with pytest.raises(DegenerateChannel):
             build_half_spaces(pairs, 1, rng_seed=0)
 
+    @pytest.mark.parametrize("max_colors", [1, 0, -3])
+    def test_fewer_than_two_colours_rejected(self, max_colors):
+        rng = np.random.default_rng(4)
+        pairs = synthetic_channel_pairs(rng, 40, np.array([0.6, 0.3, 0.1]))
+        with pytest.raises(ValueError, match="max_colors"):
+            build_half_spaces(pairs, 1, max_colors=max_colors, rng_seed=0)
+
     def test_saturated_entries_excluded(self):
         rng = np.random.default_rng(2)
         pairs = synthetic_channel_pairs(rng, 40, np.array([0.6, 0.3, 0.1]))
@@ -174,13 +191,107 @@ class TestScoreCandidate:
     def test_score_all_matches_per_point_scoring(self):
         row, hs = self.make(seed=8, n=50)
         sphere = sample_sphere(2000)
-        fast = _score_all(sphere, hs.differences)
+        fast = score_all(sphere, hs.differences)
         slow = np.array([score_candidate(p, hs) for p in sphere.points])
         # product signs are read in float32; only razor-thin constraints
         # (|dot| under ~1e-6) may disagree with the float64 recount
         diff = np.abs(fast - slow)
         assert diff.max() <= 1
         assert np.mean(diff == 0) > 0.999
+
+
+SEARCH_SPHERE_COUNTS = (6, 2000, 4001, 20000)
+
+
+@pytest.fixture(scope="module")
+def search_spheres():
+    return {n: sample_sphere(n) for n in SEARCH_SPHERE_COUNTS}
+
+
+@st.composite
+def half_space_sets(draw):
+    """Constraint sets from easy to hard to prune.
+
+    ``coplanar`` differences lie within a hair of one plane, so the best
+    points hug a great circle; ``one_direction`` ones all lean the same
+    way, so about a hemisphere ties and pruning removes almost nothing;
+    ``grid`` ones are small integer steps, as quantized colours give,
+    with exact zero products on the octahedron's axes.
+    """
+    kind = draw(st.sampled_from(["random", "coplanar", "one_direction", "grid"]))
+    m = draw(st.integers(1, 3) | st.integers(4, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        d = rng.normal(size=(m, 3))
+    elif kind == "coplanar":
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        d = rng.normal(size=(m, 3))
+        d -= np.outer(d @ normal, normal)
+        d += 10.0 ** draw(st.integers(-9, -3)) * rng.normal(size=(m, 1)) * normal
+    elif kind == "one_direction":
+        spread = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.3]))
+        d = rng.normal(size=3) + spread * rng.normal(size=(m, 3))
+    else:
+        d = rng.integers(-3, 4, size=(m, 3)).astype(float)
+    d[np.linalg.norm(d, axis=1) < 1e-6] = [0.0, 0.0, 1.0]
+    return HalfSpaceSet(d * 10.0 ** draw(st.integers(-4, 2)))
+
+
+class TestTiedPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(hs=half_space_sets(), n=st.sampled_from(SEARCH_SPHERE_COUNTS))
+    def test_matches_dense_scan(self, search_spheres, hs, n):
+        sphere = search_spheres[n]
+        best, tied = _tied_points(sphere, hs.differences)
+        dense_best, dense_tied = dense_tied_points(sphere, hs.differences)
+        assert best == dense_best
+        assert np.array_equal(tied, dense_tied)
+
+    @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
+    def test_caps_partition_scored_points_within_radius(self, n):
+        sphere = sample_sphere(n)
+        caps = sphere.caps
+        scored = n // 2 if sphere.antipodal else n
+        assert np.array_equal(np.sort(caps.order), np.arange(scored))
+        sizes = np.diff(caps.offsets)
+        assert caps.offsets[0] == 0 and np.all(sizes > 0)
+        centre = np.repeat(caps.centres, sizes, axis=0)
+        radius = np.repeat(caps.radius, sizes)
+        cosine = np.einsum("ij,ij->i", sphere.points[caps.order], centre)
+        assert np.all(cosine >= np.cos(radius) - 1e-12)
+        assert np.degrees(caps.radius.max()) <= 5.0
+
+    def test_index_built_once_per_sample(self):
+        sphere = sample_sphere(2000)
+        assert sphere.caps is sphere.caps
+
+
+class TestDenseOracle:
+    """Model files are byte-identical to those of the dense scan."""
+
+    @pytest.mark.parametrize("simulate, calibrate", [
+        # acceptance criterion 10
+        (["--patches", 140, "--seed", 9, "--noise", 0.004, "--quantize"],
+         ["--subset", "uniform:120", "--seed", 4, "--sphere-count", 20000,
+          "--trials", 4]),
+        # acceptance criterion 9, one-shot 140 pairs
+        (["--patches", 8100, "--seed", 17, "--quantize"],
+         ["--subset", "uniform:140", "--seed", 2]),
+    ], ids=["criterion10", "criterion9_140"])
+    def test_model_bytes_match(self, tmp_path, monkeypatch, simulate, calibrate):
+        corpus = tmp_path / "c.csv"
+        assert cli_main([str(a) for a in ["simulate", "--out", corpus, *simulate]]) == 0
+
+        def model_bytes(tag):
+            out = tmp_path / f"{tag}.txt"
+            argv = ["calibrate", "--data", corpus, "--out", out, *calibrate]
+            assert cli_main([str(a) for a in argv]) == 0
+            return out.read_bytes()
+
+        pruned = model_bytes("pruned")
+        monkeypatch.setattr(ranking, "_tied_points", dense_tied_points)
+        assert model_bytes("dense") == pruned
 
 
 class TestIsotonic:
