@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def _parse_corpus(fh, origin: str) -> PixelPairSet:
             raise CorpusFormatError(
                 f"{origin}: line {lineno}: non-numeric value"
             ) from None
-        if not all(np.isfinite(numbers)):
+        if not all(map(math.isfinite, numbers)):
             raise CorpusFormatError(f"{origin}: line {lineno}: non-finite value")
         raw = numbers[0:3]
         jpeg = numbers[3:6]

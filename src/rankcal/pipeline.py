@@ -37,6 +37,12 @@ MIN_CALIBRATION_PAIRS = 30
 MIN_DISTINCT_RENDERED = 10
 _GAUGE_HEADROOM = 1.02
 
+# Rows mapped per block by map_forward and map_backward. The lattice
+# scratch of a block (8 corner indices, 8 weights and 8 gathered nodes
+# per row) is then about 26 MB. At 1M pixels, blocks of 8k to 64k rows
+# map equally fast and larger ones are slower.
+_MAP_BLOCK = 65_536
+
 
 @dataclass(frozen=True)
 class CalibrationConfig:
@@ -191,17 +197,37 @@ def _finite_rows(values, name: str) -> np.ndarray:
     return rows
 
 
+def _map_in_blocks(rows: np.ndarray, layers) -> np.ndarray:
+    """Run ``layers`` over row blocks and clamp each result into one output.
+
+    The rows are split into ceil(n / _MAP_BLOCK) near-equal blocks, so the
+    lattice scratch stays fixed per block whatever n is, and no block holds
+    a single row unless n == 1: numpy forms a one-row product with gemv,
+    which rounds differently from the batched product.
+    """
+    out = np.empty_like(rows)
+    sections = max(1, -(-rows.shape[0] // _MAP_BLOCK))
+    for block, dest in zip(np.array_split(rows, sections), np.array_split(out, sections)):
+        np.clip(layers(block), 0.0, 1.0, out=dest)
+    return out
+
+
 def map_forward(model: PipelineModel, raws: np.ndarray) -> np.ndarray:
     """Raw rows (n, 3) to predicted rendered rows in [0, 1]^3.
 
     Raises ValueError naming the first row with a NaN or infinite value.
     """
     raws = _finite_rows(raws, "raw")
-    corrected = np.clip(raws @ model.matrix.rows.T, 0.0, 1.0)
-    toned = np.column_stack([
-        model.forward_tones[ch](corrected[:, ch]) for ch in range(3)
-    ])
-    return np.clip(apply_lattice(model.forward_lut, toned), 0.0, 1.0)
+    rows_t = model.matrix.rows.T
+
+    def layers(block):
+        corrected = np.clip(block @ rows_t, 0.0, 1.0)
+        toned = np.column_stack([
+            model.forward_tones[ch](corrected[:, ch]) for ch in range(3)
+        ])
+        return apply_lattice(model.forward_lut, toned)
+
+    return _map_in_blocks(raws, layers)
 
 
 def map_backward(model: PipelineModel, rendered: np.ndarray) -> np.ndarray:
@@ -210,11 +236,16 @@ def map_backward(model: PipelineModel, rendered: np.ndarray) -> np.ndarray:
     Raises ValueError naming the first row with a NaN or infinite value.
     """
     rendered = _finite_rows(rendered, "rendered")
-    linearized = np.column_stack([
-        model.inverse_tones[ch](rendered[:, ch]) for ch in range(3)
-    ])
-    back = np.clip(linearized @ model.matrix.inverse().T, 0.0, 1.0)
-    return np.clip(apply_lattice(model.backward_lut, back), 0.0, 1.0)
+    inverse_t = model.matrix.inverse().T
+
+    def layers(block):
+        linearized = np.column_stack([
+            model.inverse_tones[ch](block[:, ch]) for ch in range(3)
+        ])
+        back = np.clip(linearized @ inverse_t, 0.0, 1.0)
+        return apply_lattice(model.backward_lut, back)
+
+    return _map_in_blocks(rendered, layers)
 
 
 def apply_forward(model: PipelineModel, raw: RgbTriple) -> RgbTriple:

@@ -192,6 +192,19 @@ def _constraint_pool(pairs: PixelPairSet) -> tuple[np.ndarray, np.ndarray]:
     return pairs.raw[ok], pairs.rendered[ok]
 
 
+def _first_of_each_row(rows: np.ndarray) -> np.ndarray:
+    """Ascending index of the first occurrence of each distinct row.
+
+    A stable lexicographic sort puts equal rows (compared by value, so
+    0.0 equals -0.0) next to each other in their original order.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[starts])
+
+
 def build_half_spaces(pairs: PixelPairSet, channel: int,
                       max_colors: int = DEFAULT_MAX_COLORS,
                       rng_seed: int = 0) -> HalfSpaceSet:
@@ -210,8 +223,7 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
         raise InsufficientData(
             f"need at least 2 unsaturated entries, have {raw.shape[0]}"
         )
-    _, first_idx = np.unique(raw, axis=0, return_index=True)
-    first_idx.sort()
+    first_idx = _first_of_each_row(raw)
     raws = raw[first_idx]
     rend = rendered[first_idx, channel - 1]
     if raws.shape[0] > max_colors:
@@ -286,28 +298,30 @@ def _tied_points(sphere: SphereSample, diffs: np.ndarray) -> tuple[int, np.ndarr
 
 
 def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Best non-decreasing L2 fit by pool-adjacent-violators."""
+    """Best non-decreasing L2 fit by pool-adjacent-violators.
+
+    The stack runs on Python floats, which round exactly as float64 array
+    elements do and cost far less to index one at a time.
+    """
     y = np.asarray(values, dtype=float)
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    n = y.size
-    level = np.empty(n)
-    weight = np.empty(n)
-    length = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        level[top] = y[i]
-        weight[top] = w[i]
-        length[top] = 1
-        top += 1
-        while top > 1 and level[top - 2] >= level[top - 1]:
-            total = weight[top - 2] + weight[top - 1]
-            level[top - 2] = (
-                weight[top - 2] * level[top - 2] + weight[top - 1] * level[top - 1]
-            ) / total
-            weight[top - 2] = total
-            length[top - 2] += length[top - 1]
-            top -= 1
-    return np.repeat(level[:top], length[:top])
+    if w.shape != y.shape:
+        raise ValueError(f"weights shape {w.shape} does not match values {y.shape}")
+    level: list[float] = []
+    weight: list[float] = []
+    length: list[int] = []
+    for y_new, w_new in zip(y.tolist(), w.tolist()):
+        count = 1
+        while level and level[-1] >= y_new:
+            w_old = weight.pop()
+            total = w_old + w_new
+            y_new = (w_old * level.pop() + w_new * y_new) / total
+            w_new = total
+            count += length.pop()
+        level.append(y_new)
+        weight.append(w_new)
+        length.append(count)
+    return np.repeat(np.array(level, dtype=float), np.array(length, dtype=np.int64))
 
 
 def monotonicity_score(pairs: PixelPairSet, m: np.ndarray, channel: int) -> float:

@@ -1,9 +1,12 @@
-"""Shared test helpers: exact nearest-neighbour search, angle math and the
-dense sphere scan that the row search is checked against."""
+"""Shared test helpers: exact nearest-neighbour search, angle math, and the
+reference implementations the optimised code is checked against (the
+dense sphere scan, the array-based isotonic fit and the unblocked maps)."""
 
 from collections import defaultdict
 
 import numpy as np
+
+from rankcal.gamut import apply_lattice
 
 
 def chord_to_degrees(chord: float) -> float:
@@ -94,3 +97,48 @@ def dense_tied_points(sphere, diffs: np.ndarray):
     scores = score_all(sphere, diffs)
     best = int(scores.max())
     return best, np.flatnonzero(scores == best)
+
+
+def isotonic_fit_reference(values, weights=None) -> np.ndarray:
+    """Pool-adjacent-violators on float64 array elements: the isotonic oracle."""
+    y = np.asarray(values, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    n = y.size
+    level = np.empty(n)
+    weight = np.empty(n)
+    length = np.empty(n, dtype=np.int64)
+    top = 0
+    for i in range(n):
+        level[top] = y[i]
+        weight[top] = w[i]
+        length[top] = 1
+        top += 1
+        while top > 1 and level[top - 2] >= level[top - 1]:
+            total = weight[top - 2] + weight[top - 1]
+            level[top - 2] = (
+                weight[top - 2] * level[top - 2] + weight[top - 1] * level[top - 1]
+            ) / total
+            weight[top - 2] = total
+            length[top - 2] += length[top - 1]
+            top -= 1
+    return np.repeat(level[:top], length[:top])
+
+
+def map_forward_unblocked(model, raws) -> np.ndarray:
+    """Raw to rendered over all rows at once: the blocked map's oracle."""
+    raws = np.asarray(raws, dtype=float).reshape(-1, 3)
+    corrected = np.clip(raws @ model.matrix.rows.T, 0.0, 1.0)
+    toned = np.column_stack([
+        model.forward_tones[ch](corrected[:, ch]) for ch in range(3)
+    ])
+    return np.clip(apply_lattice(model.forward_lut, toned), 0.0, 1.0)
+
+
+def map_backward_unblocked(model, rendered) -> np.ndarray:
+    """Rendered to raw over all rows at once: the blocked map's oracle."""
+    rendered = np.asarray(rendered, dtype=float).reshape(-1, 3)
+    linearized = np.column_stack([
+        model.inverse_tones[ch](rendered[:, ch]) for ch in range(3)
+    ])
+    back = np.clip(linearized @ model.matrix.inverse().T, 0.0, 1.0)
+    return np.clip(apply_lattice(model.backward_lut, back), 0.0, 1.0)

@@ -76,6 +76,17 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 2"):
             loads_corpus(text)
 
+    @pytest.mark.parametrize("fields", [
+        "100,200,300,inf,100,150,1000",
+        "100,200,300,50,100,150,-inf",
+        "100,200,Infinity,50,100,150,1000",
+        "100,200,300,50,NaN,150,1000",
+    ])
+    def test_non_finite_in_any_column_rejected(self, fields):
+        text = HEADER + "\ncam,i0,e0,p0,100,200,300,50,100,150,1000\ncam,i0,e0,p1," + fields + "\n"
+        with pytest.raises(CorpusFormatError, match="line 3: non-finite"):
+            loads_corpus(text)
+
     def test_header_only_is_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             loads_corpus(HEADER + "\n")

@@ -1,9 +1,13 @@
 """Tests for end-to-end calibration and bidirectional application."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from support import angle_degrees
+from support import angle_degrees, map_backward_unblocked, map_forward_unblocked
+
+from rankcal import pipeline
 
 from rankcal.errors import DegenerateChannel, InsufficientData
 from rankcal.model import (
@@ -91,6 +95,9 @@ class TestCalibrate:
         assert parameter_count(model) == 408
 
 
+B = pipeline._MAP_BLOCK
+
+
 class TestApply:
     def test_identity_model_forward_and_backward(self):
         model = PipelineModel.identity()
@@ -128,6 +135,74 @@ class TestApply:
         values[5, 0] = bad
         with pytest.raises(ValueError, match=f"{name} row 4 is not finite"):
             mapping(PipelineModel.identity(), values)
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B + 17])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_blocks_match_unblocked_map(self, gated_bundle, n, direction):
+        model = gated_bundle["model"]
+        mapping, reference = {
+            "forward": (map_forward, map_forward_unblocked),
+            "backward": (map_backward, map_backward_unblocked),
+        }[direction]
+        values = np.random.default_rng(n).uniform(-0.1, 1.1, size=(n, 3)).clip(0.0, None)
+        got = mapping(model, values)
+        assert got.shape == (n, 3)
+        assert np.array_equal(got, reference(model, values))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, B + 1, 3 * B + 17])
+    def test_blocks_cover_rows_without_one_row_blocks(self, monkeypatch, n):
+        sizes = []
+        lattice = pipeline.apply_lattice
+
+        def recording(lut, v):
+            sizes.append(len(v))
+            return lattice(lut, v)
+
+        monkeypatch.setattr(pipeline, "apply_lattice", recording)
+        map_forward(PipelineModel.identity(), np.full((n, 3), 0.5))
+        assert sum(sizes) == n
+        assert max(sizes) <= B
+        assert n < 2 or min(sizes) >= 2
+
+    def test_backward_inverts_matrix_once(self, monkeypatch):
+        model = PipelineModel.identity()
+        calls = []
+        inverse = ColorMatrix.inverse
+
+        def counting(matrix):
+            calls.append(1)
+            return inverse(matrix)
+
+        monkeypatch.setattr(ColorMatrix, "inverse", counting)
+        map_backward(model, np.full((2 * B + 1, 3), 0.5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_non_finite_row_in_later_block_named_globally(self, direction):
+        mapping = map_forward if direction == "forward" else map_backward
+        name = "raw" if direction == "forward" else "rendered"
+        values = np.full((2 * B + 5, 3), 0.5)
+        values[B + 3, 2] = np.nan
+        with pytest.raises(ValueError, match=f"{name} row {B + 3} is not finite"):
+            mapping(PipelineModel.identity(), values)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_traced_memory_bounded_per_row(self, direction):
+        # between 4B and 8B rows only the (n, 3) float64 output may grow
+        # (24 bytes a row); one lattice gather over every row would add
+        # 392 bytes a row
+        mapping = map_forward if direction == "forward" else map_backward
+        model = PipelineModel.identity()
+        peaks = []
+        for n in (4 * B, 8 * B):
+            values = np.full((n, 3), 0.5)
+            tracemalloc.start()
+            try:
+                mapping(model, values)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (4 * B) <= 32
 
     def test_dark_end_prediction(self):
         # realistic tone curves have a finite-slope toe (an sRGB-style

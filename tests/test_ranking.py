@@ -10,6 +10,7 @@ from support import (
     brute_force_max_nn_gap,
     dense_tied_points,
     grid_max_nn_gap,
+    isotonic_fit_reference,
     score_all,
 )
 
@@ -143,6 +144,15 @@ class TestBuildHalfSpaces:
         c = build_half_spaces(pairs, 1, rng_seed=8).differences
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(*[st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e-300])] * 3),
+        min_size=1, max_size=80))
+    def test_first_of_each_row_matches_unique(self, rows):
+        raw = np.array(rows, dtype=float)
+        _, want = np.unique(raw, axis=0, return_index=True)
+        assert np.array_equal(ranking._first_of_each_row(raw), np.sort(want))
 
 
 class TestScoreCandidate:
@@ -309,6 +319,37 @@ class TestIsotonic:
             y = rng.normal(size=30)
             fit = isotonic_fit(y)
             assert np.all(np.diff(fit) >= -1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.one_of(
+            st.floats(-1e6, 1e6),
+            st.sampled_from([0.0, -0.0, 0.5, 1.0]),  # ties
+        ), max_size=60),
+        arrangement=st.sampled_from(["as drawn", "sorted", "reversed"]),
+        weights=st.sampled_from(["none", "float", "integer"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_array_reference(self, values, arrangement, weights, seed):
+        y = np.array(values, dtype=float)
+        if arrangement == "sorted":
+            y = np.sort(y)
+        elif arrangement == "reversed":
+            y = np.sort(y)[::-1]
+        rng = np.random.default_rng(seed)
+        w = {
+            "none": None,
+            "float": rng.uniform(0.01, 100.0, size=y.size),
+            "integer": rng.integers(1, 50, size=y.size),
+        }[weights]
+        got = isotonic_fit(y, w)
+        want = isotonic_fit_reference(y, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_weight_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="weights"):
+            isotonic_fit(np.arange(4.0), np.ones(3))
 
 
 def dp_isotonic_residual(x, y):
