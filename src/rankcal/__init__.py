@@ -27,7 +27,6 @@ from .model import (
     Lattice3,
     ModelMetadata,
     PipelineModel,
-    PixelPair,
     PixelPairSet,
     RgbTriple,
     ToneCurve,
@@ -87,7 +86,6 @@ __all__ = [
     "ModelParseError",
     "NoAchromaticSample",
     "PipelineModel",
-    "PixelPair",
     "PixelPairSet",
     "QpSolution",
     "QuadProgram",

@@ -24,7 +24,7 @@ from .dataset import (
 )
 from .errors import CalibrationError
 from .model import backward_parameter_count, parameter_count
-from .modelfile import deserialize_model, serialize_model
+from .modelfile import _fmt, deserialize_model, serialize_model
 from .pipeline import CalibrationConfig, calibrate, map_backward, map_forward
 from .simulate import (
     ToneSpec,
@@ -34,10 +34,6 @@ from .simulate import (
     make_illuminants,
     serialize_camera,
 )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def build_parser() -> argparse.ArgumentParser:

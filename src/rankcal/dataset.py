@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
+from .gamut import _as_triples
 from .model import PixelPairSet
+from .modelfile import _fmt
 
 CSV_COLUMNS = (
     "camera", "illuminant", "exposure", "patch",
@@ -155,10 +157,6 @@ def _parse_corpus(fh, origin: str) -> PixelPairSet:
     )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def save_corpus(pairs: PixelPairSet, path) -> None:
     """Write a corpus CSV (white level 1, values already normalized)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -205,20 +203,14 @@ def select_subset(corpus: PixelPairSet, spec: SubsetSpec) -> PixelPairSet:
     return corpus.subset(np.array(idx, dtype=int))
 
 
-def _as_rgb_array(values) -> np.ndarray:
-    if hasattr(values, "__len__") and len(values) and hasattr(values[0], "as_array"):
-        return np.vstack([t.as_array() for t in values])
-    return np.asarray(values, dtype=float).reshape(-1, 3)
-
-
 def rmse(predictions, truth, domain: str = "rendered255") -> float:
     """Root mean squared error over all samples and channels.
 
     domain 'rendered255' scales errors by 255 to match 8-bit reporting;
     'raw01' reports in normalized raw units.
     """
-    pred = _as_rgb_array(predictions)
-    ref = _as_rgb_array(truth)
+    pred = _as_triples(predictions)
+    ref = _as_triples(truth)
     if pred.shape != ref.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {ref.shape}")
     if pred.shape[0] == 0:

@@ -62,19 +62,6 @@ class RgbTriple:
 
 
 @dataclass(frozen=True)
-class PixelPair:
-    """One raw/rendered correspondence with its provenance tags."""
-
-    raw: RgbTriple
-    rendered: RgbTriple
-    camera: str
-    illuminant: str
-    exposure: str
-    patch: str
-    saturated: bool
-
-
-@dataclass(frozen=True)
 class PixelPairSet:
     """Corresponding raw and rendered samples, the calibration input.
 
@@ -126,17 +113,6 @@ class PixelPairSet:
 
     def __len__(self) -> int:
         return self.raw.shape[0]
-
-    def entry(self, i: int) -> PixelPair:
-        return PixelPair(
-            raw=RgbTriple.from_array(self.raw[i]),
-            rendered=RgbTriple.from_array(self.rendered[i]),
-            camera=self.camera[i],
-            illuminant=self.illuminant[i],
-            exposure=self.exposure[i],
-            patch=self.patch[i],
-            saturated=bool(self.saturated[i]),
-        )
 
     def subset(self, indices) -> "PixelPairSet":
         idx = np.asarray(indices)

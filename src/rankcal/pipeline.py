@@ -71,7 +71,6 @@ class CalibrationConfig:
             "max_colors": self.max_colors,
             "tone_degree": self.fit.degree,
             "tone_smoothness": self.fit.smoothness,
-            "constraint_grid": self.fit.constraint_grid,
             "lattice_resolution": self.lattice_resolution,
             "lattice_regularization": self.lattice_regularization,
         }

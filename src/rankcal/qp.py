@@ -22,6 +22,7 @@ _LIFT = 1e-10
 _SYMMETRY_TOL = 1e-10
 _EIG_TOL = 1e-8
 _DEGENERACY_SHIFT = 1e-10
+_SPAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -146,13 +147,21 @@ def _solve_eqp_step(q, g, a_active, r_active):
     return sol[:n], sol[n:]
 
 
+def _in_span(rows, row) -> bool:
+    """Whether ``row`` is a linear combination of ``rows``."""
+    coef = np.linalg.lstsq(rows.T, row, rcond=None)[0]
+    return bool(np.abs(rows.T @ coef - row).max() <= _SPAN_TOL * np.abs(row).max())
+
+
 def _active_set(q, c, a, b, x0, tol, max_iter):
     """Primal active-set loop from a feasible start. Returns (x, lam, iters).
 
     Steps stay in the null space of the working rows (with a tiny
     recentering correction), so membership on working boundaries is
-    preserved and a blocking row is always independent of them; the
-    working set can never exceed n rows. The multiplier test runs
+    preserved. A row in the span of the working rows moves only with
+    that correction, so it never blocks a step: the working set stays
+    linearly independent, even where many rows are active at once, as
+    at a constant tone curve. The multiplier test runs
     exactly when a full step lands on the working set's own minimizer,
     using that same solve's multipliers; nothing depends on re-detecting
     a vanishing step, which ill-conditioned Hessians never deliver.
@@ -218,10 +227,18 @@ def _active_set(q, c, a, b, x0, tol, max_iter):
             ratios = np.full(m, np.inf)
             movable = ~in_working & (step > d_floor)
             ratios[movable] = np.maximum(slack[movable], 0.0) / step[movable]
-            best = int(np.argmin(ratios))
-            if ratios[best] < alpha - 1e-15:
+            while True:
+                best = int(np.argmin(ratios))
+                if not ratios[best] < alpha - 1e-15:
+                    break
+                if working and _in_span(a[working], a[best]):
+                    # such a row moves only with the re-centring; adding
+                    # it would make the working set rank-deficient
+                    ratios[best] = np.inf
+                    continue
                 alpha = float(ratios[best])
                 blocking = best
+                break
 
         moved = (not tiny_step
                  and alpha * np.abs(p).max(initial=0.0) > 1e-13 * x_scale)
@@ -285,6 +302,9 @@ def solve_qp(prob: QuadProgram, tol: float = DEFAULT_TOL,
     ``start`` may supply a known feasible point (it is used only when it
     actually satisfies the constraints); otherwise a phase-1 search runs
     first and raises ``Infeasible`` when no feasible point exists.
+    Raises ``MaxIterations`` when the active set does not converge or
+    ends at a point that violates the constraints by more than
+    ``tol * max(1, max|b|)``.
     """
     n, m = prob.n, prob.m
     max_iter = 50 * (n + m)
@@ -312,6 +332,14 @@ def solve_qp(prob: QuadProgram, tol: float = DEFAULT_TOL,
 
     x, lam, iterations = _active_set(prob.q, prob.c, prob.a, b_solve, x0, tol, max_iter)
     stationarity, violation, comp = kkt_residuals(prob, x, lam)
+    # A stalled or wedged active set can drift off the feasible set
+    # without noticing; such a point is no solution of this program.
+    bound = tol * max(1.0, float(np.abs(prob.b).max(initial=0.0)))
+    if not (np.all(np.isfinite(x)) and violation <= bound):
+        raise MaxIterations(
+            f"active-set method ended at a point violating its constraints "
+            f"by {violation:.3e} (limit {bound:.1e})"
+        )
     x = x.copy()
     lam = lam.copy()
     x.setflags(write=False)

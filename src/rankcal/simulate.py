@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
 from .model import ColorMatrix, PixelPairSet
+from .modelfile import _fmt, _Reader
 from .ranking import SATURATION_LIMIT
 
 TONE_FAMILIES = ("gamma", "srgb", "filmic")
@@ -257,10 +258,6 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
     )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def serialize_camera(camera: SyntheticCamera) -> str:
     """Sidecar ground-truth document in the keyed text style."""
     lines = ["camera.version = 1"]
@@ -286,44 +283,44 @@ def serialize_camera(camera: SyntheticCamera) -> str:
 
 
 def deserialize_camera(text: str) -> SyntheticCamera:
-    """Parse a camera sidecar document."""
-    values: dict[str, str] = {}
-    for lineno, raw_line in enumerate(text.split("\n"), start=1):
-        line = raw_line.rstrip("\r")
-        if not line.strip():
-            continue
-        if " = " not in line:
-            raise ModelParseError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split(" = ", 1)
-        values[key.strip()] = value
-
-    def need(key: str) -> str:
-        if key not in values:
-            raise ModelParseError(f"missing key {key!r}")
-        return values[key]
-
-    if need("camera.version") != "1":
-        raise ModelParseError(f"unknown camera version {values['camera.version']!r}")
+    """Parse a camera sidecar document, in serialize_camera's field order."""
+    reader = _Reader(text)
+    version = reader.take("camera.version")
+    if version != "1":
+        raise ModelParseError(f"unknown camera version {version!r}")
+    camera_id = reader.take("camera.id")
+    seed = reader.take_int("camera.seed")
     rows = np.array([
-        [float(need(f"matrix.r{i + 1}.c{j + 1}")) for j in range(3)]
+        [reader.take_float(f"matrix.r{i + 1}.c{j + 1}") for j in range(3)]
         for i in range(3)
     ])
-    mode = need("gamut.mode")
+    family = reader.take("tone.family")
+    gamma = reader.take_float("tone.gamma")
+    mode = reader.take("gamut.mode")
+    if mode not in GAMUT_MODES:
+        raise ModelParseError(f"unknown gamut.mode {mode!r}")
     gamut = None
-    if mode in ("affine", "warped"):
+    if mode != "none":
         t = np.array([
-            [float(need(f"gamut.t.r{i + 1}.c{j + 1}")) for j in range(3)]
+            [reader.take_float(f"gamut.t.r{i + 1}.c{j + 1}") for j in range(3)]
             for i in range(3)
         ])
-        o = np.array([float(need(f"gamut.o.{i + 1}")) for i in range(3)])
+        o = np.array([reader.take_float(f"gamut.o.{i + 1}") for i in range(3)])
         gamut = AffineGamutMap(t, o)
-    return SyntheticCamera(
-        matrix=ColorMatrix(rows),
-        tone=ToneSpec(need("tone.family"), float(need("tone.gamma"))),
-        gamut=gamut,
-        warp_scale=float(need("warp.scale")),
-        noise_sigma=float(need("noise.sigma")),
-        quantize=need("quantize") == "1",
-        camera_id=need("camera.id"),
-        seed=int(need("camera.seed")),
-    )
+    warp_scale = reader.take_float("warp.scale")
+    noise_sigma = reader.take_float("noise.sigma")
+    quantize = reader.take("quantize") == "1"
+    reader.finish()
+    try:
+        return SyntheticCamera(
+            matrix=ColorMatrix(rows),
+            tone=ToneSpec(family, gamma),
+            gamut=gamut,
+            warp_scale=warp_scale,
+            noise_sigma=noise_sigma,
+            quantize=quantize,
+            camera_id=camera_id,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise ModelParseError(f"camera fails validation: {exc}") from exc

@@ -36,10 +36,9 @@ class TestPixelPairSet:
         rendered = np.array([[0.2, 0.3, 0.4], [0.5, 0.6, 0.7]])
         pairs = PixelPairSet.from_arrays(raw, rendered)
         assert len(pairs) == 2
-        e = pairs.entry(1)
-        assert e.raw.r == pytest.approx(0.4)
-        assert e.patch == "p1"
-        assert not e.saturated
+        assert pairs.raw[1][0] == pytest.approx(0.4)
+        assert pairs.patch[1] == "p1"
+        assert not pairs.saturated[1]
 
     def test_rendered_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Round-trip and rejection tests for the model text format."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,10 +62,20 @@ def test_identity_model_roundtrip():
     assert back.metadata == model.metadata
 
 
-@pytest.mark.parametrize("seed", range(8))
+# A calibrated model written while the tone fit still had a
+# constraint_grid setting, which its metadata keeps.
+CONSTRAINT_GRID_MODEL = Path(__file__).parent / "data" / "model_with_constraint_grid.txt"
+
+
+@pytest.mark.parametrize("seed", [*range(8), "constraint_grid"])
 def test_random_model_roundtrip_exact(seed):
-    model, _ = random_model(seed)
-    text = serialize_model(model)
+    if seed == "constraint_grid":
+        text = CONSTRAINT_GRID_MODEL.read_text(encoding="utf-8")
+        model = deserialize_model(text)
+        assert ("constraint_grid", "257") in model.metadata.settings
+    else:
+        model, _ = random_model(seed)
+        text = serialize_model(model)
     back = deserialize_model(text)
     assert np.array_equal(back.matrix.rows, model.matrix.rows)
     assert np.array_equal(back.forward_lut.nodes, model.forward_lut.nodes)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from rankcal.errors import Infeasible
+from rankcal import qp
+from rankcal.errors import Infeasible, MaxIterations
 from rankcal.qp import QuadProgram, kkt_residuals, solve_qp
+from rankcal.tonefit import curvature_matrix
 
 TOL = 1e-8
 
@@ -155,3 +157,49 @@ def test_rejects_indefinite_q():
             a=np.zeros((0, 2)),
             b=np.zeros(0),
         )
+
+
+def derivative_grid_program(seed):
+    """A tone fit with the derivative constrained on 257 uniform points.
+
+    The data are those of acceptance criterion 7 for ``seed`` (kind 3,
+    sin(6x) + 0.5x). On these seeds an active set that lets rows
+    dependent on its working set block a step drifts far off the
+    feasible set (violations of 1e3 to 3e71).
+    """
+    rng = np.random.default_rng(10_000 + seed)
+    n = int(rng.integers(9, 300))
+    x = rng.uniform(0.0, 1.0, n)
+    if np.ptp(x) < 0.25:
+        x = np.linspace(0.0, 1.0, n)
+    y = np.sin(6 * x) + 0.5 * x
+    v = np.vander(x, 8, increasing=True)
+    t = np.linspace(0.0, 1.0, 257)
+    deriv = np.zeros((t.size, 8))
+    for j in range(1, 8):
+        deriv[:, j] = j * t ** (j - 1)
+    return QuadProgram(q=2.0 * (v.T @ v + 1e-5 * curvature_matrix(7)),
+                       c=-2.0 * (v.T @ y), a=-deriv, b=np.zeros(t.size))
+
+
+@pytest.mark.parametrize("seed", [27, 47, 63, 87, 483])
+def test_never_returns_a_point_off_the_constraints(seed):
+    prob = derivative_grid_program(seed)
+    start = np.zeros(8)
+    start[1] = 1.0
+    try:
+        sol = solve_qp(prob, TOL, start=start)
+    except MaxIterations:
+        return
+    assert np.all(np.isfinite(sol.x))
+    assert sol.max_violation <= TOL
+
+
+@pytest.mark.parametrize("bad", [np.array([2.0, 0.0]), np.array([np.nan, 0.0])])
+def test_off_constraint_point_raises_naming_violation(monkeypatch, bad):
+    # x0 <= 1 and x1 <= 1; the stubbed active set ends at `bad`
+    prob = QuadProgram(q=np.eye(2), c=np.zeros(2), a=np.eye(2), b=np.ones(2))
+    monkeypatch.setattr(qp, "_active_set",
+                        lambda *args: (bad, np.zeros(2), 1))
+    with pytest.raises(MaxIterations, match="violating its constraints by"):
+        solve_qp(prob, TOL)

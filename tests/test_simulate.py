@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rankcal.errors import ModelParseError
 from rankcal.model import ColorMatrix, RgbTriple
 from rankcal.simulate import (
     SyntheticCamera,
@@ -168,3 +169,26 @@ def test_camera_sidecar_roundtrip():
         else:
             assert np.array_equal(back.gamut.t, camera.gamut.t)
             assert np.array_equal(back.gamut.o, camera.gamut.o)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("noise.sigma", "abc"),
+    ("noise.sigma", "nan"),
+    ("matrix.r2.c3", "1.0.0"),
+    ("camera.seed", "x7"),
+])
+def test_camera_sidecar_bad_value_names_key(key, bad):
+    text = serialize_camera(make_camera(seed=6, noise_sigma=0.01))
+    start = text.index(f"{key} = ") + len(f"{key} = ")
+    broken = text[:start] + bad + text[text.index("\n", start):]
+    with pytest.raises(ModelParseError, match=key.replace(".", r"\.")):
+        deserialize_camera(broken)
+
+
+def test_camera_sidecar_rejects_reordered_and_extra_keys():
+    lines = serialize_camera(make_camera(seed=6)).split("\n")
+    lines[1], lines[2] = lines[2], lines[1]
+    with pytest.raises(ModelParseError, match="camera.id"):
+        deserialize_camera("\n".join(lines))
+    with pytest.raises(ModelParseError, match="extra.key"):
+        deserialize_camera(serialize_camera(make_camera(seed=6)) + "extra.key = 1\n")

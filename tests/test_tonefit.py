@@ -1,15 +1,21 @@
 """Tests for monotone polynomial tone-curve fitting."""
 
+import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from rankcal import tonefit
 from rankcal.errors import DegenerateSpan, InsufficientData
 from rankcal.model import ColorMatrix, PixelPairSet
 from rankcal.qp import QuadProgram, solve_qp
 from rankcal.tonefit import (
     FitConfig,
+    _rise_rows,
     curvature_matrix,
     fit_forward_tones,
     fit_inverse_tones,
@@ -68,7 +74,8 @@ class TestFitMonotone:
             return float(r @ r + cfg.smoothness * coef @ s @ coef)
 
         ls = np.linalg.lstsq(v, y, rcond=None)[0]
-        grid = np.linspace(0.0, 1.0, cfg.constraint_grid)
+        # the derivative grid the fit was once constrained on
+        grid = np.linspace(0.0, 1.0, 257)
         deriv = np.zeros((grid.size, cfg.degree + 1))
         for j in range(1, cfg.degree + 1):
             deriv[:, j] = j * grid ** (j - 1)
@@ -110,6 +117,40 @@ class TestFitMonotone:
         curve = fit_monotone(x, y)
         deltas = np.diff(curve(np.linspace(0.0, 1.0, 1024)))
         assert deltas.min() >= -1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(-1e3, 1e3)),
+        min_size=8, max_size=80,
+    ))
+    def test_one_solve_and_non_decreasing_bernstein_coefficients(self, data):
+        x, y = (np.array(col) for col in zip(*data))
+        assume(np.ptp(x) >= 0.2)
+        with mock.patch.object(tonefit, "solve_qp", wraps=tonefit.solve_qp) as solve:
+            curve = fit_monotone(x, y)
+        assert solve.call_count == 1
+        assert (_rise_rows(7) @ curve.coefficients).min() >= -1e-9
+
+    def test_constant_fit_with_every_rise_active(self):
+        # at the optimum all 16 rises vanish, but only 7 rows are
+        # independent; the active set must not stack dependent rows
+        x = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25, 0.3125])
+        y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0])
+        curve = fit_monotone(x, y)
+        assert np.abs(curve(DENSE) - 0.625).max() <= 1e-6
+
+    def test_rises_are_those_of_the_bernstein_coefficients(self):
+        # sum_k b_k C(16, k) t^k (1 - t)^(16 - k) reproduces the curve
+        # when b_0 = a_0 and b_k - b_(k-1) are the rises
+        rng = np.random.default_rng(8)
+        t = np.linspace(0.0, 1.0, 101)
+        basis = np.array([math.comb(16, k) * t ** k * (1.0 - t) ** (16 - k)
+                          for k in range(17)])
+        for _ in range(20):
+            coef = rng.normal(size=8)
+            bern = coef[0] + np.concatenate([[0.0], np.cumsum(_rise_rows(7) @ coef)])
+            assert np.allclose(bern @ basis,
+                               np.polynomial.polynomial.polyval(t, coef), atol=1e-12)
 
 
 class TestChannelFits:
