@@ -21,6 +21,11 @@ from .qp import QuadProgram, solve_qp
 _QP_TOL = 1e-8
 _CUBE_SLACK = 1e-6
 
+# Samples per block of the lattice fit: its normal equations are summed
+# over dense (block, r^3) designs, 16 MB each at resolution 5, so a fit's
+# memory does not grow with its sample count beyond the inputs.
+_FIT_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class AffineGamutMap:
@@ -156,7 +161,9 @@ def fit_lattice(inputs, targets, resolution: int = 5,
     lattice, and nodes untouched by any sample are anchored to the
     identity. Gamut correction is a small residual, so an unobserved
     region simply passes colours through. Each output channel is one
-    closed-form linear solve; regularization > 0 makes it unique.
+    closed-form linear solve; regularization > 0 makes it unique. The
+    normal equations are accumulated over blocks of _FIT_BLOCK samples,
+    so a fit of one block forms them in a single product.
     """
     v = np.clip(np.asarray(inputs, dtype=float).reshape(-1, 3), 0.0, 1.0)
     y = _as_triples(targets)
@@ -169,20 +176,28 @@ def fit_lattice(inputs, targets, resolution: int = 5,
     r = int(resolution)
     n_nodes = r ** 3
 
-    idx, w = trilinear_weights(v, r)
-    design = np.zeros((v.shape[0], n_nodes))
-    np.put_along_axis(design, idx, w, axis=1)
+    gram = np.zeros((n_nodes, n_nodes))
+    rhs = np.zeros((n_nodes, 3))
+    touched = np.zeros(n_nodes, dtype=bool)
+    for start in range(0, v.shape[0], _FIT_BLOCK):
+        vb = v[start:start + _FIT_BLOCK]
+        yb = y[start:start + _FIT_BLOCK]
+        idx, w = trilinear_weights(vb, r)
+        design = np.zeros((vb.shape[0], n_nodes))
+        np.put_along_axis(design, idx, w, axis=1)
+        gram += design.T @ design
+        touched |= (design > 1e-12).any(axis=0)
+        for c in range(3):
+            rhs[:, c] += design.T @ (yb[:, c] - vb[:, c])
 
     lap = _grid_laplacian(r)
-    touched = (design > 1e-12).any(axis=0)
     anchor = np.where(touched, 0.0, 1.0)
-    system = design.T @ design + regularization * (lap + np.diag(anchor))
+    system = gram + regularization * (lap + np.diag(anchor))
 
     identity_nodes = Lattice3.identity(r).nodes.reshape(n_nodes, 3)
     nodes = np.empty((n_nodes, 3))
     for c in range(3):
-        rhs = design.T @ (y[:, c] - v[:, c])
-        residual = np.linalg.solve(system, rhs)
+        residual = np.linalg.solve(system, rhs[:, c])
         nodes[:, c] = identity_nodes[:, c] + residual
     return Lattice3(nodes.reshape(r, r, r, 3))
 

@@ -4,8 +4,10 @@ Each pair of pixels whose rendered values differ in a channel pins the
 corresponding matrix row to one side of a plane through the origin. Rows
 are recovered by finding the candidate directions, from a fixed dense
 sample of the unit sphere, that satisfy the most of those half-space
-constraints; a branch-and-bound over caps of the sample finds exactly
-the points a dense scan would while scoring only a few of them.
+constraints. A best-first branch-and-bound over two levels of caps of
+the sample finds exactly the points a dense scan would: it scores one
+cap to set a floor, then only the points of caps whose bound reaches
+it, about 0.5% of the half-sphere on the benchmark's constraint sets.
 Repeated trials over random colour subsets are arbitrated by how
 monotone the induced raw-to-rendered relation is.
 """
@@ -44,6 +46,11 @@ _SCORE_BLOCK = 4096
 # spiral centres over the upper hemisphere. 256 caps prune too little and
 # 4096 spend more on bounds than they save.
 _CAP_CENTRES = 1024
+
+# Cap groups: the fine caps are grouped in turn around this many coarser
+# spiral centres, so that a search bounds the groups first and the fine
+# caps of the groups it opens.
+_CAP_GROUPS = 64
 
 # Angular margin (radians) added to each cap radius. The float32 sign
 # test errs only for constraints within about 1e-6 rad of a point's
@@ -90,18 +97,24 @@ class SphereSample:
 
 @dataclass(frozen=True)
 class CapIndex:
-    """Scored sphere points grouped into caps around coarse centres.
+    """Scored sphere points grouped into caps, and caps into groups.
 
     Cap k holds the points ``order[offsets[k]:offsets[k + 1]]``, each
-    within ``radius[k]`` radians of ``centres[k]``. An antipodal sample
-    indexes its first half; any other sample indexes every point, around
-    the hemisphere centres and their negations. Empty caps are dropped.
+    within ``radius[k]`` radians of ``centres[k]``. Group j holds the
+    caps ``group_offsets[j]:group_offsets[j + 1]``, whose points all lie
+    within ``group_radius[j]`` radians of ``group_centres[j]``. An
+    antipodal sample indexes its first half; any other sample indexes
+    every point, around the hemisphere centres and their negations.
+    Empty caps and empty groups are dropped.
     """
 
     centres: np.ndarray
     order: np.ndarray
     offsets: np.ndarray
     radius: np.ndarray
+    group_centres: np.ndarray
+    group_offsets: np.ndarray
+    group_radius: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,12 +171,24 @@ def sample_sphere(n: int) -> SphereSample:
     return SphereSample(_fibonacci_spiral(z))
 
 
+def _spiral_centres(count: int, antipodal: bool) -> np.ndarray:
+    """Fibonacci centres over the upper hemisphere, and their negations
+    unless the scored points are the upper half of an antipodal sample."""
+    z = 1.0 - (np.arange(count, dtype=float) + 0.5) / count
+    centres = _fibonacci_spiral(z)
+    return centres if antipodal else np.vstack([centres, -centres])
+
+
+def _largest_angles(points: np.ndarray, centres: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+    """Largest angle between a point and its centre in each run from ``starts``."""
+    cosine = np.einsum("ij,ij->i", points, centres)
+    return np.maximum.reduceat(np.arccos(np.clip(cosine, -1.0, 1.0)), starts)
+
+
 def _build_caps(points: np.ndarray, antipodal: bool) -> CapIndex:
     scored = points[:points.shape[0] // 2] if antipodal else points
-    z = 1.0 - (np.arange(_CAP_CENTRES, dtype=float) + 0.5) / _CAP_CENTRES
-    centres = _fibonacci_spiral(z)
-    if not antipodal:
-        centres = np.vstack([centres, -centres])
+    centres = _spiral_centres(_CAP_CENTRES, antipodal)
     # nearest centre by float32 products: a near tie may go either way,
     # and the radii below hold for whichever centre was picked
     c32 = np.ascontiguousarray(centres.T, dtype=np.float32)
@@ -172,14 +197,32 @@ def _build_caps(points: np.ndarray, antipodal: bool) -> CapIndex:
         np.argmax(p32[s:s + _SCORE_BLOCK] @ c32, axis=1)
         for s in range(0, scored.shape[0], _SCORE_BLOCK)
     ])
-    cosine = np.einsum("ij,ij->i", scored, centres[label])
-    angle = np.arccos(np.clip(cosine, -1.0, 1.0))
-    order = np.argsort(label, kind="stable")
     counts = np.bincount(label, minlength=centres.shape[0])
-    used = counts > 0
-    offsets = np.concatenate([[0], np.cumsum(counts[used])])
-    radius = np.maximum.reduceat(angle[order], offsets[:-1])
-    return CapIndex(centres[used], order, offsets, radius)
+    used = np.flatnonzero(counts)
+    # each non-empty cap joins its nearest group, and the caps are
+    # numbered group by group so that a group's caps are contiguous
+    groups = _spiral_centres(_CAP_GROUPS, antipodal)
+    owner = np.zeros(centres.shape[0], dtype=np.int64)
+    owner[used] = np.argmax(centres[used] @ groups.T, axis=1)
+    by_group = used[np.argsort(owner[used], kind="stable")]
+    rank = np.empty(centres.shape[0], dtype=np.int64)
+    rank[by_group] = np.arange(by_group.size)
+    order = np.argsort(rank[label], kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(counts[by_group])])
+    group_sizes = np.bincount(owner[used], minlength=groups.shape[0])
+    group_offsets = np.concatenate([[0], np.cumsum(group_sizes[group_sizes > 0])])
+    members = scored[order]
+    member_cap = label[order]
+    return CapIndex(
+        centres=centres[by_group],
+        order=order,
+        offsets=offsets,
+        radius=_largest_angles(members, centres[member_cap], offsets[:-1]),
+        group_centres=groups[group_sizes > 0],
+        group_offsets=group_offsets,
+        group_radius=_largest_angles(members, groups[owner[member_cap]],
+                                     offsets[group_offsets[:-1]]),
+    )
 
 
 def _constraint_pool(pairs: PixelPairSet) -> tuple[np.ndarray, np.ndarray]:
@@ -249,50 +292,88 @@ def score_candidate(m: np.ndarray, hs: HalfSpaceSet) -> int:
     return int(np.count_nonzero(hs.differences @ m > 0.0))
 
 
+def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
+                  antipodal: bool) -> np.ndarray:
+    """Most constraints any point within ``radius`` of each centre satisfies.
+
+    With g = c . d/|d| and s = sin(radius + margin), every such point
+    fails the constraints with g < -s, and its negation those with g > s.
+    """
+    g = centres @ unit.T
+    s = np.sin(radius + _CAP_MARGIN)[:, None]
+    m = unit.shape[0]
+    upper = m - np.count_nonzero(g < -s, axis=1)
+    if antipodal:
+        upper = np.maximum(upper, m - np.count_nonzero(g > s, axis=1))
+    return upper
+
+
+def _scores(sphere: SphereSample, dt: np.ndarray,
+            idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint counts of the points ``idx``, and the indices they belong to.
+
+    Products are formed in float32 blocks and read by sign; for an
+    antipodal sample each product also serves the point's negation.
+    """
+    p32 = sphere.points[idx].astype(np.float32)
+    if p32.shape[0] % _SCORE_BLOCK == 1:
+        # numpy forms a one-row product with gemv, which may round
+        # differently from a matrix product, as a one-column product
+        # does; a repeated row keeps every product a matrix product
+        p32 = np.vstack([p32, p32[-1:]])
+    pos = np.empty(p32.shape[0], dtype=np.int64)
+    neg = np.empty(p32.shape[0], dtype=np.int64)
+    for start in range(0, p32.shape[0], _SCORE_BLOCK):
+        prod = p32[start:start + _SCORE_BLOCK] @ dt
+        pos[start:start + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
+        neg[start:start + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
+    pos = pos[:idx.size]
+    if sphere.antipodal:
+        return (np.concatenate([pos, neg[:idx.size]]),
+                np.concatenate([idx, idx + sphere.count // 2]))
+    return pos, idx
+
+
 def _tied_points(sphere: SphereSample, diffs: np.ndarray) -> tuple[int, np.ndarray]:
     """Most constraints any sphere point satisfies, and the points that do.
 
     The indices come in ascending order and equal those of scoring every
-    point. Each cap is bounded from its centre c: with g = c . d/|d| and
-    s = sin(radius + margin), all of its points satisfy the constraints
-    with g > s and fail those with g < -s, and their negations the
-    reverse. Only caps whose upper bound reaches the best lower bound are
-    scored, in float32 products read by sign; for an antipodal sample
-    each product serves a point and its negation.
+    point. The search is a best-first branch-and-bound over the cap
+    index: it bounds the cap groups, descends into the group with the
+    highest bound, and scores the points of that group's best cap. Their
+    best score is a floor that only groups, and then caps within them,
+    whose upper bound reaches it can beat or tie; only those points are
+    scored again. On the criterion-9 constraint sets both passes together
+    score about 0.5% of the half-sphere. Every product has at least two
+    rows, so the floor is a score the final pass reproduces.
     """
     caps = sphere.caps
-    m = diffs.shape[0]
-    unit = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-    g = caps.centres @ unit.T
-    s = np.sin(caps.radius + _CAP_MARGIN)[:, None]
-    hit = np.count_nonzero(g > s, axis=1)
-    miss = np.count_nonzero(g < -s, axis=1)
-    if sphere.antipodal:
-        floor = max(hit.max(), miss.max())
-        open_caps = (m - miss >= floor) | (m - hit >= floor)
-    else:
-        floor = hit.max()
-        open_caps = m - miss >= floor
-    if m == 1:
+    dt = np.ascontiguousarray(diffs.T, dtype=np.float32)
+    if diffs.shape[0] == 1:
         # numpy forms a one-column product with gemv, which rounds the
         # last rows of a call differently from the rest; scoring every
         # point keeps each product as the dense blocks form it
-        open_caps[:] = True
-    idx = np.sort(caps.order[np.repeat(open_caps, np.diff(caps.offsets))])
-
-    dt = np.ascontiguousarray(diffs.T, dtype=np.float32)
-    p32 = sphere.points[idx].astype(np.float32)
-    pos = np.empty(idx.size, dtype=np.int64)
-    neg = np.empty(idx.size, dtype=np.int64)
-    for start in range(0, idx.size, _SCORE_BLOCK):
-        prod = p32[start:start + _SCORE_BLOCK] @ dt
-        pos[start:start + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
-        neg[start:start + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
-    if sphere.antipodal:
-        scores = np.concatenate([pos, neg])
-        idx = np.concatenate([idx, idx + sphere.count // 2])
+        idx = np.arange(caps.order.size)
     else:
-        scores = pos
+        unit = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+        group_upper = _upper_bounds(caps.group_centres, caps.group_radius, unit,
+                                    sphere.antipodal)
+        top = int(np.argmax(group_upper))
+        first, last = caps.group_offsets[top:top + 2]
+        cap_upper = _upper_bounds(caps.centres[first:last], caps.radius[first:last],
+                                  unit, sphere.antipodal)
+        best_cap = first + int(np.argmax(cap_upper))
+        incumbent = caps.order[caps.offsets[best_cap]:caps.offsets[best_cap + 1]]
+        floor = _scores(sphere, dt, incumbent)[0].max()
+
+        candidates = np.flatnonzero(
+            np.repeat(group_upper >= floor, np.diff(caps.group_offsets)))
+        open_caps = np.zeros(caps.centres.shape[0], dtype=bool)
+        open_caps[candidates] = _upper_bounds(
+            caps.centres[candidates], caps.radius[candidates], unit,
+            sphere.antipodal) >= floor
+        idx = np.sort(caps.order[np.repeat(open_caps, np.diff(caps.offsets))])
+    scores, idx = _scores(sphere, dt, idx)
     best = int(scores.max())
     return best, idx[scores == best]
 

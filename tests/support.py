@@ -1,12 +1,14 @@
 """Shared test helpers: exact nearest-neighbour search, angle math, and the
 reference implementations the optimised code is checked against (the
-dense sphere scan, the array-based isotonic fit and the unblocked maps)."""
+dense sphere scan, the array-based isotonic fit, the unblocked maps and
+the unblocked lattice fit)."""
 
 from collections import defaultdict
 
 import numpy as np
 
-from rankcal.gamut import apply_lattice
+from rankcal.gamut import _as_triples, _grid_laplacian, apply_lattice, trilinear_weights
+from rankcal.model import Lattice3
 
 
 def chord_to_degrees(chord: float) -> float:
@@ -142,3 +144,29 @@ def map_backward_unblocked(model, rendered) -> np.ndarray:
     ])
     back = np.clip(linearized @ model.matrix.inverse().T, 0.0, 1.0)
     return np.clip(apply_lattice(model.backward_lut, back), 0.0, 1.0)
+
+
+def fit_lattice_unblocked(inputs, targets, resolution: int = 5,
+                          regularization: float = 1e-3) -> Lattice3:
+    """Lattice fit from one dense (n, r^3) design: the blocked fit's oracle."""
+    v = np.clip(np.asarray(inputs, dtype=float).reshape(-1, 3), 0.0, 1.0)
+    y = _as_triples(targets)
+    r = int(resolution)
+    n_nodes = r ** 3
+
+    idx, w = trilinear_weights(v, r)
+    design = np.zeros((v.shape[0], n_nodes))
+    np.put_along_axis(design, idx, w, axis=1)
+
+    lap = _grid_laplacian(r)
+    touched = (design > 1e-12).any(axis=0)
+    anchor = np.where(touched, 0.0, 1.0)
+    system = design.T @ design + regularization * (lap + np.diag(anchor))
+
+    identity_nodes = Lattice3.identity(r).nodes.reshape(n_nodes, 3)
+    nodes = np.empty((n_nodes, 3))
+    for c in range(3):
+        rhs = design.T @ (y[:, c] - v[:, c])
+        residual = np.linalg.solve(system, rhs)
+        nodes[:, c] = identity_nodes[:, c] + residual
+    return Lattice3(nodes.reshape(r, r, r, 3))

@@ -1,8 +1,13 @@
 """Tests for the affine gamut solver and the lattice LUT."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from support import fit_lattice_unblocked
+
+from rankcal import gamut
 from rankcal.errors import DegenerateGeometry
 from rankcal.gamut import (
     apply_lattice,
@@ -177,6 +182,40 @@ class TestFitLattice:
             lut = fit_lattice(v, y, resolution=resolution)
             residuals.append(float(np.mean((apply_lattice(lut, v) - y) ** 2)))
         assert residuals[0] >= residuals[1] >= residuals[2]
+
+    @pytest.mark.parametrize("n, exact", [
+        (1, True), (2, True), (gamut._FIT_BLOCK - 1, True), (gamut._FIT_BLOCK, True),
+        (gamut._FIT_BLOCK + 1, False), (2 * gamut._FIT_BLOCK + 17, False),
+    ])
+    def test_blocks_match_unblocked_fit(self, n, exact):
+        rng = np.random.default_rng(n)
+        # a corner of the cube left empty, so some nodes are anchored
+        v = rng.uniform(0.0, 1.0, size=(n, 3)) * [1.0, 1.0, 0.6]
+        y = np.clip(v + 0.05 * np.sin(2 * np.pi * v) + 0.01 * rng.normal(size=v.shape),
+                    0.0, 1.0)
+        blocked = fit_lattice(v, y, resolution=5, regularization=1e-3)
+        reference = fit_lattice_unblocked(v, y, resolution=5, regularization=1e-3)
+        if exact:
+            # one block forms the normal equations as the dense design did
+            assert np.array_equal(blocked.nodes, reference.nodes)
+        else:
+            assert np.abs(blocked.nodes - reference.nodes).max() <= 1e-12
+
+    def test_traced_memory_bounded_per_sample(self):
+        # the parent's dense design took 1 kB a sample; what remains is
+        # the clipped copy of the inputs (24 bytes a sample)
+        B = gamut._FIT_BLOCK
+        rng = np.random.default_rng(3)
+        peaks = []
+        for n in (4 * B, 8 * B):
+            v = rng.uniform(0.0, 1.0, size=(n, 3))
+            tracemalloc.start()
+            try:
+                fit_lattice(v, v, resolution=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (4 * B) <= 32
 
     def test_rejects_empty_and_mismatched_input(self):
         with pytest.raises(ValueError):

@@ -272,9 +272,84 @@ class TestTiedPoints:
         assert np.all(cosine >= np.cos(radius) - 1e-12)
         assert np.degrees(caps.radius.max()) <= 5.0
 
+    @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
+    def test_groups_partition_caps_within_radius(self, n):
+        sphere = sample_sphere(n)
+        caps = sphere.caps
+        sizes = np.diff(caps.group_offsets)
+        assert caps.group_offsets[0] == 0 and np.all(sizes > 0)
+        assert caps.group_offsets[-1] == caps.centres.shape[0]
+        assert caps.group_centres.shape[0] == sizes.size == caps.group_radius.size
+        # every scored point lies within its cap's group radius
+        points = np.diff(caps.offsets)
+        per_group = np.add.reduceat(points, caps.group_offsets[:-1])
+        centre = np.repeat(caps.group_centres, per_group, axis=0)
+        radius = np.repeat(caps.group_radius, per_group)
+        cosine = np.einsum("ij,ij->i", sphere.points[caps.order], centre)
+        assert np.all(cosine >= np.cos(radius) - 1e-12)
+
+    @pytest.mark.parametrize("n", (6, 2000))
+    def test_one_point_incumbent_matches_dense_scan(self, search_spheres, n,
+                                                    monkeypatch):
+        # the floor comes from scoring one cap's points; a cap of one
+        # point must score as it does within the final pass's blocks
+        sphere = search_spheres[n]
+        calls = []
+        score = ranking._scores
+
+        def spy(sample, dt, idx):
+            calls.append(idx.size)
+            return score(sample, dt, idx)
+
+        monkeypatch.setattr(ranking, "_scores", spy)
+        rng = np.random.default_rng(n)
+        one_point = 0
+        for _ in range(100):
+            d = rng.normal(size=(int(rng.integers(2, 300)), 3))
+            calls.clear()
+            best, tied = _tied_points(sphere, d)
+            dense_best, dense_tied = dense_tied_points(sphere, d)
+            assert best == dense_best
+            assert np.array_equal(tied, dense_tied)
+            one_point += calls[0] == 1
+        assert one_point >= 50
+
     def test_index_built_once_per_sample(self):
         sphere = sample_sphere(2000)
         assert sphere.caps is sphere.caps
+
+
+class TestPruning:
+    # measured: 0.45% of the half-sphere per search at both sizes, the
+    # incumbent cap's points included; a floor 33 constraints low, as
+    # cap hit counts give, scores about 2%
+    MAX_SCORED_SHARE = 0.007
+
+    @pytest.mark.parametrize("pairs", [140, 8000])
+    def test_scored_share_on_criterion9_sets(self, tmp_path, monkeypatch, pairs):
+        corpus = tmp_path / "image.csv"
+        assert cli_main(["simulate", "--out", str(corpus), "--patches", "8100",
+                         "--seed", "17", "--quantize"]) == 0
+        searched = []
+        scored = []
+        search = ranking._tied_points
+        score = ranking._scores
+
+        def count_search(sphere, diffs):
+            searched.append(sphere.caps.order.size)
+            return search(sphere, diffs)
+
+        def count_scored(sphere, dt, idx):
+            scored.append(idx.size)
+            return score(sphere, dt, idx)
+
+        monkeypatch.setattr(ranking, "_tied_points", count_search)
+        monkeypatch.setattr(ranking, "_scores", count_scored)
+        assert cli_main(["calibrate", "--data", str(corpus), "--subset",
+                         f"uniform:{pairs}", "--out", str(tmp_path / "m.txt"),
+                         "--seed", "2"]) == 0
+        assert len(searched) == 75
+        assert sum(scored) / sum(searched) <= self.MAX_SCORED_SHARE
 
 
 class TestDenseOracle:
