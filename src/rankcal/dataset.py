@@ -63,17 +63,25 @@ def parse_subset_spec(text: str, rng_seed: int = 0) -> SubsetSpec | None:
     text = text.strip()
     if text == "all":
         return None
+
+    def count(value: str) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"bad subset spec {text!r}: {value!r} is not an integer") from None
+
     if text.startswith("uniform:"):
-        return SubsetSpec(kind="uniform", k=int(text[len("uniform:"):]),
+        return SubsetSpec(kind="uniform", k=count(text[len("uniform:"):]),
                           rng_seed=rng_seed)
     if text.startswith("exp:"):
-        parts = dict(p.split(":", 1) for p in text.split(","))
-        if set(parts) != {"exp", "illu"}:
-            raise ValueError(f"bad subset spec {text!r}")
+        parts = [p.split(":", 1) for p in text.split(",")]
+        if any(len(p) != 2 for p in parts) or sorted(p[0] for p in parts) != ["exp", "illu"]:
+            raise ValueError(f"bad subset spec {text!r}; use exp:E,illu:I")
+        values = dict(parts)
         return SubsetSpec(
             kind="exposures_illuminants",
-            n_exposures=int(parts["exp"]),
-            n_illuminants=int(parts["illu"]),
+            n_exposures=count(values["exp"]),
+            n_illuminants=count(values["illu"]),
             rng_seed=rng_seed,
         )
     raise ValueError(f"bad subset spec {text!r}; use all, uniform:K, or exp:E,illu:I")

@@ -174,6 +174,8 @@ def fit_lattice(inputs, targets, resolution: int = 5,
     if regularization <= 0:
         raise ValueError("regularization must be positive")
     r = int(resolution)
+    if r != resolution or r < 2:
+        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     n_nodes = r ** 3
 
     gram = np.zeros((n_nodes, n_nodes))

@@ -8,6 +8,7 @@ construction and validate their own invariants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,19 +116,50 @@ class PixelPairSet:
         return self.raw.shape[0]
 
     def subset(self, indices) -> "PixelPairSet":
+        """The entries at integer ``indices``, in that order, or where a
+        boolean mask of length n is set."""
         idx = np.asarray(indices)
+        if idx.ndim != 1:
+            raise ValueError(f"subset indices must be one-dimensional, got shape {idx.shape}")
+        if idx.dtype == bool:
+            if idx.size != len(self):
+                raise ValueError(f"subset mask must have length {len(self)}, got {idx.size}")
+            idx = np.flatnonzero(idx)
+        elif idx.size == 0:
+            idx = np.zeros(0, dtype=np.intp)
+        elif not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        positions = idx.tolist()
         return PixelPairSet(
             raw=self.raw[idx],
             rendered=self.rendered[idx],
-            camera=tuple(self.camera[i] for i in idx),
-            illuminant=tuple(self.illuminant[i] for i in idx),
-            exposure=tuple(self.exposure[i] for i in idx),
-            patch=tuple(self.patch[i] for i in idx),
+            camera=tuple(self.camera[i] for i in positions),
+            illuminant=tuple(self.illuminant[i] for i in positions),
+            exposure=tuple(self.exposure[i] for i in positions),
+            patch=tuple(self.patch[i] for i in positions),
             saturated=self.saturated[idx],
         )
 
     def unsaturated(self) -> "PixelPairSet":
+        """The unflagged entries: the set itself when none is flagged.
+
+        Built on first use and kept, as the set is immutable.
+        """
+        return self._unsaturated
+
+    @functools.cached_property
+    def _unsaturated(self) -> "PixelPairSet":
+        if not self.saturated.any():
+            return self
         return self.subset(np.flatnonzero(~self.saturated))
+
+    @functools.cached_property
+    def _rank_pool(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Rank evidence of the set, built on first use; see
+        ``ranking._constraint_pool``."""
+        from .ranking import _constraint_pool  # ranking imports this module
+
+        return _constraint_pool(self)
 
     @classmethod
     def from_arrays(cls, raw, rendered, saturated=None, camera="cam0",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ModelParseError
+from .errors import ModelParseError, SingularMatrix
 from .model import ColorMatrix, Lattice3, ModelMetadata, PipelineModel, ToneCurve
 
 FORMAT_VERSION = "1"
@@ -100,6 +100,13 @@ class _Reader:
         except ValueError:
             raise ModelParseError(f"invalid integer {value!r} for key {expected_key!r}") from None
 
+    def expect_lines(self, count: int, what: str) -> None:
+        """Refuse a size that the remaining lines cannot fill, before
+        anything of that size is allocated."""
+        left = len(self.items) - self.pos
+        if count > left:
+            raise ModelParseError(f"{what} needs {count} lines, only {left} remain")
+
     def peek_key(self) -> str | None:
         if self.pos >= len(self.items):
             return None
@@ -127,6 +134,7 @@ def deserialize_model(text: str) -> PipelineModel:
     degree = reader.take_int("tone.degree")
     if degree < 1:
         raise ModelParseError(f"tone.degree must be >= 1, got {degree}")
+    reader.expect_lines(6 * (degree + 1), f"tone.degree = {degree}")
 
     rows = np.empty((3, 3))
     for i in range(3):
@@ -149,7 +157,7 @@ def deserialize_model(text: str) -> PipelineModel:
             metadata=ModelMetadata(camera=camera, samples=samples,
                                    settings=tuple(settings)),
         )
-    except ValueError as exc:
+    except (ValueError, SingularMatrix) as exc:
         raise ModelParseError(f"model fails validation: {exc}") from exc
 
 
@@ -170,6 +178,7 @@ def _read_lut(reader: _Reader, name: str) -> Lattice3:
     r = reader.take_int(f"lut.{name}.resolution")
     if r < 2:
         raise ModelParseError(f"lut.{name}.resolution must be >= 2, got {r}")
+    reader.expect_lines(3 * r ** 3, f"lut.{name}.resolution = {r}")
     nodes = np.empty((r, r, r, 3))
     for i in range(r):
         for j in range(r):

@@ -9,8 +9,10 @@ justified.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,6 +64,17 @@ class CalibrationConfig:
     fit: FitConfig = field(default_factory=FitConfig)
     lattice_resolution: int = 5
     lattice_regularization: float = 0.05
+
+    def __post_init__(self) -> None:
+        for name, least in (("sphere_count", 6), ("trials", 1), ("max_colors", 2),
+                            ("lattice_resolution", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        reg = self.lattice_regularization
+        if (isinstance(reg, bool) or not isinstance(reg, Real)
+                or not math.isfinite(reg) or reg <= 0):
+            raise ValueError(f"lattice_regularization must be finite and > 0, got {reg!r}")
 
     def settings_dict(self) -> dict:
         return {

@@ -116,6 +116,11 @@ class CapIndex:
     group_offsets: np.ndarray
     group_radius: np.ndarray
 
+    def __post_init__(self) -> None:
+        # shared by every search of the cached sample
+        for value in vars(self).values():
+            value.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class HalfSpaceSet:
@@ -147,6 +152,7 @@ def _fibonacci_spiral(z: np.ndarray) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
+@functools.lru_cache(maxsize=2)
 def sample_sphere(n: int) -> SphereSample:
     """Deterministic, near-uniform unit vectors over the full sphere.
 
@@ -155,6 +161,10 @@ def sample_sphere(n: int) -> SphereSample:
     can share dot products between the two. Odd n uses one full-sphere
     spiral. At n = 100000 the largest nearest-neighbour gap is about
     0.65 degrees. n = 6 is the axis-aligned octahedron.
+
+    The sample is immutable and depends on n alone, so the process keeps
+    the last two it built, each with its cap index once searched: at
+    n = 100000 that is about 3 MB.
     """
     n = int(n)
     if n < 6:
@@ -225,14 +235,26 @@ def _build_caps(points: np.ndarray, antipodal: bool) -> CapIndex:
     )
 
 
-def _constraint_pool(pairs: PixelPairSet) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and rendered rows eligible for rank evidence: unflagged and unclipped."""
+def _constraint_pool(pairs: PixelPairSet) -> tuple[int, np.ndarray, np.ndarray]:
+    """Rank evidence of a pair set, which no trial changes.
+
+    Rows are eligible when unflagged and unclipped. Returns how many are,
+    and the raw and rendered rows of the first eligible occurrence of each
+    distinct raw row, in order. A set keeps its pool as
+    ``PixelPairSet._rank_pool``, so a calibration builds it once.
+    """
     ok = (
         ~pairs.saturated
         & (pairs.raw < SATURATION_LIMIT).all(axis=1)
         & (pairs.rendered < SATURATION_LIMIT).all(axis=1)
     )
-    return pairs.raw[ok], pairs.rendered[ok]
+    raw = pairs.raw[ok]
+    first = _first_of_each_row(raw)
+    raws = raw[first]
+    rendered = pairs.rendered[ok][first]
+    for a in (raws, rendered):
+        a.setflags(write=False)
+    return raw.shape[0], raws, rendered
 
 
 def _first_of_each_row(rows: np.ndarray) -> np.ndarray:
@@ -261,14 +283,12 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
         raise ValueError(f"channel must be 1..3, got {channel}")
     if max_colors < 2:
         raise ValueError(f"max_colors must be >= 2 to form a pair, got {max_colors}")
-    raw, rendered = _constraint_pool(pairs)
-    if raw.shape[0] < 2:
+    eligible, raws, rendered = pairs._rank_pool
+    if eligible < 2:
         raise InsufficientData(
-            f"need at least 2 unsaturated entries, have {raw.shape[0]}"
+            f"need at least 2 unsaturated entries, have {eligible}"
         )
-    first_idx = _first_of_each_row(raw)
-    raws = raw[first_idx]
-    rend = rendered[first_idx, channel - 1]
+    rend = rendered[:, channel - 1]
     if raws.shape[0] > max_colors:
         rng = np.random.default_rng(rng_seed)
         chosen = rng.choice(raws.shape[0], size=max_colors, replace=False)
@@ -411,14 +431,16 @@ def monotonicity_score(pairs: PixelPairSet, m: np.ndarray, channel: int) -> floa
     Pairs with identical projections are pooled first (a monotone function
     must map them to one value), so the residual includes their spread.
     """
+    if channel not in (1, 2, 3):
+        raise ValueError(f"channel must be 1..3, got {channel}")
     m = np.asarray(m, dtype=float).reshape(3)
     if np.linalg.norm(m) < 1e-15:
         raise ValueError("candidate row must be non-zero")
-    keep = ~pairs.saturated
-    if not keep.any():
+    pool = pairs.unsaturated()
+    if len(pool) == 0:
         raise InsufficientData("no unsaturated pairs to score")
-    x = pairs.raw[keep] @ m
-    y = pairs.rendered[keep, channel - 1]
+    x = pool.raw @ m
+    y = pool.rendered[:, channel - 1]
     order = np.argsort(x, kind="stable")
     xs = x[order]
     ys = y[order]

@@ -1,14 +1,15 @@
 """Shared test helpers: exact nearest-neighbour search, angle math, and the
 reference implementations the optimised code is checked against (the
-dense sphere scan, the array-based isotonic fit, the unblocked maps and
-the unblocked lattice fit)."""
+dense sphere scan, the array-based isotonic fit, the unblocked maps, the
+unblocked lattice fit and calibration without memoised inputs)."""
 
 from collections import defaultdict
 
 import numpy as np
 
+from rankcal import pipeline, ranking
 from rankcal.gamut import _as_triples, _grid_laplacian, apply_lattice, trilinear_weights
-from rankcal.model import Lattice3
+from rankcal.model import Lattice3, PixelPairSet
 
 
 def chord_to_degrees(chord: float) -> float:
@@ -170,3 +171,18 @@ def fit_lattice_unblocked(inputs, targets, resolution: int = 5,
         residual = np.linalg.solve(system, rhs)
         nodes[:, c] = identity_nodes[:, c] + residual
     return Lattice3(nodes.reshape(r, r, r, 3))
+
+
+def disable_memo(monkeypatch) -> None:
+    """Recompute every memoised calibration input on each use: the memo's oracle.
+
+    Each ``sample_sphere`` call builds a new sample (and so a new cap
+    index), ``unsaturated`` always builds a new subset, and the rank pool
+    is rebuilt on every read.
+    """
+    fresh_sphere = ranking.sample_sphere.__wrapped__
+    monkeypatch.setattr(ranking, "sample_sphere", fresh_sphere)
+    monkeypatch.setattr(pipeline, "sample_sphere", fresh_sphere)
+    monkeypatch.setattr(PixelPairSet, "unsaturated",
+                        lambda self: self.subset(np.flatnonzero(~self.saturated)))
+    monkeypatch.setattr(PixelPairSet, "_rank_pool", property(ranking._constraint_pool))

@@ -1,7 +1,12 @@
 """Tests for corpus CSV ingestion, subset selection, and RMSE."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcal.dataset import (
     SubsetSpec,
@@ -13,7 +18,7 @@ from rankcal.dataset import (
     select_subset,
 )
 from rankcal.errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from rankcal.model import RgbTriple
+from rankcal.model import PixelPairSet, RgbTriple
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, make_exposures, make_illuminants
 
 HEADER = "camera,illuminant,exposure,patch,raw_r,raw_g,raw_b,jpeg_r,jpeg_g,jpeg_b,white_level"
@@ -113,6 +118,48 @@ class TestLoadCorpus:
         assert back.patch == corpus.patch
 
 
+# Tags that a CSV row without quoting carries intact: no separators,
+# quotes, line breaks or control characters, and no '#' (a comment).
+CSV_TAGS = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                  blacklist_characters=',"#'),
+    max_size=6,
+)
+
+
+@st.composite
+def pair_sets(draw):
+    """Sets in the corpus domain: raw values any floats (those from the
+    flagging limit up to 2 flagged), rendered values 8-bit levels, and
+    saturation flags set as loading sets them."""
+    n = draw(st.integers(1, 12))
+    raw = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=3 * n, max_size=3 * n)))
+    raw = raw.reshape(n, 3)
+    levels = np.array(draw(st.lists(st.integers(0, 255), min_size=3 * n, max_size=3 * n)))
+    levels = levels.reshape(n, 3)
+    saturated = (raw >= 0.995).any(axis=1) | ((levels == 0) | (levels == 255)).any(axis=1)
+    tags = [tuple(draw(st.lists(CSV_TAGS, min_size=n, max_size=n))) for _ in range(4)]
+    return PixelPairSet(raw, levels / 255.0, *tags, saturated)
+
+
+class TestSaveCorpus:
+    # Rendered values are stored times 255, so only values on the 8-bit
+    # grid are certain to round trip: about 1.5% of uniform floats in
+    # [0, 1] have no stored value that divides back to them.
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=pair_sets())
+    def test_round_trip_is_bit_exact(self, pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.csv"
+            save_corpus(pairs, path)
+            back = load_corpus(path)
+        assert back.raw.tobytes() == pairs.raw.tobytes()
+        assert back.rendered.tobytes() == pairs.rendered.tobytes()
+        assert back.saturated.tolist() == pairs.saturated.tolist()
+        for name in ("camera", "illuminant", "exposure", "patch"):
+            assert getattr(back, name) == getattr(pairs, name), name
+
+
 class TestSelectSubset:
     def big_corpus(self):
         camera = make_camera(seed=1, delta=0.2, tone=ToneSpec("gamma", 1 / 2.2))
@@ -176,6 +223,14 @@ class TestParseSubsetSpec:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_subset_spec("everything")
+
+    @pytest.mark.parametrize("spec", [
+        "exp:2,illu", "exp:2", "exp:2,illu:1,exp:3", "exp:2,cam:1",
+        "exp:x,illu:1", "uniform:abc", "uniform:",
+    ])
+    def test_bad_spec_is_named(self, spec):
+        with pytest.raises(ValueError, match="bad subset spec"):
+            parse_subset_spec(spec)
 
 
 class TestRmse:

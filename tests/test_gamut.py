@@ -222,3 +222,8 @@ class TestFitLattice:
             fit_lattice(np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
             fit_lattice(np.zeros((3, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("resolution", [1, 0, -2, 2.5])
+    def test_rejects_resolution_below_two_or_fractional(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
+            fit_lattice(np.full((4, 3), 0.5), np.full((4, 3), 0.5), resolution)

@@ -64,6 +64,44 @@ class TestPixelPairSet:
         assert len(kept) == 2
         assert kept.patch == ("p0", "p2")
 
+    def test_unsaturated_is_built_once(self):
+        raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        pairs = PixelPairSet.from_arrays(raw, raw, saturated=[False, True, False])
+        kept = pairs.unsaturated()
+        assert pairs.unsaturated() is kept
+        assert kept.unsaturated() is kept
+
+    def test_unsaturated_of_unflagged_set_is_itself(self):
+        raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        pairs = PixelPairSet.from_arrays(raw, raw)
+        assert pairs.unsaturated() is pairs
+
+    def test_empty_subset(self):
+        pairs = PixelPairSet.from_arrays([[0.1, 0.2, 0.3]], [[0.2, 0.3, 0.4]])
+        for empty in ([], np.array([], dtype=np.int64)):
+            none = pairs.subset(empty)
+            assert len(none) == 0
+            assert none.raw.shape == (0, 3) and none.patch == ()
+
+    def test_subset_by_mask(self):
+        raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        pairs = PixelPairSet.from_arrays(raw, raw)
+        kept = pairs.subset(np.array([True, False, True]))
+        assert kept.patch == ("p0", "p2")
+        assert np.array_equal(kept.raw, raw[[0, 2]])
+        assert pairs.subset([2, 0]).patch == ("p2", "p0")
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([True, False]), "mask must have length 3"),
+        ([0.0, 1.0], "must be integers"),
+        ([[0, 1]], "one-dimensional"),
+    ])
+    def test_subset_rejects_bad_indices(self, bad, match):
+        raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        pairs = PixelPairSet.from_arrays(raw, raw)
+        with pytest.raises(ValueError, match=match):
+            pairs.subset(bad)
+
     def test_arrays_are_immutable(self):
         pairs = PixelPairSet.from_arrays([[0.1, 0.2, 0.3]], [[0.2, 0.3, 0.4]])
         with pytest.raises(ValueError):

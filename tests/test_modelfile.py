@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankcal.errors import ModelParseError
 from rankcal.model import (
@@ -150,3 +152,78 @@ def test_malformed_line_reports_line_number():
     text = "model.version = 1\nthis is not a key value line\n"
     with pytest.raises(ModelParseError, match="line 2"):
         deserialize_model(text)
+
+
+def test_singular_matrix_rejected_as_parse_error():
+    text = serialize_model(PipelineModel.identity())
+    broken = text.replace("matrix.r2.c1 = 0", "matrix.r2.c1 = 1", 1)
+    broken = broken.replace("matrix.r2.c2 = 1", "matrix.r2.c2 = 0", 1)
+    with pytest.raises(ModelParseError, match="det"):
+        deserialize_model(broken)
+
+
+@pytest.mark.parametrize("line, value", [
+    ("tone.degree = 7", "1000000000000"),
+    ("lut.forward.resolution = 5", "100000"),
+    ("lut.backward.resolution = 5", "6"),
+])
+def test_size_beyond_remaining_lines_rejected(line, value):
+    text = serialize_model(PipelineModel.identity())
+    broken = text.replace(line, line.split(" = ")[0] + " = " + value, 1)
+    with pytest.raises(ModelParseError, match="remain"):
+        deserialize_model(broken)
+
+
+CORRUPTIBLE = serialize_model(random_model(3)[0]).split("\n")
+# lines whose values shape the rest of the document
+STRUCTURE_LINES = [i for i, line in enumerate(CORRUPTIBLE)
+                   if line.startswith(("model.", "meta.", "tone.degree", "lut.")) and
+                   ".node." not in line]
+
+SIZE_LINES = [i for i, line in enumerate(CORRUPTIBLE)
+              if line.startswith(("tone.degree", "lut.forward.resolution",
+                                  "lut.backward.resolution"))]
+
+line_numbers = st.one_of(st.integers(0, len(CORRUPTIBLE) - 1),
+                         st.sampled_from(STRUCTURE_LINES), st.sampled_from(SIZE_LINES))
+values = st.one_of(
+    st.text(max_size=12),
+    st.integers(-10 ** 12, 10 ** 12).map(str),
+    st.sampled_from(["0", "1", "2", "-1", "100000", "1000000000000", "nan", "inf",
+                     "-inf", "1e308", "1e-320", "", " ", "0x10", "1_0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+corruptions = st.one_of(
+    st.tuples(st.just("delete"), line_numbers),
+    st.tuples(st.just("duplicate"), line_numbers),
+    st.tuples(st.just("truncate"), line_numbers, st.integers(0, 40)),
+    st.tuples(st.just("value"), line_numbers, values),
+    st.tuples(st.just("line"), line_numbers, st.text(max_size=30)),
+)
+
+
+def corrupt(lines: list[str], change) -> list[str]:
+    kind, i = change[:2]
+    i = min(i, len(lines) - 1)
+    if kind == "delete":
+        return lines[:i] + lines[i + 1:]
+    if kind == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    if kind == "truncate":
+        return lines[:i] + [lines[i][:change[2]]]
+    if kind == "value":
+        return lines[:i] + [lines[i].split(" = ")[0] + " = " + change[2]] + lines[i + 1:]
+    return lines[:i] + [change[2]] + lines[i + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(changes=st.lists(corruptions, min_size=1, max_size=3))
+def test_corrupted_model_raises_only_parse_error(changes):
+    lines = CORRUPTIBLE
+    for change in changes:
+        lines = corrupt(lines, change) or [""]
+    try:
+        model = deserialize_model("\n".join(lines))
+    except ModelParseError:
+        return
+    assert isinstance(model, PipelineModel)

@@ -87,6 +87,24 @@ class TestCalibrate:
         b = serialize_model(calibrate(corpus, fast_config(seed=4)))
         assert a == b
 
+    @pytest.mark.parametrize("field, value", [
+        ("sphere_count", 5), ("sphere_count", 2000.5), ("sphere_count", True),
+        ("trials", 0), ("trials", 2.0), ("max_colors", 1),
+        ("lattice_resolution", 1), ("lattice_resolution", 2.5),
+        ("lattice_regularization", 0.0), ("lattice_regularization", -1e-3),
+        ("lattice_regularization", float("nan")), ("lattice_regularization", float("inf")),
+        ("lattice_regularization", "0.05"),
+    ])
+    def test_config_rejects_bad_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CalibrationConfig(**{field: value})
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = CalibrationConfig(sphere_count=np.int64(6), trials=np.int32(1),
+                                max_colors=2, lattice_resolution=2,
+                                lattice_regularization=np.float64(1e-9))
+        assert cfg.settings_dict()["sphere_count"] == 6
+
     def test_noisy_corpus_still_calibrates(self):
         camera = make_camera(seed=7, delta=0.2, tone=ToneSpec("gamma", 1 / 2.2),
                              gamut_mode="affine", noise_sigma=2 / 255)

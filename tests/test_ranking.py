@@ -9,6 +9,7 @@ from support import (
     angle_degrees,
     brute_force_max_nn_gap,
     dense_tied_points,
+    disable_memo,
     grid_max_nn_gap,
     isotonic_fit_reference,
     score_all,
@@ -70,6 +71,32 @@ class TestSampleSphere:
         a = sample_sphere(5000).points
         b = sample_sphere(5000).points
         assert a.tobytes() == b.tobytes()
+        fresh = sample_sphere.__wrapped__(5000).points
+        assert fresh.tobytes() == a.tobytes()
+
+    def test_cached_sample_is_shared_and_read_only(self, monkeypatch):
+        built = []
+        build = ranking._build_caps
+
+        def counting(points, antipodal):
+            built.append(points.shape[0])
+            return build(points, antipodal)
+
+        monkeypatch.setattr(ranking, "_build_caps", counting)
+        sample_sphere.cache_clear()
+        sphere = sample_sphere(3000)
+        assert sample_sphere(3000) is sphere
+        assert sample_sphere(3000).caps is sample_sphere(3000).caps
+        assert built == [3000]
+        assert not sphere.points.flags.writeable
+        for name, value in vars(sphere.caps).items():
+            assert not value.flags.writeable, name
+
+    def test_cache_holds_a_few_sizes(self):
+        sample_sphere.cache_clear()
+        for n in (1000, 1002, 1004):
+            sample_sphere(n)
+        assert sample_sphere.cache_info().currsize <= 2
 
 
 def synthetic_channel_pairs(rng, n, row, tone=lambda v: v ** (1 / 2.2)):
@@ -144,6 +171,45 @@ class TestBuildHalfSpaces:
         c = build_half_spaces(pairs, 1, rng_seed=8).differences
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_same_bytes_on_fresh_and_memoised_sets(self):
+        rng = np.random.default_rng(5)
+        base = synthetic_channel_pairs(rng, 300, np.array([0.5, 0.4, 0.1]))
+        raw = np.vstack([base.raw, base.raw[:40]])  # repeated colours
+        rendered = np.vstack([base.rendered, base.rendered[:40]])
+        flags = rng.uniform(size=raw.shape[0]) < 0.1
+
+        def pairs():
+            return PixelPairSet.from_arrays(raw, rendered, saturated=flags)
+
+        warm = pairs()
+        build_half_spaces(warm, 2, max_colors=30, rng_seed=99)
+        for channel in (1, 2, 3):
+            for seed in range(4):
+                for max_colors in (30, 1000):
+                    want = build_half_spaces(pairs(), channel, max_colors, seed)
+                    got = build_half_spaces(warm, channel, max_colors, seed)
+                    assert got.differences.tobytes() == want.differences.tobytes()
+
+    def test_pool_matches_unmemoised_selection(self):
+        rng = np.random.default_rng(6)
+        pairs = synthetic_channel_pairs(rng, 200, np.array([0.5, 0.4, 0.1]))
+        # repeated raw rows render differently, so the pool must keep the first
+        flagged = PixelPairSet.from_arrays(
+            np.vstack([pairs.raw, pairs.raw]),
+            np.vstack([pairs.rendered, 0.9 * pairs.rendered]),
+            saturated=rng.uniform(size=400) < 0.2)
+        eligible, raws, rendered = flagged._rank_pool
+        assert flagged._rank_pool[1] is raws
+        ok = ~flagged.saturated
+        ok &= (flagged.raw < ranking.SATURATION_LIMIT).all(axis=1)
+        ok &= (flagged.rendered < ranking.SATURATION_LIMIT).all(axis=1)
+        _, first = np.unique(flagged.raw[ok], axis=0, return_index=True)
+        first = np.sort(first)
+        assert eligible == ok.sum()
+        assert np.array_equal(raws, flagged.raw[ok][first])
+        assert np.array_equal(rendered, flagged.rendered[ok][first])
+        assert not raws.flags.writeable and not rendered.flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(
@@ -379,6 +445,35 @@ class TestDenseOracle:
         assert model_bytes("dense") == pruned
 
 
+class TestMemoOracle:
+    """Model files are byte-identical to those built without memoised inputs."""
+
+    @pytest.mark.parametrize("simulate, calibrate", [
+        # acceptance criterion 10
+        (["--patches", 140, "--seed", 9, "--noise", 0.004, "--quantize"],
+         ["--subset", "uniform:120", "--seed", 4, "--sphere-count", 20000,
+          "--trials", 4]),
+        # acceptance criterion 9, one-shot 140 pairs
+        (["--patches", 8100, "--seed", 17, "--quantize"],
+         ["--subset", "uniform:140", "--seed", 2]),
+    ], ids=["criterion10", "criterion9_140"])
+    def test_model_bytes_match(self, tmp_path, monkeypatch, simulate, calibrate):
+        corpus = tmp_path / "c.csv"
+        assert cli_main([str(a) for a in ["simulate", "--out", corpus, *simulate]]) == 0
+
+        def model_bytes(tag):
+            out = tmp_path / f"{tag}.txt"
+            argv = ["calibrate", "--data", corpus, "--out", out, *calibrate]
+            assert cli_main([str(a) for a in argv]) == 0
+            return out.read_bytes()
+
+        memoised = model_bytes("memoised")
+        again = model_bytes("again")  # sphere and cap index from the cache
+        disable_memo(monkeypatch)
+        assert ranking.sample_sphere(6) is not ranking.sample_sphere(6)
+        assert model_bytes("fresh") == memoised == again
+
+
 class TestIsotonic:
     def test_monotone_input_unchanged(self):
         y = np.array([0.1, 0.2, 0.2, 0.7, 0.9])
@@ -485,6 +580,33 @@ class TestMonotonicityScore:
         got = monotonicity_score(pairs, m, 2)
         want = dp_isotonic_residual(raw @ m, rendered[:, 1])
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("channel", [0, 4, -1])
+    def test_channel_outside_one_to_three_rejected(self, channel):
+        rng = np.random.default_rng(3)
+        pairs = synthetic_channel_pairs(rng, 30, np.array([0.5, 0.3, 0.2]))
+        with pytest.raises(ValueError, match="channel must be 1..3"):
+            monotonicity_score(pairs, np.array([0.5, 0.3, 0.2]), channel)
+
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_same_bytes_on_fresh_and_memoised_sets(self, flagged):
+        rng = np.random.default_rng(4)
+        raw = rng.uniform(0.0, 1.0, size=(500, 3))
+        rendered = rng.uniform(0.1, 0.9, size=(500, 3))
+        saturated = rng.uniform(size=500) < (0.2 if flagged else 0.0)
+
+        def pairs():
+            return PixelPairSet.from_arrays(raw, rendered, saturated=saturated)
+
+        warm = pairs()
+        warm.unsaturated()
+        for channel in (1, 2, 3):
+            for m in rng.normal(size=(5, 3)):
+                want = monotonicity_score(pairs(), m, channel)
+                assert monotonicity_score(warm, m, channel) == want
+                keep = ~saturated
+                assert monotonicity_score(
+                    PixelPairSet.from_arrays(raw[keep], rendered[keep]), m, channel) == want
 
 
 class TestEstimateRow:
