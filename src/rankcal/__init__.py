@@ -28,7 +28,6 @@ from .model import (
     ModelMetadata,
     PipelineModel,
     PixelPairSet,
-    RgbTriple,
     ToneCurve,
     backward_parameter_count,
     parameter_count,
@@ -36,9 +35,8 @@ from .model import (
 from .modelfile import deserialize_model, serialize_model
 from .pipeline import (
     CalibrationConfig,
-    apply_backward,
-    apply_forward,
     calibrate,
+    estimate_matrix,
     map_backward,
     map_forward,
 )
@@ -47,19 +45,16 @@ from .ranking import (
     HalfSpaceSet,
     SphereSample,
     build_half_spaces,
-    estimate_matrix,
     estimate_row,
     monotonicity_score,
     rescale_achromatic,
     sample_sphere,
-    score_candidate,
 )
 from .simulate import (
     SyntheticCamera,
     ToneSpec,
     make_camera,
     make_corpus,
-    render,
 )
 from .tonefit import FitConfig, fit_forward_tones, fit_inverse_tones, fit_monotone
 
@@ -89,15 +84,12 @@ __all__ = [
     "PixelPairSet",
     "QpSolution",
     "QuadProgram",
-    "RgbTriple",
     "SingularMatrix",
     "SphereSample",
     "SubsetSpec",
     "SyntheticCamera",
     "ToneCurve",
     "ToneSpec",
-    "apply_backward",
-    "apply_forward",
     "apply_lattice",
     "backward_parameter_count",
     "build_half_spaces",
@@ -116,12 +108,10 @@ __all__ = [
     "map_forward",
     "monotonicity_score",
     "parameter_count",
-    "render",
     "rescale_achromatic",
     "rmse",
     "sample_sphere",
     "save_corpus",
-    "score_candidate",
     "select_subset",
     "serialize_model",
     "solve_affine_gamut",

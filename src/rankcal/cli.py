@@ -8,7 +8,6 @@ deterministic for fixed flags, files, and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .dataset import (
     CSV_COLUMNS,
+    _data_rows,
     load_corpus,
     parse_subset_spec,
     rmse,
@@ -137,19 +137,6 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _iter_data_rows(path):
-    """Data rows of a corpus CSV in file order, skipping comments and header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header_seen = False
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            yield row
-
-
 def _cmd_apply(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = deserialize_model(fh.read())
@@ -159,9 +146,10 @@ def _cmd_apply(args) -> int:
     else:
         pred = map_backward(model, corpus.rendered)
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh, \
+            open(args.infile, "r", encoding="utf-8", newline="") as src:
         fh.write(",".join(CSV_COLUMNS + ("pred_r", "pred_g", "pred_b")) + "\n")
-        for i, row in enumerate(_iter_data_rows(args.infile)):
+        for i, (_, row) in enumerate(_data_rows(src, args.infile)):
             if args.direction == "forward":
                 scaled = pred[i] * 255.0  # rendered predictions in jpeg units
             else:

@@ -16,20 +16,25 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from .gamut import _as_triples
-from .model import PixelPairSet
+from .model import PixelPairSet, _as_rows, _check_integer, saturation_flags
 from .modelfile import _fmt
 
 CSV_COLUMNS = (
     "camera", "illuminant", "exposure", "patch",
     "raw_r", "raw_g", "raw_b", "jpeg_r", "jpeg_g", "jpeg_b", "white_level",
 )
-RAW_SATURATION_FRACTION = 0.995
+
+# Tags are written unquoted as UTF-8, so none may hold a delimiter, a
+# quote, a line break, a NUL (which the csv reader refuses before Python
+# 3.11) or a lone surrogate, and no camera tag may read as a comment.
+_UNSAFE_TAG = re.compile('[,"\r\n\x00\ud800-\udfff]')
+_COMMENT_TAG = re.compile(r"^\s*#", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -48,14 +53,11 @@ class SubsetSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind == "uniform":
-            if self.k < 1:
-                raise ValueError("uniform subset needs k >= 1")
-        elif self.kind == "exposures_illuminants":
-            if self.n_exposures < 1 or self.n_illuminants < 1:
-                raise ValueError("need at least one exposure and one illuminant")
-        else:
+        counts = {"uniform": ("k",), "exposures_illuminants": ("n_exposures", "n_illuminants")}
+        if self.kind not in counts:
             raise ValueError(f"unknown subset kind {self.kind!r}")
+        for name in ("k", "n_exposures", "n_illuminants", "rng_seed"):
+            _check_integer(self, name, 1 if name in counts[self.kind] else 0)
 
 
 def parse_subset_spec(text: str, rng_seed: int = 0) -> SubsetSpec | None:
@@ -97,39 +99,46 @@ def loads_corpus(text: str) -> PixelPairSet:
     return _parse_corpus(io.StringIO(text), "<string>")
 
 
-def _parse_corpus(fh, origin: str) -> PixelPairSet:
-    header = None
-    raws, jpegs = [], []
-    cam_t, illu_t, expo_t, patch_t = [], [], [], []
-    saturated = []
-    reader = csv.reader(fh)
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (row[0].lstrip().startswith("#")):
+def _data_rows(fh, origin: str):
+    """(line number, fields) of each data row of a corpus CSV, in file order.
+
+    Blank lines and lines whose first field starts with '#' are skipped;
+    the first other line must be the header.
+    """
+    header = False
+    for lineno, row in enumerate(csv.reader(fh), start=1):
+        if not row or row[0].lstrip().startswith("#"):
             continue
-        if header is None:
+        if not header:
             if tuple(c.strip() for c in row) != CSV_COLUMNS:
                 raise CorpusFormatError(
                     f"{origin}: line {lineno}: expected header "
                     f"{','.join(CSV_COLUMNS)}"
                 )
-            header = row
+            header = True
             continue
+        yield lineno, row
+    if not header:
+        raise CorpusFormatError(f"{origin}: missing header line")
+
+
+def _parse_corpus(fh, origin: str) -> PixelPairSet:
+    numbers, tags = [], []
+    for lineno, row in _data_rows(fh, origin):
         if len(row) != len(CSV_COLUMNS):
             raise CorpusFormatError(
                 f"{origin}: line {lineno}: expected {len(CSV_COLUMNS)} fields, "
                 f"got {len(row)}"
             )
         try:
-            numbers = [float(v) for v in row[4:]]
+            values = [float(v) for v in row[4:]]
         except ValueError:
             raise CorpusFormatError(
                 f"{origin}: line {lineno}: non-numeric value"
             ) from None
-        if not all(map(math.isfinite, numbers)):
+        if not all(map(math.isfinite, values)):
             raise CorpusFormatError(f"{origin}: line {lineno}: non-finite value")
-        raw = numbers[0:3]
-        jpeg = numbers[3:6]
-        white = numbers[6]
+        raw, jpeg, white = values[0:3], values[3:6], values[6]
         if white <= 0:
             raise CorpusFormatError(
                 f"{origin}: line {lineno}: white_level must be positive"
@@ -138,35 +147,41 @@ def _parse_corpus(fh, origin: str) -> PixelPairSet:
             raise CorpusFormatError(
                 f"{origin}: line {lineno}: values out of range"
             )
-        sat = any(v == 0.0 or v == 255.0 for v in jpeg) or any(
-            v >= RAW_SATURATION_FRACTION * white for v in raw
-        )
-        raws.append([v / white for v in raw])
-        jpegs.append([v / 255.0 for v in jpeg])
-        cam_t.append(row[0])
-        illu_t.append(row[1])
-        expo_t.append(row[2])
-        patch_t.append(row[3])
-        saturated.append(sat)
-    if header is None:
-        raise CorpusFormatError(f"{origin}: missing header line")
-    if not raws:
+        # flat lists hold a row in the fewest Python objects
+        numbers += values
+        tags += row[:4]
+    if not numbers:
         raise EmptyCorpus(f"{origin}: no data rows")
-    # raw values above the white level only occur on rows the 0.995 rule
-    # already flags, so the PixelPairSet invariant holds by construction
+    table = np.array(numbers).reshape(-1, 7)
+    raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
+    # raw values above the white level only occur on rows the saturation
+    # rule already flags, so the PixelPairSet invariant holds by construction
     return PixelPairSet(
-        raw=np.array(raws),
-        rendered=np.array(jpegs),
-        camera=tuple(cam_t),
-        illuminant=tuple(illu_t),
-        exposure=tuple(expo_t),
-        patch=tuple(patch_t),
-        saturated=np.array(saturated, dtype=bool),
+        raw=raw / white[:, None],
+        rendered=jpeg / 255.0,
+        camera=tags[0::4],
+        illuminant=tags[1::4],
+        exposure=tags[2::4],
+        patch=tags[3::4],
+        saturated=saturation_flags(raw, jpeg, white),
     )
 
 
 def save_corpus(pairs: PixelPairSet, path) -> None:
-    """Write a corpus CSV (white level 1, values already normalized)."""
+    """Write a corpus CSV (white level 1, values already normalized).
+
+    Tags are written unquoted: a tag holding a comma, a double quote, a
+    line break, a NUL or a lone surrogate, or a camera tag that starts
+    with '#' after any leading whitespace, raises ValueError before
+    anything is written.
+    """
+    for name in CSV_COLUMNS[:4]:
+        distinct = set(getattr(pairs, name))
+        comment = name == "camera" and _COMMENT_TAG.search("\n".join(distinct))
+        if comment or _UNSAFE_TAG.search("".join(distinct)):
+            bad = next(t for t in getattr(pairs, name) if _UNSAFE_TAG.search(t)
+                       or (name == "camera" and _COMMENT_TAG.match(t)))
+            raise ValueError(f"{name} tag {bad!r} cannot be written to a corpus CSV")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for i in range(len(pairs)):
@@ -217,8 +232,8 @@ def rmse(predictions, truth, domain: str = "rendered255") -> float:
     domain 'rendered255' scales errors by 255 to match 8-bit reporting;
     'raw01' reports in normalized raw units.
     """
-    pred = _as_triples(predictions)
-    ref = _as_triples(truth)
+    pred = _as_rows(predictions, "predictions")
+    ref = _as_rows(truth, "truth")
     if pred.shape != ref.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {ref.shape}")
     if pred.shape[0] == 0:

@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
-from .model import Lattice3
+from .model import Lattice3, _as_rows
 from .qp import QuadProgram, solve_qp
 
 _QP_TOL = 1e-8
@@ -61,7 +61,7 @@ def solve_affine_gamut(points) -> AffineGamutMap:
     always feasible, so the program cannot be infeasible; coplanar input
     raises DegenerateGeometry.
     """
-    v = np.asarray(points, dtype=float).reshape(-1, 3)
+    v = _as_rows(points, "points")
     n = v.shape[0]
     if n < 4:
         raise DegenerateGeometry(f"need at least 4 points, have {n}")
@@ -96,7 +96,7 @@ def trilinear_weights(v: np.ndarray, resolution: int):
     Returns (flat_indices, weights), both (n, 8). Inputs are clamped to
     the cube first; weights are non-negative and sum to one per point.
     """
-    v = np.clip(np.asarray(v, dtype=float).reshape(-1, 3), 0.0, 1.0)
+    v = np.clip(_as_rows(v, "v"), 0.0, 1.0)
     r = int(resolution)
     scaled = v * (r - 1)
     base = np.minimum(scaled.astype(np.int64), r - 2)
@@ -165,8 +165,8 @@ def fit_lattice(inputs, targets, resolution: int = 5,
     normal equations are accumulated over blocks of _FIT_BLOCK samples,
     so a fit of one block forms them in a single product.
     """
-    v = np.clip(np.asarray(inputs, dtype=float).reshape(-1, 3), 0.0, 1.0)
-    y = _as_triples(targets)
+    v = np.clip(_as_rows(inputs, "inputs"), 0.0, 1.0)
+    y = _as_rows(targets, "targets")
     if v.shape[0] == 0:
         raise ValueError("need at least one sample")
     if v.shape != y.shape:
@@ -202,9 +202,3 @@ def fit_lattice(inputs, targets, resolution: int = 5,
         residual = np.linalg.solve(system, rhs[:, c])
         nodes[:, c] = identity_nodes[:, c] + residual
     return Lattice3(nodes.reshape(r, r, r, 3))
-
-
-def _as_triples(values) -> np.ndarray:
-    if hasattr(values, "__len__") and len(values) and hasattr(values[0], "as_array"):
-        return np.vstack([t.as_array() for t in values])
-    return np.asarray(values, dtype=float).reshape(-1, 3)

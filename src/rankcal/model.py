@@ -9,7 +9,9 @@ construction and validate their own invariants.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,6 +28,47 @@ MATRIX_DET_MIN = 1e-8
 TONE_ROUNDTRIP_TOL = 0.05
 TONE_ROUNDTRIP_SLOPE_MIN = 0.05
 
+# Raw components at or above this fraction of the white level are
+# clipped: their rows are flagged saturated, and no component at or above
+# it is used as rank evidence.
+SATURATION_FRACTION = 0.995
+
+
+def _as_rows(values, name: str) -> np.ndarray:
+    """``values`` as float colour rows (n, 3); a single (3,) row becomes (1, 3)."""
+    rows = np.asarray(values, dtype=float)
+    if rows.shape == (3,):
+        return rows.reshape(1, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError(f"{name} must have shape (n, 3) or (3,), got {rows.shape}")
+    return rows
+
+
+def _check_integer(config, name: str, least: int) -> None:
+    """Raise ValueError unless ``config.<name>`` is an integer >= least (not a bool)."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_finite(config, name: str, positive: bool) -> None:
+    """Raise ValueError unless ``config.<name>`` is a finite real > 0, or
+    >= 0 when not ``positive``."""
+    value = getattr(config, name)
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or value < 0 or (positive and value == 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def saturation_flags(raw: np.ndarray, rendered255: np.ndarray, white=1.0) -> np.ndarray:
+    """Rows with a raw component at or above SATURATION_FRACTION of the
+    white level (a scalar or one per row), or a rendered component at 0
+    or 255 in 8-bit units."""
+    white = np.asarray(white, dtype=float).reshape(-1, 1)
+    return ((raw >= SATURATION_FRACTION * white).any(axis=1)
+            | (rendered255 == 0.0).any(axis=1) | (rendered255 == 255.0).any(axis=1))
+
 
 def _as_float_array(values, shape, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -36,30 +79,6 @@ def _as_float_array(values, shape, name: str) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class RgbTriple:
-    """A single RGB colour with normalized, finite components."""
-
-    r: float
-    g: float
-    b: float
-
-    def __post_init__(self) -> None:
-        for name in ("r", "g", "b"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"RgbTriple.{name} must be finite")
-            object.__setattr__(self, name, v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r, self.g, self.b], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "RgbTriple":
-        a = np.asarray(arr, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass(frozen=True)
@@ -206,10 +225,6 @@ class ColorMatrix:
         if abs(self.det()) <= MATRIX_DET_MIN:
             raise SingularMatrix(f"|det M| = {abs(self.det()):.3e} <= {MATRIX_DET_MIN}")
         return np.linalg.inv(self.rows)
-
-    def apply(self, raws: np.ndarray) -> np.ndarray:
-        """Map raw colours (n, 3) or (3,) through the matrix."""
-        return np.asarray(raws, dtype=float) @ self.rows.T
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,8 @@ justified.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,12 +21,15 @@ from .model import (
     ModelMetadata,
     PipelineModel,
     PixelPairSet,
-    RgbTriple,
+    _as_rows,
+    _check_finite,
+    _check_integer,
 )
 from .ranking import (
     DEFAULT_MAX_COLORS,
     DEFAULT_SPHERE_COUNT,
     DEFAULT_TRIALS,
+    SphereSample,
     estimate_row,
     rescale_achromatic,
     sample_sphere,
@@ -66,15 +67,10 @@ class CalibrationConfig:
     lattice_regularization: float = 0.05
 
     def __post_init__(self) -> None:
-        for name, least in (("sphere_count", 6), ("trials", 1), ("max_colors", 2),
-                            ("lattice_resolution", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        reg = self.lattice_regularization
-        if (isinstance(reg, bool) or not isinstance(reg, Real)
-                or not math.isfinite(reg) or reg <= 0):
-            raise ValueError(f"lattice_regularization must be finite and > 0, got {reg!r}")
+        for name, least in (("rng_seed", 0), ("sphere_count", 6), ("trials", 1),
+                            ("max_colors", 2), ("lattice_resolution", 2)):
+            _check_integer(self, name, least)
+        _check_finite(self, "lattice_regularization", positive=True)
 
     def settings_dict(self) -> dict:
         return {
@@ -130,6 +126,19 @@ def _check_calibration_input(pairs: PixelPairSet) -> PixelPairSet:
     return pool
 
 
+def estimate_matrix(pairs: PixelPairSet, sphere: SphereSample,
+                    trials: int = DEFAULT_TRIALS,
+                    max_colors: int = DEFAULT_MAX_COLORS,
+                    rng_seed: int = 0) -> ColorMatrix:
+    """Estimate all three rows as unit directions; row ch is seeded with
+    ``rng_seed + 101 * (ch - 1)``."""
+    rows = [
+        estimate_row(pairs, ch, sphere, trials, max_colors, rng_seed + 101 * (ch - 1))
+        for ch in (1, 2, 3)
+    ]
+    return ColorMatrix(np.vstack(rows))
+
+
 def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
               progress=None) -> PipelineModel:
     """Recover the full pipeline from pixel pairs.
@@ -142,13 +151,8 @@ def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
     pool = _check_calibration_input(pairs)
 
     with _Stage("matrix", progress):
-        sphere = sample_sphere(cfg.sphere_count)
-        rows = [
-            estimate_row(pairs, ch, sphere, cfg.trials, cfg.max_colors,
-                         cfg.rng_seed + 101 * (ch - 1))
-            for ch in (1, 2, 3)
-        ]
-        directions = ColorMatrix(np.vstack(rows))
+        directions = estimate_matrix(pairs, sample_sphere(cfg.sphere_count),
+                                     cfg.trials, cfg.max_colors, cfg.rng_seed)
 
     with _Stage("achromatic_rescale", progress):
         anchored = rescale_achromatic(directions, pairs)
@@ -202,7 +206,7 @@ def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
 
 
 def _finite_rows(values, name: str) -> np.ndarray:
-    rows = np.asarray(values, dtype=float).reshape(-1, 3)
+    rows = _as_rows(values, name)
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
         raise ValueError(f"{name} row {int(np.argmax(bad))} is not finite")
@@ -258,16 +262,3 @@ def map_backward(model: PipelineModel, rendered: np.ndarray) -> np.ndarray:
         return apply_lattice(model.backward_lut, back)
 
     return _map_in_blocks(rendered, layers)
-
-
-def apply_forward(model: PipelineModel, raw: RgbTriple) -> RgbTriple:
-    """Predict the rendered colour for one raw triple."""
-    arr = raw.as_array() if isinstance(raw, RgbTriple) else np.asarray(raw, dtype=float)
-    return RgbTriple.from_array(map_forward(model, arr.reshape(1, 3))[0])
-
-
-def apply_backward(model: PipelineModel, rendered: RgbTriple) -> RgbTriple:
-    """Predict the raw colour for one rendered triple."""
-    arr = rendered.as_array() if isinstance(rendered, RgbTriple) else np.asarray(
-        rendered, dtype=float)
-    return RgbTriple.from_array(map_backward(model, arr.reshape(1, 3))[0])

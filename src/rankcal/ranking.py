@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateChannel, InsufficientData, NoAchromaticSample
 from .errors import CalibrationError
-from .model import ColorMatrix, PixelPairSet
+from .model import SATURATION_FRACTION, ColorMatrix, PixelPairSet
 
 DEFAULT_SPHERE_COUNT = 100_000
 DEFAULT_TRIALS = 25
@@ -30,10 +30,6 @@ DEFAULT_MAX_COLORS = 50
 # Rendered-channel differences below two quantization levels are treated
 # as ties: one-level gaps are unreliable rank evidence.
 RANK_TIE_EPS = 2.0 / 255.0
-
-# Components at or above this are treated as clipped when building
-# constraints, independent of the ingestion flag.
-SATURATION_LIMIT = 0.995
 
 # Achromatic reference selection: rendered max-min spread and mid-range
 # brightness window.
@@ -245,8 +241,8 @@ def _constraint_pool(pairs: PixelPairSet) -> tuple[int, np.ndarray, np.ndarray]:
     """
     ok = (
         ~pairs.saturated
-        & (pairs.raw < SATURATION_LIMIT).all(axis=1)
-        & (pairs.rendered < SATURATION_LIMIT).all(axis=1)
+        & (pairs.raw < SATURATION_FRACTION).all(axis=1)
+        & (pairs.rendered < SATURATION_FRACTION).all(axis=1)
     )
     raw = pairs.raw[ok]
     first = _first_of_each_row(raw)
@@ -304,12 +300,6 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
     sign = np.where(gap[keep] > 0.0, 1.0, -1.0)
     diffs = (raws[ii[keep]] - raws[jj[keep]]) * sign[:, None]
     return HalfSpaceSet(diffs)
-
-
-def score_candidate(m: np.ndarray, hs: HalfSpaceSet) -> int:
-    """Number of constraints a candidate row direction satisfies strictly."""
-    m = np.asarray(m, dtype=float).reshape(3)
-    return int(np.count_nonzero(hs.differences @ m > 0.0))
 
 
 def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
@@ -486,19 +476,6 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
         candidates.append(_median_direction(sphere.points[tied]))
     residuals = np.array([monotonicity_score(pairs, c, channel) for c in candidates])
     return candidates[int(np.argmin(residuals))]
-
-
-def estimate_matrix(pairs: PixelPairSet, sphere: SphereSample,
-                    trials: int = DEFAULT_TRIALS,
-                    max_colors: int = DEFAULT_MAX_COLORS,
-                    rng_seed: int = 0) -> ColorMatrix:
-    """Estimate all three rows as unit directions."""
-    rows = [
-        estimate_row(pairs, ch, sphere, trials, max_colors,
-                     rng_seed + 101 * (ch - 1))
-        for ch in (1, 2, 3)
-    ]
-    return ColorMatrix(np.vstack(rows))
 
 
 def rescale_achromatic(m: ColorMatrix, pairs: PixelPairSet) -> ColorMatrix:

@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
-from .model import ColorMatrix, PixelPairSet
+from .model import ColorMatrix, PixelPairSet, _as_rows, saturation_flags
 from .modelfile import _fmt, _Reader
-from .ranking import SATURATION_LIMIT
 
 TONE_FAMILIES = ("gamma", "srgb", "filmic")
 GAMUT_MODES = ("none", "affine", "warped")
@@ -96,8 +95,8 @@ def _warp(v: np.ndarray, scale: float) -> np.ndarray:
 
 def render_batch(camera: SyntheticCamera, raws: np.ndarray,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Render raw rows (n, 3) to rendered rows in [0, 1]^3."""
-    raws = np.asarray(raws, dtype=float).reshape(-1, 3)
+    """Render raw rows (n, 3), or one (3,) row, to rendered rows in [0, 1]^3."""
+    raws = _as_rows(raws, "raws")
     v = raws @ camera.matrix.rows.T
     if camera.gamut is not None:
         v = camera.gamut.apply(v)
@@ -112,13 +111,6 @@ def render_batch(camera: SyntheticCamera, raws: np.ndarray,
     if camera.quantize:
         out = np.round(np.clip(out, 0.0, 1.0) * 255.0) / 255.0
     return np.clip(out, 0.0, 1.0)
-
-
-def render(camera: SyntheticCamera, raw,
-           rng: np.random.Generator | None = None):
-    """Render one raw triple; see render_batch."""
-    arr = raw.as_array() if hasattr(raw, "as_array") else np.asarray(raw, dtype=float)
-    return render_batch(camera, arr.reshape(1, 3), rng)[0]
 
 
 def make_camera(seed: int = 0, delta: float = 0.25,
@@ -242,11 +234,6 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
 
     raw = np.vstack(raw_rows)
     rendered = np.vstack(rend_rows)
-    saturated = (
-        (raw >= SATURATION_LIMIT).any(axis=1)
-        | (rendered * 255.0 == 255.0).any(axis=1)
-        | (rendered * 255.0 == 0.0).any(axis=1)
-    )
     return PixelPairSet(
         raw=raw,
         rendered=rendered,
@@ -254,7 +241,7 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
         illuminant=tuple(illu_t),
         exposure=tuple(expo_t),
         patch=tuple(patch_t),
-        saturated=saturated,
+        saturated=saturation_flags(raw, rendered * 255.0),
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpan, InsufficientData
-from .model import ColorMatrix, PixelPairSet, ToneCurve
+from .model import ColorMatrix, PixelPairSet, ToneCurve, _check_finite, _check_integer
 from .qp import QuadProgram, solve_qp
 
 _QP_TOL = 1e-8
@@ -37,10 +37,8 @@ class FitConfig:
     smoothness: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.smoothness < 0:
-            raise ValueError("smoothness must be >= 0")
+        _check_integer(self, "degree", 1)
+        _check_finite(self, "smoothness", positive=False)
 
 
 def curvature_matrix(degree: int) -> np.ndarray:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from rankcal.dataset import rmse
-from rankcal.pipeline import CalibrationConfig, calibrate, map_backward, map_forward
-from rankcal.ranking import estimate_matrix, sample_sphere
+from rankcal.pipeline import (CalibrationConfig, calibrate, estimate_matrix, map_backward,
+                              map_forward)
+from rankcal.ranking import sample_sphere
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, render_batch
 
 

@@ -1,15 +1,16 @@
 """Shared test helpers: exact nearest-neighbour search, angle math, and the
 reference implementations the optimised code is checked against (the
-dense sphere scan, the array-based isotonic fit, the unblocked maps, the
-unblocked lattice fit and calibration without memoised inputs)."""
+per-point constraint count, the dense sphere scan, the array-based
+isotonic fit, the unblocked maps, the unblocked lattice fit and
+calibration without memoised inputs)."""
 
 from collections import defaultdict
 
 import numpy as np
 
 from rankcal import pipeline, ranking
-from rankcal.gamut import _as_triples, _grid_laplacian, apply_lattice, trilinear_weights
-from rankcal.model import Lattice3, PixelPairSet
+from rankcal.gamut import _grid_laplacian, apply_lattice, trilinear_weights
+from rankcal.model import Lattice3, PixelPairSet, _as_rows
 
 
 def chord_to_degrees(chord: float) -> float:
@@ -65,6 +66,13 @@ def grid_max_nn_gap(points: np.ndarray, cell: float = 0.05) -> float:
 
 
 _SCORE_BLOCK = 4096
+
+
+def score_candidate(m, hs) -> int:
+    """Number of constraints a candidate row direction satisfies strictly:
+    the per-point oracle of the dense scan."""
+    m = np.asarray(m, dtype=float).reshape(3)
+    return int(np.count_nonzero(hs.differences @ m > 0.0))
 
 
 def score_all(sphere, diffs: np.ndarray) -> np.ndarray:
@@ -151,7 +159,7 @@ def fit_lattice_unblocked(inputs, targets, resolution: int = 5,
                           regularization: float = 1e-3) -> Lattice3:
     """Lattice fit from one dense (n, r^3) design: the blocked fit's oracle."""
     v = np.clip(np.asarray(inputs, dtype=float).reshape(-1, 3), 0.0, 1.0)
-    y = _as_triples(targets)
+    y = _as_rows(targets, "targets")
     r = int(resolution)
     n_nodes = r ** 3
 

@@ -1,5 +1,7 @@
 """Tests for corpus CSV ingestion, subset selection, and RMSE."""
 
+import dataclasses
+import re
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from rankcal.dataset import (
     select_subset,
 )
 from rankcal.errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from rankcal.model import PixelPairSet, RgbTriple
+from rankcal.model import PixelPairSet
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, make_exposures, make_illuminants
 
 HEADER = "camera,illuminant,exposure,patch,raw_r,raw_g,raw_b,jpeg_r,jpeg_g,jpeg_b,white_level"
@@ -117,14 +119,39 @@ class TestLoadCorpus:
         assert back.exposure == corpus.exposure
         assert back.patch == corpus.patch
 
+    def test_simulated_flags_survive_save_and_load(self, tmp_path):
+        camera = make_camera(seed=4, delta=0.2, tone=ToneSpec("gamma", 1 / 2.2),
+                             gamut_mode="affine", quantize=True)
+        corpus = make_corpus(camera, 80, illuminants=make_illuminants(2, 3),
+                             exposures=make_exposures(5), rng_seed=6)
+        raw_clipped = (corpus.raw >= 0.995).any(axis=1)
+        rendered_clipped = ((corpus.rendered == 0.0) | (corpus.rendered == 1.0)).any(axis=1)
+        assert (raw_clipped & ~rendered_clipped).any()
+        assert rendered_clipped.any() and not corpus.saturated.all()
+        path = tmp_path / "c.csv"
+        save_corpus(corpus, path)
+        assert load_corpus(path).saturated.tolist() == corpus.saturated.tolist()
 
-# Tags that a CSV row without quoting carries intact: no separators,
-# quotes, line breaks or control characters, and no '#' (a comment).
-CSV_TAGS = st.text(
-    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
-                  blacklist_characters=',"#'),
-    max_size=6,
-)
+
+# Tag alphabets: any character, or any character with those the CSV
+# format reserves drawn often enough to matter.
+TAG_ALPHABETS = st.sampled_from([
+    st.characters(),
+    st.one_of(st.characters(), st.sampled_from(list(',"\r\n\x00# \t'))),
+])
+
+
+def writable(pairs) -> bool:
+    """Whether every tag survives being written unquoted as UTF-8."""
+    for name in ("camera", "illuminant", "exposure", "patch"):
+        for t in getattr(pairs, name):
+            try:
+                t.encode("utf-8")
+            except UnicodeEncodeError:
+                return False
+            if re.search('[,"\r\n\x00]', t) or (name == "camera" and t.lstrip().startswith("#")):
+                return False
+    return True
 
 
 @st.composite
@@ -138,19 +165,26 @@ def pair_sets(draw):
     levels = np.array(draw(st.lists(st.integers(0, 255), min_size=3 * n, max_size=3 * n)))
     levels = levels.reshape(n, 3)
     saturated = (raw >= 0.995).any(axis=1) | ((levels == 0) | (levels == 255)).any(axis=1)
-    tags = [tuple(draw(st.lists(CSV_TAGS, min_size=n, max_size=n))) for _ in range(4)]
+    tag = st.text(draw(TAG_ALPHABETS), max_size=6)
+    tags = [tuple(draw(st.lists(tag, min_size=n, max_size=n))) for _ in range(4)]
     return PixelPairSet(raw, levels / 255.0, *tags, saturated)
 
 
 class TestSaveCorpus:
     # Rendered values are stored times 255, so only values on the 8-bit
     # grid are certain to round trip: about 1.5% of uniform floats in
-    # [0, 1] have no stored value that divides back to them.
-    @settings(max_examples=200, deadline=None)
+    # [0, 1] have no stored value that divides back to them. A set whose
+    # tags cannot be written unquoted is refused before a file is made.
+    @settings(max_examples=300, deadline=None)
     @given(pairs=pair_sets())
     def test_round_trip_is_bit_exact(self, pairs):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "c.csv"
+            if not writable(pairs):
+                with pytest.raises(ValueError, match="tag"):
+                    save_corpus(pairs, path)
+                assert not path.exists()
+                return
             save_corpus(pairs, path)
             back = load_corpus(path)
         assert back.raw.tobytes() == pairs.raw.tobytes()
@@ -158,6 +192,25 @@ class TestSaveCorpus:
         assert back.saturated.tolist() == pairs.saturated.tolist()
         for name in ("camera", "illuminant", "exposure", "patch"):
             assert getattr(back, name) == getattr(pairs, name), name
+
+    @pytest.mark.parametrize("column, tag", [
+        ("camera", "a,b"), ("illuminant", 'say "x"'), ("exposure", "e\r0"),
+        ("patch", "p\n1"), ("patch", "p\ud800"), ("camera", "#cam"), ("camera", "  # cam"),
+    ])
+    def test_unwritable_tag_named(self, tmp_path, column, tag):
+        pairs = PixelPairSet.from_arrays(np.full((3, 3), 0.5), np.full((3, 3), 0.5))
+        tags = list(getattr(pairs, column))
+        tags[1] = tag
+        pairs = dataclasses.replace(pairs, **{column: tuple(tags)})
+        with pytest.raises(ValueError, match=f"{column} tag {re.escape(repr(tag))}"):
+            save_corpus(pairs, tmp_path / "c.csv")
+
+    def test_hash_allowed_in_other_tags(self, tmp_path):
+        pairs = PixelPairSet.from_arrays(np.full((2, 3), 0.5), np.full((2, 3), 0.5),
+                                         camera="c#1", illuminant="#i", exposure="#e")
+        save_corpus(pairs, tmp_path / "c.csv")
+        back = load_corpus(tmp_path / "c.csv")
+        assert (back.camera, back.illuminant) == (pairs.camera, pairs.illuminant)
 
 
 class TestSelectSubset:
@@ -212,6 +265,27 @@ class TestSelectSubset:
         assert child_keys <= parent_keys
 
 
+class TestSubsetSpec:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(k=2.5), "k must be an integer >= 1"), (dict(k=True), "k must be an integer"),
+        (dict(k=0), "k must be an integer >= 1"),
+        (dict(k=4, n_exposures=1.0), "n_exposures must be an integer >= 0"),
+        (dict(k=4, n_illuminants="2"), "n_illuminants must be an integer >= 0"),
+        (dict(k=4, rng_seed=-1), "rng_seed must be an integer >= 0"),
+        (dict(k=4, rng_seed=0.5), "rng_seed"), (dict(k=4, rng_seed=False), "rng_seed"),
+        (dict(kind="exposures_illuminants", n_exposures=2), "n_illuminants must be an integer >= 1"),
+        (dict(kind="exposures", k=4), "unknown subset kind 'exposures'"),
+    ])
+    def test_rejects_bad_field_by_name(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SubsetSpec(**{"kind": "uniform", **fields})
+
+    def test_accepts_numpy_integers(self):
+        spec = SubsetSpec("uniform", k=np.int64(3), rng_seed=np.uint32(7))
+        assert len(select_subset(PixelPairSet.from_arrays(np.full((5, 3), 0.5),
+                                                          np.full((5, 3), 0.5)), spec)) == 3
+
+
 class TestParseSubsetSpec:
     def test_vocabulary(self):
         assert parse_subset_spec("all") is None
@@ -264,10 +338,18 @@ class TestRmse:
         truth = rng.uniform(0, 1, (30, 3))
         assert rmse(pred, truth, "raw01") == rmse(truth, pred, "raw01")
 
-    def test_accepts_rgb_triples(self):
-        pred = [RgbTriple(0.1, 0.2, 0.3)]
-        truth = [RgbTriple(0.1, 0.2, 0.3)]
-        assert rmse(pred, truth, "raw01") == 0.0
+    def test_accepts_one_row(self):
+        assert rmse([0.1, 0.2, 0.3], np.array([[0.1, 0.2, 0.4]]), "raw01") == pytest.approx(
+            0.1 / np.sqrt(3))
+
+    @pytest.mark.parametrize("pred, truth, name", [
+        (np.zeros(6), np.zeros((2, 3)), "predictions"),
+        (np.zeros((2, 3)), np.zeros((3, 2)), "truth"),
+        (np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), "predictions"),
+    ])
+    def test_rejects_shapes_other_than_rows(self, pred, truth, name):
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            rmse(pred, truth, "raw01")
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

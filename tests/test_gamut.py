@@ -223,6 +223,14 @@ class TestFitLattice:
         with pytest.raises(ValueError):
             fit_lattice(np.zeros((3, 3)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("inputs, targets, name", [
+        (np.zeros((3, 3)), np.zeros((9, 1)), "targets"),
+        (np.zeros(9), np.zeros((3, 3)), "inputs"),
+    ])
+    def test_rejects_shapes_other_than_rows(self, inputs, targets, name):
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            fit_lattice(inputs, targets)
+
     @pytest.mark.parametrize("resolution", [1, 0, -2, 2.5])
     def test_rejects_resolution_below_two_or_fractional(self, resolution):
         with pytest.raises(ValueError, match="resolution must be an integer >= 2"):

@@ -1,0 +1,66 @@
+"""Tests for the package surface: the public names and the runtime imports."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rankcal
+
+PUBLIC = [
+    "AffineGamutMap", "CalibrationConfig", "CalibrationError", "ColorMatrix",
+    "CorpusFormatError", "DegenerateChannel", "DegenerateGeometry", "DegenerateSpan",
+    "EmptyCorpus", "FitConfig", "HalfSpaceSet", "Infeasible", "InsufficientData",
+    "InsufficientVariety", "Lattice3", "MaxIterations", "ModelMetadata", "ModelParseError",
+    "NoAchromaticSample", "PipelineModel", "PixelPairSet", "QpSolution", "QuadProgram",
+    "SingularMatrix", "SphereSample", "SubsetSpec", "SyntheticCamera", "ToneCurve",
+    "ToneSpec", "apply_lattice", "backward_parameter_count", "build_half_spaces",
+    "calibrate", "deserialize_model", "estimate_matrix", "estimate_row",
+    "fit_forward_tones", "fit_inverse_tones", "fit_lattice", "fit_monotone", "load_corpus",
+    "make_camera", "make_corpus", "map_backward", "map_forward", "monotonicity_score",
+    "parameter_count", "rescale_achromatic", "rmse", "sample_sphere", "save_corpus",
+    "select_subset", "serialize_model", "solve_affine_gamut", "solve_qp",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert rankcal.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(rankcal, name) is not None, name
+    assert rankcal.estimate_matrix.__module__ == "rankcal.pipeline"
+
+
+def _imported(args, cwd) -> set[str]:
+    """Top-level names of every module a fresh interpreter imports for ``args``."""
+    src = str(Path(rankcal.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    names = set()
+    for line in done.stderr.splitlines():
+        if line.startswith("import time:") and not line.endswith("imported package"):
+            names.add(line.rsplit("|", 1)[1].strip().split(".")[0])
+    return names
+
+
+def test_command_line_imports_only_stdlib_numpy_and_rankcal(tmp_path):
+    # modules the interpreter loads at start-up, whatever it then runs
+    startup = _imported(["-c", "pass"], tmp_path)
+    used = set()
+    for command in (
+        ["simulate", "--out", "c.csv", "--patches", "140", "--seed", "1", "--quantize"],
+        ["calibrate", "--data", "c.csv", "--out", "m.txt", "--sphere-count", "2000",
+         "--trials", "2"],
+        ["evaluate", "--model", "m.txt", "--data", "c.csv", "--direction", "backward",
+         "--report", "r.txt"],
+    ):
+        used |= _imported(["-m", "rankcal", *command], tmp_path)
+    assert {"rankcal", "numpy"} <= used
+    foreign = used - startup - set(sys.stdlib_module_names) - {"numpy", "rankcal"}
+    # the log also lists imports that failed, such as the stdlib's guarded
+    # "import org.python.core"; a module that cannot be found was not loaded
+    foreign = {name for name in foreign if importlib.util.find_spec(name) is not None}
+    assert not foreign, sorted(foreign)

@@ -1,5 +1,6 @@
 """Tests for end-to-end calibration and bidirectional application."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,15 +16,12 @@ from rankcal.model import (
     Lattice3,
     PipelineModel,
     PixelPairSet,
-    RgbTriple,
     ToneCurve,
     parameter_count,
 )
 from rankcal.modelfile import serialize_model
 from rankcal.pipeline import (
     CalibrationConfig,
-    apply_backward,
-    apply_forward,
     calibrate,
     map_backward,
     map_forward,
@@ -88,6 +86,7 @@ class TestCalibrate:
         assert a == b
 
     @pytest.mark.parametrize("field, value", [
+        ("rng_seed", -1), ("rng_seed", 2.0), ("rng_seed", True),
         ("sphere_count", 5), ("sphere_count", 2000.5), ("sphere_count", True),
         ("trials", 0), ("trials", 2.0), ("max_colors", 1),
         ("lattice_resolution", 1), ("lattice_resolution", 2.5),
@@ -119,20 +118,17 @@ B = pipeline._MAP_BLOCK
 class TestApply:
     def test_identity_model_forward_and_backward(self):
         model = PipelineModel.identity()
-        triple = RgbTriple(0.2, 0.6, 0.9)
-        assert np.allclose(apply_forward(model, triple).as_array(),
-                           triple.as_array(), atol=1e-12)
-        assert np.allclose(apply_backward(model, triple).as_array(),
-                           triple.as_array(), atol=1e-12)
+        row = np.array([0.2, 0.6, 0.9])
+        assert np.allclose(map_forward(model, row), row, atol=1e-12)
+        assert np.allclose(map_backward(model, row), row, atol=1e-12)
 
     def test_forward_matches_ground_truth_on_held_out(self, gated_bundle):
-        # covered in aggregate by the RMSE gate; spot-check batch == scalar
+        # covered in aggregate by the RMSE gate; spot-check batch == one row
         model = gated_bundle["model"]
         raws = gated_bundle["held_raw"][:10]
         batch = map_forward(model, raws)
         for i in range(10):
-            one = apply_forward(model, RgbTriple.from_array(raws[i]))
-            assert np.allclose(one.as_array(), batch[i], atol=1e-15)
+            assert np.allclose(map_forward(model, raws[i])[0], batch[i], atol=1e-15)
 
     def test_outputs_always_inside_unit_cube(self, gated_bundle):
         model = gated_bundle["model"]
@@ -153,6 +149,14 @@ class TestApply:
         values[5, 0] = bad
         with pytest.raises(ValueError, match=f"{name} row 4 is not finite"):
             mapping(PipelineModel.identity(), values)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3, 3), (9,), (2, 4)])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_rejects_shapes_other_than_rows(self, shape, direction):
+        mapping = map_forward if direction == "forward" else map_backward
+        name = "raw" if direction == "forward" else "rendered"
+        with pytest.raises(ValueError, match=rf"{name} must have shape .* got {re.escape(str(shape))}"):
+            mapping(PipelineModel.identity(), np.full(shape, 0.5))
 
     @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1, 3 * B + 17])
     @pytest.mark.parametrize("direction", ["forward", "backward"])

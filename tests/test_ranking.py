@@ -13,12 +13,13 @@ from support import (
     grid_max_nn_gap,
     isotonic_fit_reference,
     score_all,
+    score_candidate,
 )
 
 from rankcal import ranking
 from rankcal.cli import main as cli_main
 from rankcal.errors import DegenerateChannel, NoAchromaticSample
-from rankcal.model import ColorMatrix, PixelPairSet
+from rankcal.model import SATURATION_FRACTION, ColorMatrix, PixelPairSet
 from rankcal.ranking import (
     HalfSpaceSet,
     build_half_spaces,
@@ -27,7 +28,6 @@ from rankcal.ranking import (
     monotonicity_score,
     rescale_achromatic,
     sample_sphere,
-    score_candidate,
     _tied_points,
 )
 
@@ -202,8 +202,8 @@ class TestBuildHalfSpaces:
         eligible, raws, rendered = flagged._rank_pool
         assert flagged._rank_pool[1] is raws
         ok = ~flagged.saturated
-        ok &= (flagged.raw < ranking.SATURATION_LIMIT).all(axis=1)
-        ok &= (flagged.rendered < ranking.SATURATION_LIMIT).all(axis=1)
+        ok &= (flagged.raw < SATURATION_FRACTION).all(axis=1)
+        ok &= (flagged.rendered < SATURATION_FRACTION).all(axis=1)
         _, first = np.unique(flagged.raw[ok], axis=0, return_index=True)
         first = np.sort(first)
         assert eligible == ok.sum()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankcal.errors import ModelParseError
-from rankcal.model import ColorMatrix, RgbTriple
+from rankcal.model import ColorMatrix
 from rankcal.simulate import (
     SyntheticCamera,
     ToneSpec,
@@ -13,7 +13,6 @@ from rankcal.simulate import (
     make_corpus,
     make_exposures,
     make_illuminants,
-    render,
     render_batch,
     serialize_camera,
 )
@@ -29,12 +28,12 @@ def plain_camera(**kwargs):
 class TestRender:
     def test_identity_camera_is_identity(self):
         camera = plain_camera()
-        raw = RgbTriple(0.2, 0.5, 0.8)
-        assert np.allclose(render(camera, raw), raw.as_array(), atol=1e-15)
+        raw = np.array([0.2, 0.5, 0.8])
+        assert np.allclose(render_batch(camera, raw), raw, atol=1e-15)
 
     def test_gamma_matches_analytic_value(self):
         camera = plain_camera(tone=ToneSpec("gamma", 1 / 2.2))
-        got = render(camera, np.array([0.25, 0.25, 0.25]))
+        got = render_batch(camera, np.array([0.25, 0.25, 0.25]))
         assert np.allclose(got, 0.25 ** (1 / 2.2), atol=1e-12)
 
     def test_gamut_applied_before_tone_keeps_output_in_cube(self):
@@ -64,9 +63,9 @@ class TestRender:
     def test_noise_requires_explicit_rng(self):
         camera = plain_camera(noise_sigma=0.01)
         with pytest.raises(ValueError):
-            render(camera, np.array([0.5, 0.5, 0.5]))
+            render_batch(camera, np.array([0.5, 0.5, 0.5]))
         rng = np.random.default_rng(0)
-        out = render(camera, np.array([0.5, 0.5, 0.5]), rng)
+        out = render_batch(camera, np.array([0.5, 0.5, 0.5]), rng)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_quantize_rounds_to_255_steps(self):

@@ -22,6 +22,18 @@ from rankcal.tonefit import (
     fit_monotone,
 )
 
+@pytest.mark.parametrize("field, value, message", [
+    ("degree", 7.0, "degree must be an integer >= 1"), ("degree", True, "degree must be an integer"),
+    ("degree", 0, "degree must be an integer >= 1"),
+    ("smoothness", float("nan"), "smoothness must be finite and >= 0"),
+    ("smoothness", float("inf"), "smoothness must be finite"), ("smoothness", -1e-5, "smoothness"),
+    ("smoothness", "1e-5", "smoothness"), ("smoothness", False, "smoothness"),
+])
+def test_fit_config_rejects_bad_field_by_name(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        FitConfig(**{field: value})
+
+
 DENSE = np.linspace(0.0, 1.0, 2001)
 WINDOW = (DENSE >= 0.05) & (DENSE <= 0.95)
 
