@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import (
     CSV_COLUMNS,
-    _data_rows,
+    _format_rows,
     load_corpus,
     parse_subset_spec,
     rmse,
@@ -140,21 +140,22 @@ def _cmd_calibrate(args) -> int:
 def _cmd_apply(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = deserialize_model(fh.read())
-    corpus = load_corpus(args.infile)
+    rows = []
+    corpus = load_corpus(args.infile, rows)
     if args.direction == "forward":
-        pred = map_forward(model, corpus.raw)
+        pred = map_forward(model, corpus.raw) * 255.0  # rendered predictions in jpeg units
     else:
         pred = map_backward(model, corpus.rendered)
 
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh, \
-            open(args.infile, "r", encoding="utf-8", newline="") as src:
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS + ("pred_r", "pred_g", "pred_b")) + "\n")
-        for i, (_, row) in enumerate(_data_rows(src, args.infile)):
-            if args.direction == "forward":
-                scaled = pred[i] * 255.0  # rendered predictions in jpeg units
-            else:
-                scaled = pred[i] * float(row[10])  # raw predictions at white level
-            fh.write(",".join(row + [_fmt(v) for v in scaled]) + "\n")
+        start = 0
+        for texts, white in rows:
+            block = pred[start:start + len(texts)]
+            if args.direction == "backward":
+                block = block * white[:, None]  # raw predictions at white level
+            fh.write(_format_rows("%s,%.17g,%.17g,%.17g\n", [texts] + block.T.tolist()))
+            start += len(texts)
     print(f"wrote {len(corpus)} predictions to {args.out}", file=sys.stderr)
     return 0
 

@@ -18,17 +18,25 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
 from .errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
 from .model import PixelPairSet, _as_rows, _check_integer, saturation_flags
-from .modelfile import _fmt
 
 CSV_COLUMNS = (
     "camera", "illuminant", "exposure", "patch",
     "raw_r", "raw_g", "raw_b", "jpeg_r", "jpeg_g", "jpeg_b", "white_level",
 )
+
+# One corpus row as save_corpus writes it: tags, raw, rendered x 255 and
+# a white level of 1. "%.17g" formats a float as modelfile._fmt does.
+_ROW_TEMPLATE = "%s,%s,%s,%s," + "%.17g," * 6 + "1\n"
+
+# Lines per block of the parser and rows per block of the writers: a
+# block bounds the text and field strings held at once.
+_BLOCK_ROWS = 1024
 
 # Tags are written unquoted as UTF-8, so none may hold a delimiter, a
 # quote, a line break, a NUL (which the csv reader refuses before Python
@@ -89,10 +97,15 @@ def parse_subset_spec(text: str, rng_seed: int = 0) -> SubsetSpec | None:
     raise ValueError(f"bad subset spec {text!r}; use all, uniform:K, or exp:E,illu:I")
 
 
-def load_corpus(path) -> PixelPairSet:
-    """Read a corpus CSV; errors carry the offending line number."""
+def load_corpus(path, rows: list | None = None) -> PixelPairSet:
+    """Read a corpus CSV; errors carry the offending line number.
+
+    When ``rows`` is a list, one ``(texts, white)`` pair per block of data
+    rows is appended to it, in file order: each row's fields joined by
+    commas, and the rows' white levels as an array.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _parse_corpus(fh, str(path))
+        return _parse_corpus(fh, str(path), rows)
 
 
 def loads_corpus(text: str) -> PixelPairSet:
@@ -103,27 +116,64 @@ def _data_rows(fh, origin: str):
     """(line number, fields) of each data row of a corpus CSV, in file order.
 
     Blank lines and lines whose first field starts with '#' are skipped;
-    the first other line must be the header.
+    the first other line must be the header. A row's line number is that
+    of its last physical line.
     """
     header = False
-    for lineno, row in enumerate(csv.reader(fh), start=1):
+    reader = csv.reader(fh)
+    for row in reader:
         if not row or row[0].lstrip().startswith("#"):
             continue
         if not header:
             if tuple(c.strip() for c in row) != CSV_COLUMNS:
                 raise CorpusFormatError(
-                    f"{origin}: line {lineno}: expected header "
+                    f"{origin}: line {reader.line_num}: expected header "
                     f"{','.join(CSV_COLUMNS)}"
                 )
             header = True
             continue
-        yield lineno, row
+        yield reader.line_num, row
     if not header:
         raise CorpusFormatError(f"{origin}: missing header line")
 
 
-def _parse_corpus(fh, origin: str) -> PixelPairSet:
-    numbers, tags = [], []
+def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
+    # the row parser rereads what the block parser declines, so a pipe,
+    # which cannot be reread, goes to the row parser alone
+    seekable = fh.seekable()
+    parsed = _parse_blocks(fh, rows is not None) if seekable else None
+    if parsed is None:
+        if seekable:
+            fh.seek(0)
+        parsed = _parse_rows(fh, origin, rows is not None)
+    table, tags, texts = parsed
+    raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
+    if rows is not None:
+        levels, start = white.copy(), 0
+        for block in texts:
+            rows.append((block, levels[start:start + len(block)]))
+            start += len(block)
+    # raw values above the white level only occur on rows the saturation
+    # rule already flags, so the PixelPairSet invariant holds by construction
+    return PixelPairSet(
+        raw=raw / white[:, None],
+        rendered=jpeg / 255.0,
+        camera=tags[0],
+        illuminant=tags[1],
+        exposure=tags[2],
+        patch=tags[3],
+        saturated=saturation_flags(raw, jpeg, white),
+    )
+
+
+def _parse_rows(fh, origin: str, keep_texts: bool):
+    """The row parser: the numbers (n, 7), the four tag lists and, when
+    ``keep_texts``, one block of the rows' fields joined by commas.
+
+    The only reader of quoted CSV and the only source of CorpusFormatError
+    and EmptyCorpus; ``_parse_blocks`` hands it every file it cannot take.
+    """
+    numbers, tags, texts = [], [], []
     for lineno, row in _data_rows(fh, origin):
         if len(row) != len(CSV_COLUMNS):
             raise CorpusFormatError(
@@ -150,21 +200,77 @@ def _parse_corpus(fh, origin: str) -> PixelPairSet:
         # flat lists hold a row in the fewest Python objects
         numbers += values
         tags += row[:4]
+        if keep_texts:
+            texts.append(",".join(row))
     if not numbers:
         raise EmptyCorpus(f"{origin}: no data rows")
-    table = np.array(numbers).reshape(-1, 7)
-    raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
-    # raw values above the white level only occur on rows the saturation
-    # rule already flags, so the PixelPairSet invariant holds by construction
-    return PixelPairSet(
-        raw=raw / white[:, None],
-        rendered=jpeg / 255.0,
-        camera=tags[0::4],
-        illuminant=tags[1::4],
-        exposure=tags[2::4],
-        patch=tags[3::4],
-        saturated=saturation_flags(raw, jpeg, white),
-    )
+    return (np.array(numbers).reshape(-1, 7), [tags[k::4] for k in range(4)],
+            [texts] if keep_texts else None)
+
+
+def _parse_blocks(fh, keep_texts: bool):
+    """The row parser's result for plain CSV, read in blocks at C speed.
+
+    Returns None, having raised nothing, whenever the row parser must
+    decide: the text holds a quote, a CR or a NUL, a line is longer than
+    the csv field limit, the header is missing, a row has the wrong field
+    count or fails a value check, no data row exists, or the text is not
+    UTF-8. Without quotes, CRs and NULs each line is one CSV record whose
+    fields are the line split on commas, and float() parses the numbers
+    as the row parser does, so the arrays and tags are the same.
+    """
+    limit = csv.field_size_limit()
+    header = False
+    tables, tags, texts = [], ([], [], [], []), []
+    distinct = ({}, {}, {}, {})
+    try:
+        for block in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
+            text = "".join(block)
+            if '"' in text or "\r" in text or "\x00" in text:
+                return None
+            lines = text.split("\n")
+            if text.endswith("\n"):
+                lines.pop()
+            if "" in lines:
+                lines = list(filter(None, lines))
+            if "#" in text:
+                lines = [line for line in lines if not line.lstrip().startswith("#")]
+            if lines and not header:
+                if tuple(c.strip() for c in lines[0].split(",")) != CSV_COLUMNS:
+                    return None
+                header = True
+                del lines[0]
+            if not lines:
+                continue
+            if (max(map(len, lines)) > limit
+                    or set(map(str.count, lines, repeat(","))) != {len(CSV_COLUMNS) - 1}):
+                return None
+            fields = ",".join(lines).split(",")
+            table = np.empty((len(lines), 7))
+            for k in range(7):
+                table[:, k] = list(map(float, fields[4 + k::len(CSV_COLUMNS)]))
+            raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
+            if not (np.isfinite(table).all() and (white > 0).all() and raw.min() >= 0
+                    and jpeg.min() >= 0 and jpeg.max() <= 255):
+                return None
+            tables.append(table)
+            for k, (column, seen) in enumerate(zip(tags, distinct)):
+                # one str object per distinct tag: a corpus repeats its
+                # cameras, illuminants, exposures and patches
+                values = fields[k::len(CSV_COLUMNS)]
+                column += map(seen.setdefault, values, values)
+            if keep_texts:
+                texts.append(lines)
+    except ValueError:  # float() refused a field, or the text is not UTF-8
+        return None
+    if not tables:
+        return None
+    return np.concatenate(tables), tags, texts if keep_texts else None
+
+
+def _format_rows(template: str, columns) -> str:
+    """``template`` % (row values) for each row of the equal-length columns."""
+    return "".join(map(template.__mod__, zip(*columns)))
 
 
 def save_corpus(pairs: PixelPairSet, path) -> None:
@@ -184,17 +290,11 @@ def save_corpus(pairs: PixelPairSet, path) -> None:
             raise ValueError(f"{name} tag {bad!r} cannot be written to a corpus CSV")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(pairs)):
-            raw = pairs.raw[i]
-            jpeg = pairs.rendered[i] * 255.0
-            fields = [
-                pairs.camera[i], pairs.illuminant[i],
-                pairs.exposure[i], pairs.patch[i],
-                _fmt(raw[0]), _fmt(raw[1]), _fmt(raw[2]),
-                _fmt(jpeg[0]), _fmt(jpeg[1]), _fmt(jpeg[2]),
-                "1",
-            ]
-            fh.write(",".join(fields) + "\n")
+        for start in range(0, len(pairs), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            tags = [getattr(pairs, name)[block] for name in CSV_COLUMNS[:4]]
+            numbers = np.column_stack([pairs.raw[block], pairs.rendered[block] * 255.0])
+            fh.write(_format_rows(_ROW_TEMPLATE, tags + numbers.T.tolist()))
 
 
 def select_subset(corpus: PixelPairSet, spec: SubsetSpec) -> PixelPairSet:

@@ -249,12 +249,16 @@ def map_forward(model: PipelineModel, raws: np.ndarray) -> np.ndarray:
 def map_backward(model: PipelineModel, rendered: np.ndarray) -> np.ndarray:
     """Rendered rows (n, 3) to predicted raw rows in [0, 1]^3.
 
-    Raises ValueError naming the first row with a NaN or infinite value.
+    Rendered values are clipped to [0, 1], the domain of the inverse tone
+    curves, as ``map_forward`` clips the corrected values before its tone
+    curves. Raises ValueError naming the first row with a NaN or infinite
+    value.
     """
     rendered = _finite_rows(rendered, "rendered")
     inverse_t = model.matrix.inverse().T
 
     def layers(block):
+        block = np.clip(block, 0.0, 1.0)
         linearized = np.column_stack([
             model.inverse_tones[ch](block[:, ch]) for ch in range(3)
         ])

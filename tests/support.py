@@ -147,7 +147,7 @@ def map_forward_unblocked(model, raws) -> np.ndarray:
 
 def map_backward_unblocked(model, rendered) -> np.ndarray:
     """Rendered to raw over all rows at once: the blocked map's oracle."""
-    rendered = np.asarray(rendered, dtype=float).reshape(-1, 3)
+    rendered = np.clip(np.asarray(rendered, dtype=float).reshape(-1, 3), 0.0, 1.0)
     linearized = np.column_stack([
         model.inverse_tones[ch](rendered[:, ch]) for ch in range(3)
     ])

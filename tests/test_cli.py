@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from rankcal.cli import main
-from rankcal.dataset import load_corpus, save_corpus
-from rankcal.model import PipelineModel, PixelPairSet
+from rankcal.dataset import CSV_COLUMNS, load_corpus, save_corpus
+from rankcal.model import ColorMatrix, Lattice3, PipelineModel, PixelPairSet, ToneCurve
 from rankcal.modelfile import deserialize_model, serialize_model
 from rankcal.simulate import deserialize_camera
 
@@ -96,6 +98,38 @@ class TestCalibrateCommand:
                     "--out", tmp_path / "m.txt"]) == 1
 
 
+def write_warped_model(path):
+    """A model whose every layer moves values, built without libm or BLAS
+    calls: a diagonal power-of-two matrix, exact polynomial tones and
+    seeded lattice offsets."""
+    rng = np.random.default_rng(303)
+    forward = [0.0, 1.25, -0.25] + [0.0] * 5
+    inverse = [0.0, 0.8, 0.128, 0.04096] + [0.0] * 4
+    model = PipelineModel(
+        matrix=ColorMatrix(np.diag([1.0, 0.5, 1.0])),
+        forward_tones=tuple(ToneCurve(forward, "forward", k) for k in (1, 2, 3)),
+        forward_lut=Lattice3(Lattice3.identity(5).nodes + rng.uniform(-0.02, 0.02, (5, 5, 5, 3))),
+        inverse_tones=tuple(ToneCurve(inverse, "inverse", k) for k in (1, 2, 3)),
+        backward_lut=Lattice3(Lattice3.identity(5).nodes + rng.uniform(-0.02, 0.02, (5, 5, 5, 3))),
+    )
+    path.write_text(serialize_model(model), encoding="utf-8")
+
+
+def write_sensor_corpus(path, n=500):
+    """Integer sensor counts at white levels 1023 and 4095, with a comment,
+    a blank line and '#' inside patch tags."""
+    rng = np.random.default_rng(404)
+    white = np.where(np.arange(n) % 2, 1023, 4095)
+    raw = (rng.uniform(0.0, 1.0, (n, 3)) * white[:, None]).astype(int)
+    jpeg = rng.integers(0, 256, (n, 3))
+    lines = ["# sensor counts", ",".join(CSV_COLUMNS), ""]
+    for i in range(n):
+        lines.append(",".join([f"cam9,i{i % 3},e{i % 2}", f"p#{i}"]
+                              + [str(v) for v in raw[i]] + [str(v) for v in jpeg[i]]
+                              + [str(white[i])]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestApplyCommand:
     def test_identity_model_reproduces_inputs(self, tmp_path):
         data = tmp_path / "c.csv"
@@ -130,6 +164,34 @@ class TestApplyCommand:
         fields = out.read_text().strip().split("\n")[1].split(",")
         pred = np.array([float(v) for v in fields[11:14]])
         assert np.allclose(pred, [200.0, 400.0, 600.0], atol=1e-9)
+
+    # Digests recorded from the row-at-a-time writer, whose bytes the
+    # batched writer must reproduce.
+    @pytest.mark.parametrize("direction, digest", [
+        ("forward", "b0b95f546b3223b5b23364ec91f0cef62a352b9ece7fff12102da1183bf8c29c"),
+        ("backward", "e62f90224046cdb7f183c47c2bb7edf0e0a7c996be7c5ce77f8fbde4e75f7ea0"),
+    ])
+    def test_output_bytes(self, tmp_path, direction, digest):
+        data, model, out = tmp_path / "c.csv", tmp_path / "m.txt", tmp_path / "p.csv"
+        write_sensor_corpus(data)
+        write_warped_model(model)
+        assert run(["apply", "--model", model, "--direction", direction,
+                    "--in", data, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_quoted_input_echoed_unquoted(self, tmp_path, direction):
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_sensor_corpus(plain, n=20)
+        text = plain.read_text(encoding="utf-8")
+        quoted.write_text(text.replace("cam9,", '"cam9",').replace("\n", "\r\n"),
+                          encoding="utf-8")
+        model = tmp_path / "m.txt"
+        write_warped_model(model)
+        for data in (plain, quoted):
+            assert run(["apply", "--model", model, "--direction", direction,
+                        "--in", data, "--out", data.with_suffix(".out")]) == 0
+        assert quoted.with_suffix(".out").read_bytes() == plain.with_suffix(".out").read_bytes()
 
     def test_missing_model_exits_1(self, tmp_path):
         data = tmp_path / "c.csv"

@@ -1,15 +1,20 @@
 """Tests for corpus CSV ingestion, subset selection, and RMSE."""
 
+import csv
 import dataclasses
+import hashlib
+import io
+import os
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from rankcal import dataset
 from rankcal.dataset import (
     SubsetSpec,
     load_corpus,
@@ -20,7 +25,8 @@ from rankcal.dataset import (
     select_subset,
 )
 from rankcal.errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from rankcal.model import PixelPairSet
+from rankcal.model import PixelPairSet, saturation_flags
+from rankcal.modelfile import _fmt
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, make_exposures, make_illuminants
 
 HEADER = "camera,illuminant,exposure,patch,raw_r,raw_g,raw_b,jpeg_r,jpeg_g,jpeg_b,white_level"
@@ -94,6 +100,23 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 3: non-finite"):
             loads_corpus(text)
 
+    @pytest.mark.parametrize("fields, message", [
+        ("100,200,300,256,100,150,1000", "values out of range"),
+        ("100,200,300,50,-1,150,1000", "values out of range"),
+        ("100,-0.5,300,50,100,150,1000", "values out of range"),
+        ("100,200,300,50,100,150,0", "white_level must be positive"),
+        ("100,200,300,50,100,150,-4095", "white_level must be positive"),
+    ])
+    def test_out_of_range_value_names_line(self, fields, message):
+        text = HEADER + "\ncam,i0,e0,p0,100,200,300,50,100,150,1000\ncam,i0,e0,p1," + fields + "\n"
+        with pytest.raises(CorpusFormatError, match=f"line 3: {message}"):
+            loads_corpus(text)
+
+    def test_misspelled_header_rejected(self):
+        with pytest.raises(CorpusFormatError, match="line 2: expected header"):
+            loads_corpus("# note\n" + HEADER.replace("patch", "pitch")
+                         + "\ncam,i0,e0,p0,1,2,3,4,5,6,1000\n")
+
     def test_header_only_is_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             loads_corpus(HEADER + "\n")
@@ -131,6 +154,121 @@ class TestLoadCorpus:
         path = tmp_path / "c.csv"
         save_corpus(corpus, path)
         assert load_corpus(path).saturated.tolist() == corpus.saturated.tolist()
+
+
+    def test_error_names_physical_line_after_multiline_tag(self):
+        text = HEADER + '\n"cam\nA",i0,e0,p0,1,2,3,4,5,6,1000\ncam,i0,e0,p1,abc,2,3,4,5,6,1000\n'
+        with pytest.raises(CorpusFormatError, match="line 4: non-numeric value"):
+            loads_corpus(text)
+
+    @pytest.mark.parametrize("tag", ["cam", '"c,am"'])
+    def test_reads_a_pipe(self, tag):
+        read, write = os.pipe()
+        os.write(write, f"{HEADER}\n{tag},i0,e0,p0,1,2,3,4,5,6,1000\n".encode())
+        os.close(write)
+        try:
+            corpus = load_corpus(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert corpus.camera == (tag.strip('"'),)
+
+    def test_field_over_csv_limit_raises_as_row_parser(self):
+        text = HEADER + "\ncam,i0,e0," + "p" * 80 + ",1,2,3,4,5,6,1000\n"
+        limit = csv.field_size_limit(64)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                loads_corpus(text)
+        finally:
+            csv.field_size_limit(limit)
+
+
+def _numbers(low: float, high: float):
+    """Decimal text of values in [low, high] as writers spell them, at
+    times with whitespace around."""
+    number = st.one_of(
+        st.floats(low, high).map(lambda v: "%.17g" % v),
+        st.floats(low, high).map(repr),
+        st.integers(int(low), int(high)).map(str),
+        st.integers(int(low), int(high)).map(lambda v: f"{v / 10:.1e}"),
+    )
+    space = st.sampled_from(["", "", " ", "\t"])
+    return st.tuples(space, number, space).map("".join)
+
+
+BAD_NUMBERS = st.sampled_from(["abc", "", "nan", "-inf", "1e400", "-1", "-1e-300", "256",
+                               "255.00001", "0x10", "1_0", "\u0663", "-0", "0"])
+
+
+@st.composite
+def corpus_texts(draw):
+    """Corpus text with in-range numbers and plain tags, drawn at times
+    with what only the row parser reads (quoted tags; commas, quotes, NULs
+    or CRs in tags; CR line ends) and at times with one fault (a bad or
+    out-of-range value, a missing or extra field, or a wrong header)."""
+    rarely = st.sampled_from([False, False, True])
+    quoted, odd = draw(rarely), draw(rarely)
+    newline = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+    tag = st.text(st.sampled_from(list("ab7 #-") + (list('",\x00\r') if odd else [])),
+                  max_size=4)
+    if quoted:
+        tag = st.one_of(tag, tag.map(lambda t: '"' + t.replace('"', '""') + '"'))
+    columns = [_numbers(0, 2)] * 3 + [_numbers(0, 255)] * 3 + [_numbers(1, 65535)]
+    rows = draw(st.lists(st.tuples(*[tag] * 4, *columns).map(list), min_size=1, max_size=10))
+    fault = draw(st.sampled_from([None, None, "value", "short", "long", "header"]))
+    if rows and fault in ("value", "short", "long"):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if fault == "value":
+            row[draw(st.integers(4, 10))] = draw(BAD_NUMBERS)
+        elif fault == "short":
+            row.pop()
+        else:
+            row.append("9")
+    lines = [",".join(row) for row in rows]
+    skipped = st.one_of(st.sampled_from(["", "# note", "  #, 1", " #b,"]),
+                        tag.map(lambda t: "#" + t))
+    for position, line in draw(st.lists(st.tuples(st.integers(0, 10), skipped), max_size=4)):
+        lines.insert(position, line)
+    header = draw(st.sampled_from([HEADER, " " + HEADER.replace(",", " , ")]))
+    if fault == "header":
+        header = header.replace("patch", "pitch")
+    end = draw(st.sampled_from([newline, ""]))
+    return newline.join([header] + lines) + end
+
+
+class TestFastParse:
+    @settings(max_examples=300, deadline=None)
+    @given(text=corpus_texts())
+    def test_matches_row_parser(self, text):
+        try:
+            want = dataset._parse_rows(io.StringIO(text), "<string>", True)
+        except Exception as exc:
+            event("rejected")
+            assert dataset._parse_blocks(io.StringIO(text), False) is None
+            with pytest.raises(type(exc)) as got:
+                loads_corpus(text)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        got = dataset._parse_blocks(io.StringIO(text), True)
+        event("fallback" if got is None else "fast")
+        if got is None:
+            assert re.search('["\r\x00]', text)
+            return
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [list(c) for c in got[1]] == want[1]
+        assert [t for block in got[2] for t in block] == want[2][0]
+
+    def test_rows_split_over_blocks_match_row_parser(self, monkeypatch):
+        # the header, a comment and a blank line share the first block
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 7)
+        text = (HEADER + "\n# between blocks\n\n"
+                + "".join(f"c,i{i % 3},e0,#p{i},{i / 7!r},0,1e-3,{i % 256},0,255,1023\n"
+                          for i in range(40)))
+        got = dataset._parse_blocks(io.StringIO(text), True)
+        want = dataset._parse_rows(io.StringIO(text), "<string>", True)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [list(c) for c in got[1]] == want[1]
+        assert [t for block in got[2] for t in block] == want[2][0]
+        assert [len(block) for block in got[2]][:2] == [4, 7]
 
 
 # Tag alphabets: any character, or any character with those the CSV
@@ -205,12 +343,60 @@ class TestSaveCorpus:
         with pytest.raises(ValueError, match=f"{column} tag {re.escape(repr(tag))}"):
             save_corpus(pairs, tmp_path / "c.csv")
 
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=6, max_size=6),
+           tags=st.lists(st.text(max_size=3), min_size=4, max_size=4))
+    def test_row_template_matches_fmt(self, values, tags):
+        want = ",".join(tags + [_fmt(v) for v in values] + ["1"]) + "\n"
+        assert dataset._ROW_TEMPLATE % (*tags, *values) == want
+
     def test_hash_allowed_in_other_tags(self, tmp_path):
         pairs = PixelPairSet.from_arrays(np.full((2, 3), 0.5), np.full((2, 3), 0.5),
                                          camera="c#1", illuminant="#i", exposure="#e")
         save_corpus(pairs, tmp_path / "c.csv")
         back = load_corpus(tmp_path / "c.csv")
         assert (back.camera, back.illuminant) == (pairs.camera, pairs.illuminant)
+
+
+def image_pairs() -> PixelPairSet:
+    """A quantized 30 x 30 image corpus from seeded uniform draws only (no
+    libm or BLAS call), flagged as loading flags it."""
+    rng = np.random.default_rng(101)
+    raw = rng.uniform(0.0, 1.0, (900, 3))
+    levels = rng.integers(0, 256, (900, 3)).astype(float)
+    return PixelPairSet(raw, levels / 255.0, ("cam101",) * 900, ("i0",) * 900,
+                        ("e0",) * 900, tuple(f"p{i}" for i in range(900)),
+                        saturation_flags(raw, levels))
+
+
+def multi_pairs() -> PixelPairSet:
+    """An unquantized corpus over 3 illuminants x 2 exposures with clipped
+    rows: raw values up to 1.3 and rendered values of exactly 0 or 1."""
+    rng = np.random.default_rng(202)
+    n = 600
+    raw = rng.uniform(0.0, 1.0, (n, 3))
+    rendered = rng.uniform(0.0, 1.0, (n, 3))
+    raw[::17, 0] = rng.uniform(0.995, 1.3, raw[::17, 0].shape)
+    rendered[5::23, 1] = 1.0
+    rendered[11::29, 2] = 0.0
+    patches = tuple(f"p{i % 100}" for i in range(n))
+    return PixelPairSet(raw, rendered, ("cam202",) * n,
+                        tuple(f"i{(i // 100) % 3}" for i in range(n)),
+                        tuple(f"e{i // 300}" for i in range(n)), patches,
+                        saturation_flags(raw, rendered * 255.0))
+
+
+class TestGoldenBytes:
+    # Digests recorded from the row-at-a-time writer, whose bytes the
+    # batched writer must reproduce.
+    @pytest.mark.parametrize("make, digest", [
+        (image_pairs, "c805e19bd2584a732a9d9708263554fb8120f9a9db835faa6edd6b6912b4a517"),
+        (multi_pairs, "1ad9953c36dbb5c4a5658ea17fedd6e2d2aeae499b4827d19ca167ea2b05b220"),
+    ])
+    def test_save_corpus_bytes(self, tmp_path, make, digest):
+        save_corpus(make(), tmp_path / "c.csv")
+        assert hashlib.sha256((tmp_path / "c.csv").read_bytes()).hexdigest() == digest
 
 
 class TestSelectSubset:

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from support import angle_degrees, map_backward_unblocked, map_forward_unblocked
 
@@ -138,6 +141,21 @@ class TestApply:
         bwd = map_backward(model, rng.uniform(0.0, 1.0, size=(500, 3)))
         assert fwd.min() >= 0.0 and fwd.max() <= 1.0
         assert bwd.min() >= 0.0 and bwd.max() <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=arrays(float, st.integers(1, 6).map(lambda n: (n, 3)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(values=np.full((2, 3), 1e300))
+    @example(values=np.full((2, 3), -1.7e308))
+    def test_any_finite_input_maps_into_unit_cube(self, gated_bundle, values):
+        # beyond [0, 1] the inverse tone polynomials overflow to NaN, which
+        # no lattice index can take, unless the rendered values are clipped
+        model = gated_bundle["model"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mapping in (map_forward, map_backward):
+                out = mapping(model, values)
+                assert out.shape == values.shape
+                assert np.isfinite(out).all() and out.min() >= 0.0 and out.max() <= 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
