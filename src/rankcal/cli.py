@@ -163,6 +163,8 @@ def _cmd_apply(args) -> int:
 def _cmd_evaluate(args, parser) -> int:
     if args.errormap is not None and (args.width is None or args.height is None):
         parser.error("--errormap requires --width and --height")
+    if any(size is not None and size < 1 for size in (args.width, args.height)):
+        parser.error("--width and --height must be >= 1")
     with open(args.model, "r", encoding="utf-8") as fh:
         model = deserialize_model(fh.read())
     corpus = load_corpus(args.data)

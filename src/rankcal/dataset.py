@@ -18,7 +18,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -112,47 +112,11 @@ def loads_corpus(text: str) -> PixelPairSet:
     return _parse_corpus(io.StringIO(text), "<string>")
 
 
-def _data_rows(fh, origin: str):
-    """(line number, fields) of each data row of a corpus CSV, in file order.
-
-    Blank lines and lines whose first field starts with '#' are skipped;
-    the first other line must be the header. A row's line number is that
-    of its last physical line.
-    """
-    header = False
-    reader = csv.reader(fh)
-    for row in reader:
-        if not row or row[0].lstrip().startswith("#"):
-            continue
-        if not header:
-            if tuple(c.strip() for c in row) != CSV_COLUMNS:
-                raise CorpusFormatError(
-                    f"{origin}: line {reader.line_num}: expected header "
-                    f"{','.join(CSV_COLUMNS)}"
-                )
-            header = True
-            continue
-        yield reader.line_num, row
-    if not header:
-        raise CorpusFormatError(f"{origin}: missing header line")
-
-
 def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
-    # the row parser rereads what the block parser declines, so a pipe,
-    # which cannot be reread, goes to the row parser alone
-    seekable = fh.seekable()
-    parsed = _parse_blocks(fh, rows is not None) if seekable else None
-    if parsed is None:
-        if seekable:
-            fh.seek(0)
-        parsed = _parse_rows(fh, origin, rows is not None)
-    table, tags, texts = parsed
+    # read in its own frame, so that the per-block tables, the last block's
+    # strings and the tag dictionaries are freed before the arrays below
+    table, tags = _read_table(fh, origin, rows)
     raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
-    if rows is not None:
-        levels, start = white.copy(), 0
-        for block in texts:
-            rows.append((block, levels[start:start + len(block)]))
-            start += len(block)
     # raw values above the white level only occur on rows the saturation
     # rule already flags, so the PixelPairSet invariant holds by construction
     return PixelPairSet(
@@ -166,106 +130,126 @@ def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
     )
 
 
-def _parse_rows(fh, origin: str, keep_texts: bool):
-    """The row parser: the numbers (n, 7), the four tag lists and, when
-    ``keep_texts``, one block of the rows' fields joined by commas.
+def _read_table(fh, origin: str, rows: list | None):
+    """The numbers (n, 7) and the four tag lists of a corpus CSV, read
+    from ``fh`` once, in blocks of data rows.
 
-    The only reader of quoted CSV and the only source of CorpusFormatError
-    and EmptyCorpus; ``_parse_blocks`` hands it every file it cannot take.
+    Blank lines and lines whose first field starts with '#' are skipped;
+    the first other line must be the header. Plain lines (no quote, CR or
+    NUL, none longer than the csv field limit) are split on commas at C
+    speed. From the first block that is not plain, or that fails a check,
+    the rest of the input goes through ``csv.reader``; a block it reads
+    is checked row by row only when it fails, so an error names the first
+    bad row of the file and its physical line (the last line of a record
+    that spans several).
     """
-    numbers, tags, texts = [], [], []
-    for lineno, row in _data_rows(fh, origin):
+    width = len(CSV_COLUMNS)
+    tables, tags, distinct = [], ([], [], [], []), ({}, {}, {}, {})
+
+    def take(fields: list, texts: list) -> bool:
+        """Append a block of data rows, ``width`` fields each, when every
+        value parses and is in range; leave everything as it was if not."""
+        table = np.empty((len(texts), 7))
+        try:
+            for k in range(7):
+                table[:, k] = list(map(float, fields[4 + k::width]))
+        except ValueError:
+            return False
+        raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
+        if not (np.isfinite(table).all() and (white > 0).all() and raw.min() >= 0
+                and jpeg.min() >= 0 and jpeg.max() <= 255):
+            return False
+        tables.append(table)
+        for k, (column, seen) in enumerate(zip(tags, distinct)):
+            # one str object per distinct tag: a corpus repeats its
+            # cameras, illuminants, exposures and patches
+            values = fields[k::width]
+            column += map(seen.setdefault, values, values)
+        if rows is not None:
+            rows.append((texts, white.copy()))
+        return True
+
+    limit = csv.field_size_limit()
+    header, offset = False, 0  # offset: physical lines before the block
+    for block in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
+        text = "".join(block)
+        if '"' in text or "\r" in text or "\x00" in text or max(map(len, block)) > limit:
+            break
+        # each plain line is one record: its fields are the line split on commas
+        lines = text.split("\n")
+        if text.endswith("\n"):
+            lines.pop()
+        if "" in lines:
+            lines = list(filter(None, lines))
+        if "#" in text:
+            lines = [line for line in lines if not line.lstrip().startswith("#")]
+        head = bool(lines) and not header
+        if head and tuple(c.strip() for c in lines[0].split(",")) != CSV_COLUMNS:
+            break
+        data = lines[1:] if head else lines
+        if data and not (set(map(str.count, data, repeat(","))) == {width - 1}
+                         and take(",".join(data).split(","), data)):
+            break
+        header = header or head
+        offset += len(block)
+    else:
+        block = []
+
+    reader = csv.reader(chain(block, fh))
+    while True:
+        records, count, failure = [], 0, None
+        try:
+            for row in islice(reader, _BLOCK_ROWS):
+                count += 1
+                if row and not row[0].lstrip().startswith("#"):
+                    records.append((offset + reader.line_num, row))
+        except csv.Error as exc:
+            # raised after the records read before it are checked
+            failure = CorpusFormatError(f"{origin}: line {offset + reader.line_num}: {exc}")
+        if records and not header:
+            lineno, row = records.pop(0)
+            if tuple(c.strip() for c in row) != CSV_COLUMNS:
+                raise CorpusFormatError(
+                    f"{origin}: line {lineno}: expected header {','.join(CSV_COLUMNS)}"
+                )
+            header = True
+        data = [row for _, row in records]
+        if data and not (all(len(row) == width for row in data)
+                         and take(list(chain.from_iterable(data)), list(map(",".join, data)))):
+            raise _row_error(origin, records)
+        if failure is not None:
+            raise failure
+        if count < _BLOCK_ROWS:
+            break
+
+    if not header:
+        raise CorpusFormatError(f"{origin}: missing header line")
+    if not tables:
+        raise EmptyCorpus(f"{origin}: no data rows")
+    return np.concatenate(tables), tags
+
+
+def _row_error(origin: str, records) -> CorpusFormatError:
+    """The error of the first bad row among ``records``, (line number,
+    fields) pairs in file order, at least one of which is bad."""
+    for lineno, row in records:
+        where = f"{origin}: line {lineno}"
         if len(row) != len(CSV_COLUMNS):
-            raise CorpusFormatError(
-                f"{origin}: line {lineno}: expected {len(CSV_COLUMNS)} fields, "
-                f"got {len(row)}"
+            return CorpusFormatError(
+                f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"
             )
         try:
             values = [float(v) for v in row[4:]]
         except ValueError:
-            raise CorpusFormatError(
-                f"{origin}: line {lineno}: non-numeric value"
-            ) from None
+            return CorpusFormatError(f"{where}: non-numeric value")
         if not all(map(math.isfinite, values)):
-            raise CorpusFormatError(f"{origin}: line {lineno}: non-finite value")
+            return CorpusFormatError(f"{where}: non-finite value")
         raw, jpeg, white = values[0:3], values[3:6], values[6]
         if white <= 0:
-            raise CorpusFormatError(
-                f"{origin}: line {lineno}: white_level must be positive"
-            )
+            return CorpusFormatError(f"{where}: white_level must be positive")
         if min(jpeg) < 0 or max(jpeg) > 255 or min(raw) < 0:
-            raise CorpusFormatError(
-                f"{origin}: line {lineno}: values out of range"
-            )
-        # flat lists hold a row in the fewest Python objects
-        numbers += values
-        tags += row[:4]
-        if keep_texts:
-            texts.append(",".join(row))
-    if not numbers:
-        raise EmptyCorpus(f"{origin}: no data rows")
-    return (np.array(numbers).reshape(-1, 7), [tags[k::4] for k in range(4)],
-            [texts] if keep_texts else None)
-
-
-def _parse_blocks(fh, keep_texts: bool):
-    """The row parser's result for plain CSV, read in blocks at C speed.
-
-    Returns None, having raised nothing, whenever the row parser must
-    decide: the text holds a quote, a CR or a NUL, a line is longer than
-    the csv field limit, the header is missing, a row has the wrong field
-    count or fails a value check, no data row exists, or the text is not
-    UTF-8. Without quotes, CRs and NULs each line is one CSV record whose
-    fields are the line split on commas, and float() parses the numbers
-    as the row parser does, so the arrays and tags are the same.
-    """
-    limit = csv.field_size_limit()
-    header = False
-    tables, tags, texts = [], ([], [], [], []), []
-    distinct = ({}, {}, {}, {})
-    try:
-        for block in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
-            text = "".join(block)
-            if '"' in text or "\r" in text or "\x00" in text:
-                return None
-            lines = text.split("\n")
-            if text.endswith("\n"):
-                lines.pop()
-            if "" in lines:
-                lines = list(filter(None, lines))
-            if "#" in text:
-                lines = [line for line in lines if not line.lstrip().startswith("#")]
-            if lines and not header:
-                if tuple(c.strip() for c in lines[0].split(",")) != CSV_COLUMNS:
-                    return None
-                header = True
-                del lines[0]
-            if not lines:
-                continue
-            if (max(map(len, lines)) > limit
-                    or set(map(str.count, lines, repeat(","))) != {len(CSV_COLUMNS) - 1}):
-                return None
-            fields = ",".join(lines).split(",")
-            table = np.empty((len(lines), 7))
-            for k in range(7):
-                table[:, k] = list(map(float, fields[4 + k::len(CSV_COLUMNS)]))
-            raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
-            if not (np.isfinite(table).all() and (white > 0).all() and raw.min() >= 0
-                    and jpeg.min() >= 0 and jpeg.max() <= 255):
-                return None
-            tables.append(table)
-            for k, (column, seen) in enumerate(zip(tags, distinct)):
-                # one str object per distinct tag: a corpus repeats its
-                # cameras, illuminants, exposures and patches
-                values = fields[k::len(CSV_COLUMNS)]
-                column += map(seen.setdefault, values, values)
-            if keep_texts:
-                texts.append(lines)
-    except ValueError:  # float() refused a field, or the text is not UTF-8
-        return None
-    if not tables:
-        return None
-    return np.concatenate(tables), tags, texts if keep_texts else None
+            return CorpusFormatError(f"{where}: values out of range")
+    raise AssertionError("no bad row in a block that failed its checks")
 
 
 def _format_rows(template: str, columns) -> str:

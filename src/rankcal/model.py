@@ -326,6 +326,10 @@ class ModelMetadata:
         object.__setattr__(self, "samples", int(self.samples))
         pairs = tuple((str(k), str(v)) for k, v in self.settings)
         object.__setattr__(self, "settings", pairs)
+        # a model file holds one value per line
+        for text in (self.camera, *(t for pair in pairs for t in pair)):
+            if "\r" in text or "\n" in text:
+                raise ValueError(f"model metadata {text!r} holds a line break")
 
     @classmethod
     def from_dict(cls, camera: str, samples: int, settings: dict) -> "ModelMetadata":

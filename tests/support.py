@@ -1,16 +1,21 @@
 """Shared test helpers: exact nearest-neighbour search, angle math, and the
 reference implementations the optimised code is checked against (the
 per-point constraint count, the dense sphere scan, the array-based
-isotonic fit, the unblocked maps, the unblocked lattice fit and
-calibration without memoised inputs)."""
+isotonic fit, the unblocked maps, the unblocked lattice fit, calibration
+without memoised inputs and the row-at-a-time corpus parser)."""
 
+import csv
+import io
+import math
 from collections import defaultdict
 
 import numpy as np
 
 from rankcal import pipeline, ranking
+from rankcal.dataset import CSV_COLUMNS
+from rankcal.errors import CorpusFormatError, EmptyCorpus
 from rankcal.gamut import _grid_laplacian, apply_lattice, trilinear_weights
-from rankcal.model import Lattice3, PixelPairSet, _as_rows
+from rankcal.model import Lattice3, PixelPairSet, _as_rows, saturation_flags
 
 
 def chord_to_degrees(chord: float) -> float:
@@ -194,3 +199,90 @@ def disable_memo(monkeypatch) -> None:
     monkeypatch.setattr(PixelPairSet, "unsaturated",
                         lambda self: self.subset(np.flatnonzero(~self.saturated)))
     monkeypatch.setattr(PixelPairSet, "_rank_pool", property(ranking._constraint_pool))
+
+
+def data_rows(fh, origin: str):
+    """(line number, fields) of each data row of a corpus CSV, in file order.
+
+    Blank lines and lines whose first field starts with '#' are skipped;
+    the first other line must be the header. A row's line number is that
+    of its last physical line.
+    """
+    header = False
+    reader = csv.reader(fh)
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        if not header:
+            if tuple(c.strip() for c in row) != CSV_COLUMNS:
+                raise CorpusFormatError(
+                    f"{origin}: line {reader.line_num}: expected header "
+                    f"{','.join(CSV_COLUMNS)}"
+                )
+            header = True
+            continue
+        yield reader.line_num, row
+    if not header:
+        raise CorpusFormatError(f"{origin}: missing header line")
+
+
+def parse_rows(fh, origin: str, keep_texts: bool):
+    """The row parser: the numbers (n, 7), the four tag lists and, when
+    ``keep_texts``, one block of the rows' fields joined by commas.
+
+    The corpus reader's oracle: one csv record at a time, every check
+    in Python on that record.
+    """
+    numbers, tags, texts = [], [], []
+    for lineno, row in data_rows(fh, origin):
+        if len(row) != len(CSV_COLUMNS):
+            raise CorpusFormatError(
+                f"{origin}: line {lineno}: expected {len(CSV_COLUMNS)} fields, "
+                f"got {len(row)}"
+            )
+        try:
+            values = [float(v) for v in row[4:]]
+        except ValueError:
+            raise CorpusFormatError(
+                f"{origin}: line {lineno}: non-numeric value"
+            ) from None
+        if not all(map(math.isfinite, values)):
+            raise CorpusFormatError(f"{origin}: line {lineno}: non-finite value")
+        raw, jpeg, white = values[0:3], values[3:6], values[6]
+        if white <= 0:
+            raise CorpusFormatError(
+                f"{origin}: line {lineno}: white_level must be positive"
+            )
+        if min(jpeg) < 0 or max(jpeg) > 255 or min(raw) < 0:
+            raise CorpusFormatError(
+                f"{origin}: line {lineno}: values out of range"
+            )
+        # flat lists hold a row in the fewest Python objects
+        numbers += values
+        tags += row[:4]
+        if keep_texts:
+            texts.append(",".join(row))
+    if not numbers:
+        raise EmptyCorpus(f"{origin}: no data rows")
+    return (np.array(numbers).reshape(-1, 7), [tags[k::4] for k in range(4)],
+            [texts] if keep_texts else None)
+
+
+def loads_corpus_reference(text: str, origin: str = "<string>"):
+    """What ``loads_corpus(text)`` returns, with the rows' texts and white
+    levels, by the row parser; a csv.Error becomes the CorpusFormatError
+    that names the line the csv reader stopped on."""
+    try:
+        table, tags, texts = parse_rows(io.StringIO(text), origin, True)
+    except csv.Error as exc:
+        reader = csv.reader(io.StringIO(text))
+        try:
+            for _ in reader:
+                pass
+        except csv.Error:
+            raise CorpusFormatError(f"{origin}: line {reader.line_num}: {exc}") from None
+        raise
+    raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
+    pairs = PixelPairSet(raw / white[:, None], jpeg / 255.0, *tags,
+                         saturation_flags(raw, jpeg, white))
+    return pairs, texts[0], white

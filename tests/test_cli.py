@@ -98,6 +98,28 @@ class TestCalibrateCommand:
                     "--out", tmp_path / "m.txt"]) == 1
 
 
+    def test_over_long_field_exits_1_naming_line(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        data.write_text(",".join(CSV_COLUMNS) + "\ncam,i0,e0," + "p" * 200_000
+                        + ",1,2,3,4,5,6,1000\n", encoding="utf-8")
+        assert run(["calibrate", "--data", data, "--out", tmp_path / "m.txt"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: line 2: field larger than field limit")
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_camera_tag_with_line_break_writes_no_model(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        run(["simulate", "--out", data, "--patches", 60, "--seed", 1])
+        text = data.read_text(encoding="utf-8").replace("\nsim1,", '\n"sim1\nA",')
+        data.write_text(text, encoding="utf-8")
+        assert load_corpus(data).camera[0] == "sim1\nA"
+        model = tmp_path / "m.txt"
+        assert run(["calibrate", "--data", data, "--out", model] + FAST) == 1
+        err = capsys.readouterr().err
+        assert "error: stage 'assemble': model metadata 'sim1\\nA' holds a line break" in err
+        assert not model.exists()
+
+
 def write_warped_model(path):
     """A model whose every layer moves values, built without libm or BLAS
     calls: a diagonal power-of-two matrix, exact polynomial tones and
@@ -239,6 +261,19 @@ class TestEvaluateCommand:
                     "--errormap", tmp_path / "e.ppm",
                     "--width", 7, "--height", 5])
         assert code == 1
+
+    @pytest.mark.parametrize("width, height", [(-10, -14), (0, 40), (40, 0), (-1, 5)])
+    def test_errormap_size_below_1_is_usage_error(self, tmp_path, width, height):
+        data = tmp_path / "c.csv"
+        write_identity_corpus(data, n=140)
+        model = tmp_path / "m.txt"
+        write_identity_model(model)
+        with pytest.raises(SystemExit) as exc:
+            run(["evaluate", "--model", model, "--data", data,
+                 "--direction", "forward", "--report", tmp_path / "r.txt",
+                 "--errormap", tmp_path / "e.ppm", "--width", width, "--height", height])
+        assert exc.value.code == 2
+        assert not (tmp_path / "e.ppm").exists()
 
     def test_errormap_requires_dimensions(self, tmp_path):
         data = tmp_path / "c.csv"

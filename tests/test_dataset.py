@@ -7,6 +7,7 @@ import io
 import os
 import re
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from rankcal.errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
 from rankcal.model import PixelPairSet, saturation_flags
 from rankcal.modelfile import _fmt
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, make_exposures, make_illuminants
+
+from support import loads_corpus_reference
 
 HEADER = "camera,illuminant,exposure,patch,raw_r,raw_g,raw_b,jpeg_r,jpeg_g,jpeg_b,white_level"
 
@@ -176,10 +179,23 @@ class TestLoadCorpus:
         text = HEADER + "\ncam,i0,e0," + "p" * 80 + ",1,2,3,4,5,6,1000\n"
         limit = csv.field_size_limit(64)
         try:
-            with pytest.raises(csv.Error, match="field larger than field limit"):
+            with pytest.raises(CorpusFormatError,
+                               match=r"^<string>: line 2: field larger than field limit \(64\)$"):
                 loads_corpus(text)
         finally:
             csv.field_size_limit(limit)
+
+    @pytest.mark.parametrize("before, message", [
+        (HEADER.replace("patch", "pitch"), "line 1: expected header"),
+        (HEADER + "\ncam,i0,e0,p0,1,x,3,4,5,6,1000", "line 2: non-numeric value"),
+        (HEADER + "\ncam,i0,e0,p0,1,2,3,4,5,6,1000", "line 3: new-line character"),
+    ])
+    def test_csv_error_comes_after_earlier_faults(self, before, message):
+        # the csv reader refuses the CR inside an unquoted field of the
+        # last line, in the same block as the earlier fault
+        text = before + "\nc\rA,i0,e0,p1,1,2,3,4,5,6,1000\n"
+        with pytest.raises(CorpusFormatError, match=f"^<string>: {message}"):
+            loads_corpus(text)
 
 
 def _numbers(low: float, high: float):
@@ -235,27 +251,36 @@ def corpus_texts(draw):
     return newline.join([header] + lines) + end
 
 
+def assert_same_pairs(got: PixelPairSet, want: PixelPairSet) -> None:
+    assert got.raw.tobytes() == want.raw.tobytes()
+    assert got.rendered.tobytes() == want.rendered.tobytes()
+    assert got.saturated.tolist() == want.saturated.tolist()
+    for name in ("camera", "illuminant", "exposure", "patch"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def assert_same_rows(rows: list, texts: list, white: np.ndarray) -> None:
+    assert [t for block, _ in rows for t in block] == texts
+    assert np.concatenate([w for _, w in rows]).tobytes() == white.tobytes()
+
+
 class TestFastParse:
     @settings(max_examples=300, deadline=None)
     @given(text=corpus_texts())
     def test_matches_row_parser(self, text):
         try:
-            want = dataset._parse_rows(io.StringIO(text), "<string>", True)
+            want, texts, white = loads_corpus_reference(text)
         except Exception as exc:
             event("rejected")
-            assert dataset._parse_blocks(io.StringIO(text), False) is None
             with pytest.raises(type(exc)) as got:
                 loads_corpus(text)
             assert type(got.value) is type(exc) and str(got.value) == str(exc)
             return
-        got = dataset._parse_blocks(io.StringIO(text), True)
-        event("fallback" if got is None else "fast")
-        if got is None:
-            assert re.search('["\r\x00]', text)
-            return
-        assert got[0].tobytes() == want[0].tobytes()
-        assert [list(c) for c in got[1]] == want[1]
-        assert [t for block in got[2] for t in block] == want[2][0]
+        event("csv reader" if re.search('["\r\x00]', text) else "plain")
+        assert_same_pairs(loads_corpus(text), want)
+        rows = []
+        dataset._parse_corpus(io.StringIO(text), "<string>", rows)
+        assert_same_rows(rows, texts, white)
 
     def test_rows_split_over_blocks_match_row_parser(self, monkeypatch):
         # the header, a comment and a blank line share the first block
@@ -263,12 +288,53 @@ class TestFastParse:
         text = (HEADER + "\n# between blocks\n\n"
                 + "".join(f"c,i{i % 3},e0,#p{i},{i / 7!r},0,1e-3,{i % 256},0,255,1023\n"
                           for i in range(40)))
-        got = dataset._parse_blocks(io.StringIO(text), True)
-        want = dataset._parse_rows(io.StringIO(text), "<string>", True)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert [list(c) for c in got[1]] == want[1]
-        assert [t for block in got[2] for t in block] == want[2][0]
-        assert [len(block) for block in got[2]][:2] == [4, 7]
+        want, texts, white = loads_corpus_reference(text)
+        rows = []
+        assert_same_pairs(dataset._parse_corpus(io.StringIO(text), "<string>", rows), want)
+        assert_same_rows(rows, texts, white)
+        assert [len(block) for block, _ in rows][:2] == [4, 7]
+
+    @pytest.mark.parametrize("fault, message", [
+        (None, None), ("c,i0,e0,p,1,x,3,4,5,6,1023", "line 27: non-numeric value"),
+    ])
+    def test_single_pass_over_a_pipe(self, monkeypatch, fault, message):
+        # blocks of 7 lines: lines 1-21 are plain, and the quoted tag over
+        # lines 24-25 hands the fourth block (lines 22-28) and the rest to
+        # the csv reader; a pipe cannot be read a second time
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 7)
+        rows = [f"c,i{i % 2},e{i % 3},p{i},{i / 3!r},1,2,3,4,5,1023" for i in range(40)]
+        if fault:
+            rows[23] = fault
+        text = "\n".join([HEADER] + rows[:22] + ['"c\nA",i0,e0,q,1,2,3,4,5,6,1023']
+                         + rows[22:]) + "\n"
+        try:
+            want = loads_corpus_reference(text)
+        except CorpusFormatError as exc:
+            assert str(exc) == f"<string>: {message}"
+            want = None
+        first_lines = []
+
+        def spy(lines, reader=csv.reader):
+            lines = iter(lines)
+            first = next(lines)
+            first_lines.append(first)
+            return reader(chain([first], lines))
+
+        monkeypatch.setattr(csv, "reader", spy)
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        got = []
+        try:
+            if want is None:
+                with pytest.raises(CorpusFormatError, match=f"^/dev/fd/{read}: {message}$"):
+                    load_corpus(f"/dev/fd/{read}", got)
+            else:
+                assert_same_pairs(load_corpus(f"/dev/fd/{read}", got), want[0])
+                assert_same_rows(got, *want[1:])
+        finally:
+            os.close(read)
+        assert first_lines == [rows[20] + "\n"]
 
 
 # Tag alphabets: any character, or any character with those the CSV

@@ -1,5 +1,7 @@
 """Tests for the shared value types and their invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,12 @@ class TestPipelineModel:
 def test_metadata_normalizes_settings():
     meta = ModelMetadata.from_dict("cam", 140, {"b": 2, "a": 1.5})
     assert meta.settings == (("a", "1.5"), ("b", "2"))
+
+
+@pytest.mark.parametrize("camera, settings, bad", [
+    ("cam\nA", {}, "cam\nA"), ("cam\r", {}, "cam\r"),
+    ("cam", {"note": "a\r\nb"}, "a\r\nb"), ("cam", {"k\n": 1}, "k\n"),
+])
+def test_metadata_refuses_line_breaks(camera, settings, bad):
+    with pytest.raises(ValueError, match=re.escape(f"model metadata {bad!r} holds a line break")):
+        ModelMetadata.from_dict(camera, 140, settings)
