@@ -43,6 +43,9 @@ _BLOCK_ROWS = 1024
 # 3.11) or a lone surrogate, and no camera tag may read as a comment.
 _UNSAFE_TAG = re.compile('[,"\r\n\x00\ud800-\udfff]')
 _COMMENT_TAG = re.compile(r"^\s*#", re.MULTILINE)
+# A corpus is read with errors="surrogateescape": a byte that is not
+# UTF-8 text reads as its escape, U+DC80 + byte.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -100,11 +103,13 @@ def parse_subset_spec(text: str, rng_seed: int = 0) -> SubsetSpec | None:
 def load_corpus(path, rows: list | None = None) -> PixelPairSet:
     """Read a corpus CSV; errors carry the offending line number.
 
+    A data row holding a byte that is not UTF-8 text is a bad row.
+
     When ``rows`` is a list, one ``(texts, white)`` pair per block of data
     rows is appended to it, in file order: each row's fields joined by
     commas, and the rows' white levels as an array.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return _parse_corpus(fh, str(path), rows)
 
 
@@ -135,13 +140,13 @@ def _read_table(fh, origin: str, rows: list | None):
     from ``fh`` once, in blocks of data rows.
 
     Blank lines and lines whose first field starts with '#' are skipped;
-    the first other line must be the header. Plain lines (no quote, CR or
-    NUL, none longer than the csv field limit) are split on commas at C
-    speed. From the first block that is not plain, or that fails a check,
-    the rest of the input goes through ``csv.reader``; a block it reads
-    is checked row by row only when it fails, so an error names the first
-    bad row of the file and its physical line (the last line of a record
-    that spans several).
+    the first other line must be the header. Plain lines (no quote, CR,
+    NUL or escaped byte, none longer than the csv field limit) are split
+    on commas at C speed. From the first block that is not plain, or that
+    fails a check, the rest of the input goes through ``csv.reader``; a
+    block it reads is checked row by row only when it fails, so an error
+    names the first bad row of the file and its physical line (the last
+    line of a record that spans several).
     """
     width = len(CSV_COLUMNS)
     tables, tags, distinct = [], ([], [], [], []), ({}, {}, {}, {})
@@ -173,7 +178,8 @@ def _read_table(fh, origin: str, rows: list | None):
     header, offset = False, 0  # offset: physical lines before the block
     for block in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
         text = "".join(block)
-        if '"' in text or "\r" in text or "\x00" in text or max(map(len, block)) > limit:
+        if ('"' in text or "\r" in text or "\x00" in text or max(map(len, block)) > limit
+                or not text.isascii() and _ESCAPED_BYTE.search(text)):
             break
         # each plain line is one record: its fields are the line split on commas
         lines = text.split("\n")
@@ -214,8 +220,10 @@ def _read_table(fh, origin: str, rows: list | None):
                 )
             header = True
         data = [row for _, row in records]
+        texts = list(map(",".join, data))
         if data and not (all(len(row) == width for row in data)
-                         and take(list(chain.from_iterable(data)), list(map(",".join, data)))):
+                         and not _ESCAPED_BYTE.search("".join(texts))
+                         and take(list(chain.from_iterable(data)), texts)):
             raise _row_error(origin, records)
         if failure is not None:
             raise failure
@@ -234,6 +242,10 @@ def _row_error(origin: str, records) -> CorpusFormatError:
     fields) pairs in file order, at least one of which is bad."""
     for lineno, row in records:
         where = f"{origin}: line {lineno}"
+        escaped = _ESCAPED_BYTE.search(",".join(row))
+        if escaped:
+            byte = ord(escaped.group()) - 0xDC00
+            return CorpusFormatError(f"{where}: not UTF-8 text (byte 0x{byte:02x})")
         if len(row) != len(CSV_COLUMNS):
             return CorpusFormatError(
                 f"{where}: expected {len(CSV_COLUMNS)} fields, got {len(row)}"

@@ -74,13 +74,12 @@ def solve_affine_gamut(points) -> AffineGamutMap:
     gram = 2.0 * (design.T @ design)
     a = np.vstack([design, -design])
     b = np.concatenate([np.ones(n), np.zeros(n)])
-    start = np.array([0.0, 0.0, 0.0, 0.5])
 
     t = np.empty((3, 3))
     o = np.empty(3)
     for k in range(3):
         c = -2.0 * (design.T @ v[:, k])
-        sol = solve_qp(QuadProgram(q=gram, c=c, a=a, b=b), _QP_TOL, start=start)
+        sol = solve_qp(QuadProgram(q=gram, c=c, a=a, b=b), _QP_TOL)
         t[k] = sol.x[:3]
         o[k] = sol.x[3]
 

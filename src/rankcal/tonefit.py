@@ -20,7 +20,10 @@ from .errors import DegenerateSpan, InsufficientData
 from .model import ColorMatrix, PixelPairSet, ToneCurve, _check_finite, _check_integer
 from .qp import QuadProgram, solve_qp
 
-_QP_TOL = 1e-8
+# Every Bernstein rise ends at >= -_QP_TOL (b = 0), so the coefficients
+# are non-decreasing to 1e-9 with room for rounding; at 1e-8 a fit
+# ended with a rise of -1.1e-9.
+_QP_TOL = 1e-10
 _MIN_SPAN = 0.2
 # Bernstein degree of the monotonicity constraint. Non-decreasing
 # coefficients of any degree are sufficient, and the higher the degree
@@ -31,14 +34,15 @@ _RISE_DEGREE = 16
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Tone-fit settings: polynomial degree and curvature weight."""
+    """Tone-fit settings: polynomial degree and curvature weight (> 0, so
+    that every tone program is strictly convex)."""
 
     degree: int = 7
     smoothness: float = 1e-5
 
     def __post_init__(self) -> None:
         _check_integer(self, "degree", 1)
-        _check_finite(self, "smoothness", positive=False)
+        _check_finite(self, "smoothness", positive=True)
 
 
 def curvature_matrix(degree: int) -> np.ndarray:
@@ -97,10 +101,8 @@ def fit_monotone(x, y, cfg: FitConfig = FitConfig(), direction: str = "forward",
     q = 2.0 * (v.T @ v + cfg.smoothness * curvature_matrix(cfg.degree))
     c = -2.0 * (v.T @ y)
     rises = _rise_rows(cfg.degree)
-    identity_coef = np.zeros(cfg.degree + 1)
-    identity_coef[1] = 1.0  # f(t) = t has every rise equal: strictly feasible
     prob = QuadProgram(q=q, c=c, a=-rises, b=np.zeros(rises.shape[0]))
-    coef = solve_qp(prob, _QP_TOL, start=identity_coef).x
+    coef = solve_qp(prob, _QP_TOL).x
     return ToneCurve(coef, direction, channel)
 
 

@@ -7,6 +7,7 @@ without memoised inputs and the row-at-a-time corpus parser)."""
 import csv
 import io
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -235,6 +236,12 @@ def parse_rows(fh, origin: str, keep_texts: bool):
     """
     numbers, tags, texts = [], [], []
     for lineno, row in data_rows(fh, origin):
+        escaped = re.search("[\udc80-\udcff]", ",".join(row))
+        if escaped:
+            raise CorpusFormatError(
+                f"{origin}: line {lineno}: not UTF-8 text "
+                f"(byte 0x{ord(escaped.group()) - 0xDC00:02x})"
+            )
         if len(row) != len(CSV_COLUMNS):
             raise CorpusFormatError(
                 f"{origin}: line {lineno}: expected {len(CSV_COLUMNS)} fields, "

@@ -175,6 +175,31 @@ class TestLoadCorpus:
             os.close(read)
         assert corpus.camera == (tag.strip('"'),)
 
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("before, line", [
+        (b"", 2), (b"# caf\xe9 comments are skipped\n", 3),
+        (b'"cam\nA",i0,e0,p0,1,2,3,4,5,6,1000\n', 4),
+    ])
+    def test_byte_not_utf8_names_file_and_line(self, tmp_path, source, before, line):
+        blob = (HEADER.encode() + b"\n" + before
+                + b"caf\xe9,i0,e0,p1,1,2,3,4,5,6,1000\ncam,i0,e0,p2,1,2,3,4,5,6,1000\n")
+        if source == "file":
+            path = tmp_path / "latin1.csv"
+            path.write_bytes(blob)
+        else:
+            read, write = os.pipe()
+            os.write(write, blob)
+            os.close(write)
+            path = f"/dev/fd/{read}"
+        try:
+            with pytest.raises(CorpusFormatError,
+                               match=f"^{re.escape(str(path))}: line {line}: "
+                                     r"not UTF-8 text \(byte 0xe9\)$"):
+                load_corpus(path)
+        finally:
+            if source == "pipe":
+                os.close(read)
+
     def test_field_over_csv_limit_raises_as_row_parser(self):
         text = HEADER + "\ncam,i0,e0," + "p" * 80 + ",1,2,3,4,5,6,1000\n"
         limit = csv.field_size_limit(64)
@@ -220,7 +245,8 @@ def corpus_texts(draw):
     """Corpus text with in-range numbers and plain tags, drawn at times
     with what only the row parser reads (quoted tags; commas, quotes, NULs
     or CRs in tags; CR line ends) and at times with one fault (a bad or
-    out-of-range value, a missing or extra field, or a wrong header)."""
+    out-of-range value, a missing or extra field, a tag holding a byte
+    that is not UTF-8, read as its escape, or a wrong header)."""
     rarely = st.sampled_from([False, False, True])
     quoted, odd = draw(rarely), draw(rarely)
     newline = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
@@ -230,11 +256,13 @@ def corpus_texts(draw):
         tag = st.one_of(tag, tag.map(lambda t: '"' + t.replace('"', '""') + '"'))
     columns = [_numbers(0, 2)] * 3 + [_numbers(0, 255)] * 3 + [_numbers(1, 65535)]
     rows = draw(st.lists(st.tuples(*[tag] * 4, *columns).map(list), min_size=1, max_size=10))
-    fault = draw(st.sampled_from([None, None, "value", "short", "long", "header"]))
-    if rows and fault in ("value", "short", "long"):
+    fault = draw(st.sampled_from([None, None, "value", "short", "long", "byte", "header"]))
+    if rows and fault in ("value", "short", "long", "byte"):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         if fault == "value":
             row[draw(st.integers(4, 10))] = draw(BAD_NUMBERS)
+        elif fault == "byte":
+            row[draw(st.integers(0, 3))] += "\udce9"
         elif fault == "short":
             row.pop()
         else:

@@ -1,10 +1,11 @@
-"""Tests for the dense active-set QP kernel."""
+"""Tests for the dense dual active-set QP kernel."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankcal import qp
-from rankcal.errors import Infeasible, MaxIterations
+from rankcal.errors import Infeasible
 from rankcal.qp import QuadProgram, kkt_residuals, solve_qp
 from rankcal.tonefit import curvature_matrix
 
@@ -127,16 +128,14 @@ def test_deterministic_for_fixed_inputs():
 
 
 def test_singular_hessian_handled():
-    # Q has a zero eigenvalue; the box keeps the problem bounded.
-    prob = QuadProgram(
-        q=np.array([[2.0, 0.0], [0.0, 0.0]]),
-        c=np.array([-2.0, -1.0]),
-        a=np.vstack([np.eye(2), -np.eye(2)]),
-        b=np.array([5.0, 5.0, 5.0, 5.0]),
-    )
-    sol = solve_qp(prob, TOL)
-    # x0 -> 1 from the quadratic, x1 -> 5 from the linear pull
-    assert np.allclose(sol.x, [1.0, 5.0], atol=1e-6)
+    # a singular Q is refused: every program must be strictly convex
+    with pytest.raises(ValueError, match="positive definite"):
+        QuadProgram(
+            q=np.array([[2.0, 0.0], [0.0, 0.0]]),
+            c=np.array([-2.0, -1.0]),
+            a=np.vstack([np.eye(2), -np.eye(2)]),
+            b=np.array([5.0, 5.0, 5.0, 5.0]),
+        )
 
 
 def test_rejects_asymmetric_q():
@@ -150,13 +149,20 @@ def test_rejects_asymmetric_q():
 
 
 def test_rejects_indefinite_q():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive definite"):
         QuadProgram(
             q=np.array([[1.0, 0.0], [0.0, -1.0]]),
             c=np.zeros(2),
             a=np.zeros((0, 2)),
             b=np.zeros(0),
         )
+
+
+@pytest.mark.parametrize("c", [np.zeros(0), 1.0, np.zeros((2, 1))])
+def test_rejects_program_without_a_vector_of_variables(c):
+    n = np.size(c)
+    with pytest.raises(ValueError, match="at least one variable"):
+        QuadProgram(np.eye(n), c, np.zeros((0, n)), np.zeros(0))
 
 
 def derivative_grid_program(seed):
@@ -185,21 +191,56 @@ def derivative_grid_program(seed):
 @pytest.mark.parametrize("seed", [27, 47, 63, 87, 483])
 def test_never_returns_a_point_off_the_constraints(seed):
     prob = derivative_grid_program(seed)
-    start = np.zeros(8)
-    start[1] = 1.0
-    try:
-        sol = solve_qp(prob, TOL, start=start)
-    except MaxIterations:
-        return
+    sol = solve_qp(prob, TOL)
     assert np.all(np.isfinite(sol.x))
     assert sol.max_violation <= TOL
+    assert sol.multipliers.min() >= -TOL
+    assert sol.stationarity <= 1e-8
 
 
-@pytest.mark.parametrize("bad", [np.array([2.0, 0.0]), np.array([np.nan, 0.0])])
-def test_off_constraint_point_raises_naming_violation(monkeypatch, bad):
-    # x0 <= 1 and x1 <= 1; the stubbed active set ends at `bad`
-    prob = QuadProgram(q=np.eye(2), c=np.zeros(2), a=np.eye(2), b=np.ones(2))
-    monkeypatch.setattr(qp, "_active_set",
-                        lambda *args: (bad, np.zeros(2), 1))
-    with pytest.raises(MaxIterations, match="violating its constraints by"):
-        solve_qp(prob, TOL)
+def scaled_kkt_residual(prob, sol):
+    """The largest KKT residual, each relative to the size of its terms."""
+    x, lam = sol.x, sol.multipliers
+    grad_scale = max(1.0, np.abs(prob.q).max() * np.abs(x).max(), np.abs(prob.c).max(),
+                     (np.abs(prob.a).T @ np.abs(lam)).max())
+    row_scale = max(1.0, np.abs(prob.b).max(), (np.abs(prob.a) @ np.abs(x)).max())
+    lam_scale = max(1.0, lam.max())
+    return max(sol.stationarity / grad_scale,
+               sol.complementarity / (row_scale * lam_scale),
+               -lam.min() / lam_scale)
+
+
+@settings(max_examples=250, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["plain", "multiples", "span", "tight"]))
+def test_feasible_degenerate_programs_solve_and_contradictions_raise(seed, kind):
+    # Q = BB' + 10^U(-6, 0) I; the rows are plain, extended with positive
+    # multiples of half of them or with rows in the span of the first
+    # three, and are tight at x_feas for half of them (all for "tight")
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    bmat = rng.normal(size=(n, n))
+    q = bmat @ bmat.T + 10.0 ** rng.uniform(-6.0, 0.0) * np.eye(n)
+    c = rng.normal(size=n)
+    a = rng.normal(size=(int(rng.integers(1, 21)), n))
+    if kind == "multiples":
+        half = a[:max(1, len(a) // 2)]
+        a = np.vstack([a, rng.uniform(0.1, 3.0, size=(len(half), 1)) * half])
+    elif kind == "span":
+        a = np.vstack([a, rng.normal(size=(int(rng.integers(1, 20)), len(a[:3]))) @ a[:3]])
+    a = a[:39]
+    x_feas = rng.normal(size=n)
+    slack = np.abs(rng.normal(size=len(a)))
+    slack[(rng.random(len(a)) < 0.5) | (kind == "tight")] = 0.0
+    b = a @ x_feas + slack
+
+    prob = QuadProgram(q, c, a, b)
+    sol = solve_qp(prob, TOL)
+    assert sol.max_violation <= TOL * max(1.0, np.abs(b).max())
+    assert scaled_kkt_residual(prob, sol) <= 1e-8
+
+    # row @ x <= v - 1 and row @ x >= v + 1 cannot both hold
+    row = rng.normal(size=n)
+    v = row @ x_feas
+    with pytest.raises(Infeasible):
+        solve_qp(QuadProgram(q, c, np.vstack([a, row, -row]),
+                             np.concatenate([b, [v - 1.0, -v - 1.0]])), TOL)

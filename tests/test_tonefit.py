@@ -25,8 +25,9 @@ from rankcal.tonefit import (
 @pytest.mark.parametrize("field, value, message", [
     ("degree", 7.0, "degree must be an integer >= 1"), ("degree", True, "degree must be an integer"),
     ("degree", 0, "degree must be an integer >= 1"),
-    ("smoothness", float("nan"), "smoothness must be finite and >= 0"),
+    ("smoothness", float("nan"), "smoothness must be finite and > 0"),
     ("smoothness", float("inf"), "smoothness must be finite"), ("smoothness", -1e-5, "smoothness"),
+    ("smoothness", 0.0, "smoothness must be finite and > 0"),
     ("smoothness", "1e-5", "smoothness"), ("smoothness", False, "smoothness"),
 ])
 def test_fit_config_rejects_bad_field_by_name(field, value, message):
@@ -91,12 +92,10 @@ class TestFitMonotone:
         deriv = np.zeros((grid.size, cfg.degree + 1))
         for j in range(1, cfg.degree + 1):
             deriv[:, j] = j * grid ** (j - 1)
-        start = np.zeros(cfg.degree + 1)
-        start[1] = 1.0
         projected = solve_qp(
             QuadProgram(q=2 * np.eye(cfg.degree + 1), c=-2 * ls,
                         a=-deriv, b=np.zeros(grid.size)),
-            1e-8, start=start,
+            1e-8,
         ).x
         assert objective(curve.coefficients) <= objective(projected) + 1e-9
 
