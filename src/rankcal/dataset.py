@@ -330,6 +330,9 @@ def rmse(predictions, truth, domain: str = "rendered255") -> float:
     """
     pred = _as_rows(predictions, "predictions")
     ref = _as_rows(truth, "truth")
+    for name, rows in (("predictions", pred), ("truth", ref)):
+        if not np.all(np.isfinite(rows)):
+            raise ValueError(f"{name} has non-finite values")
     if pred.shape != ref.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {ref.shape}")
     if pred.shape[0] == 0:

@@ -148,6 +148,11 @@ class PixelPairSet:
             idx = np.zeros(0, dtype=np.intp)
         elif not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        else:
+            outside = idx[(idx < -len(self)) | (idx >= len(self))]
+            if outside.size:
+                raise ValueError(f"subset index {outside[0]} is outside [-{len(self)}, "
+                                 f"{len(self)}) for a set of {len(self)} entries")
         positions = idx.tolist()
         return PixelPairSet(
             raw=self.raw[idx],

@@ -48,7 +48,11 @@ class QuadProgram:
         n = c.shape[0]
         if q.shape != (n, n):
             raise ValueError(f"Q must be ({n}, {n}), got {q.shape}")
-        a = np.asarray(self.a, dtype=float).reshape(-1, n)
+        a = np.asarray(self.a, dtype=float)
+        if a.size == 0:
+            a = a.reshape(0, n)
+        elif a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"A must be (m, {n}), got {a.shape}")
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if a.shape[0] != b.shape[0]:
             raise ValueError("A and b disagree on the constraint count")

@@ -38,6 +38,11 @@ ACHROMATIC_BRIGHTNESS = (0.25, 0.75)
 
 _SCORE_BLOCK = 4096
 
+# Candidate x pair elements scored together by ``monotonicity_score``:
+# its (k, n) work arrays stay near 8 MB each, about what one candidate
+# over 2**20 pairs needs.
+_RESIDUAL_POINTS = 2 ** 20
+
 # Caps of the row search: points are grouped around this many Fibonacci
 # spiral centres over the upper hemisphere. 256 caps prune too little and
 # 4096 spend more on bounds than they save.
@@ -415,35 +420,99 @@ def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.nd
     return np.repeat(np.array(level, dtype=float), np.array(length, dtype=np.int64))
 
 
-def monotonicity_score(pairs: PixelPairSet, m: np.ndarray, channel: int) -> float:
+def monotonicity_score(pairs: PixelPairSet, m: np.ndarray,
+                       channel: int) -> float | np.ndarray:
     """RMS residual of the best monotone fit of rendered on corrected raw.
 
-    Pairs with identical projections are pooled first (a monotone function
-    must map them to one value), so the residual includes their spread.
+    ``m`` is one candidate row (3,), which gives a float, or a stack of
+    k rows (k, 3), which gives their k residuals; the one-row form is the
+    stack form on a stack of one, so a row scores the same bits either
+    way. Pairs with identical projections are pooled first (a monotone
+    function must map them to one value), so the residual includes their
+    spread.
     """
     if channel not in (1, 2, 3):
         raise ValueError(f"channel must be 1..3, got {channel}")
-    m = np.asarray(m, dtype=float).reshape(3)
-    if np.linalg.norm(m) < 1e-15:
-        raise ValueError("candidate row must be non-zero")
+    rows = np.asarray(m, dtype=float)
+    if rows.shape != (3,) and (rows.ndim != 2 or rows.shape[1] != 3 or len(rows) == 0):
+        raise ValueError(f"m must have shape (3,) or (k, 3) with k >= 1, got {rows.shape}")
+    stack = rows.reshape(-1, 3)
+    finite = np.isfinite(stack).all(axis=1)
+    bad = np.flatnonzero(~finite | (np.linalg.norm(stack, axis=1) < 1e-15))
+    if bad.size:
+        j = int(bad[0])
+        name = "m" if rows.ndim == 1 else f"m[{j}]"
+        cause = "is not finite" if not finite[j] else "must be non-zero"
+        raise ValueError(f"candidate row {name} = {stack[j]} {cause}")
     pool = pairs.unsaturated()
     if len(pool) == 0:
         raise InsufficientData("no unsaturated pairs to score")
-    x = pool.raw @ m
     y = pool.rendered[:, channel - 1]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
+    batch = max(1, _RESIDUAL_POINTS // len(pool))
+    residuals = np.concatenate([
+        _monotone_residuals(pool.raw, y, stack[s:s + batch])
+        for s in range(0, len(stack), batch)
+    ])
+    return float(residuals[0]) if rows.ndim == 1 else residuals
+
+
+def _monotone_residuals(raw: np.ndarray, y: np.ndarray,
+                        rows: np.ndarray) -> np.ndarray:
+    """Residual of the best monotone fit of ``y`` on ``raw @ row``, per row.
+
+    The k candidates' pooled blocks lie end to end in flat arrays, and
+    pool-adjacent-violators runs on all of them at once, in rounds: each
+    round merges every block into its left neighbour when that one's
+    mean is not lower. The order in which violators are pooled does not
+    change the fit (Barlow et al., 1972). A candidate that is monotone is
+    done; one whose round would merge fewer than 1/8 of its blocks, as
+    when one outlier cascades through the rest, is finished on the
+    ``isotonic_fit`` stack, which bounds the rounds. Both decisions are
+    made per candidate, so a row gets the same bits in any batch.
+    """
+    k = rows.shape[0]
+    x = np.stack([raw @ row for row in rows])
+    n = x.shape[1]
+    order = np.argsort(x, axis=1)
+    xs = np.take_along_axis(x, order, axis=1)
+    first = np.ones((k, n), dtype=bool)
+    first[:, 1:] = np.diff(xs, axis=1) > 0.0
+    if not first.all():
+        # the unstable sort, several times faster, may permute a run of
+        # equal x; ordering each run by pair index gives the order of
+        # np.argsort(x, axis=1, kind="stable"), so tie sums add as before
+        key = np.cumsum(first, axis=1) * n + order
+        key.sort(axis=1)
+        order = key % n
     ys = y[order]
-    # pool exact ties in x: group means with group sizes as weights
-    boundary = np.flatnonzero(np.diff(xs) > 0.0) + 1
-    starts = np.concatenate([[0], boundary])
-    ends = np.concatenate([boundary, [xs.size]])
-    counts = (ends - starts).astype(float)
-    sums = np.add.reduceat(ys, starts)
-    means = sums / counts
-    fit_pooled = isotonic_fit(means, counts)
-    fit = np.repeat(fit_pooled, ends - starts)
-    return float(np.sqrt(np.mean((ys - fit) ** 2)))
+    # pool exact ties in x: group sums and sizes, never across candidates
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(ys.ravel(), starts)
+    counts = np.diff(np.append(starts, k * n))
+    owner = starts // n
+    fit = np.empty((k, n))
+    while owner.size:
+        means = sums / counts
+        joins = np.zeros(owner.size, dtype=bool)
+        joins[1:] = (means[:-1] >= means[1:]) & (owner[:-1] == owner[1:])
+        blocks = np.bincount(owner, minlength=k)
+        merges = np.bincount(owner[joins], minlength=k)
+        done = (blocks > 0) & (8 * merges < blocks)
+        if done.any():
+            offsets = np.append(0, np.cumsum(blocks))
+            for c in np.flatnonzero(done & (merges > 0)):
+                lo, hi = offsets[c], offsets[c + 1]
+                means[lo:hi] = isotonic_fit(means[lo:hi], counts[lo:hi])
+            out = done[owner]
+            fit[done] = np.repeat(means[out], counts[out]).reshape(-1, n)
+            keep = ~out
+            sums, counts, owner, joins = sums[keep], counts[keep], owner[keep], joins[keep]
+        heads = np.flatnonzero(~joins)
+        if heads.size:
+            sums = np.add.reduceat(sums, heads)
+            counts = np.add.reduceat(counts, heads)
+            owner = owner[heads]
+    return np.sqrt(np.mean((ys - fit) ** 2, axis=1))
 
 
 def _median_direction(tied: np.ndarray) -> np.ndarray:
@@ -474,7 +543,7 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
         hs = build_half_spaces(pairs, channel, max_colors, rng_seed + trial)
         _, tied = _tied_points(sphere, hs.differences)
         candidates.append(_median_direction(sphere.points[tied]))
-    residuals = np.array([monotonicity_score(pairs, c, channel) for c in candidates])
+    residuals = monotonicity_score(pairs, np.array(candidates), channel)
     return candidates[int(np.argmin(residuals))]
 
 

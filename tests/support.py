@@ -1,8 +1,9 @@
 """Shared test helpers: exact nearest-neighbour search, angle math, and the
 reference implementations the optimised code is checked against (the
 per-point constraint count, the dense sphere scan, the array-based
-isotonic fit, the unblocked maps, the unblocked lattice fit, calibration
-without memoised inputs and the row-at-a-time corpus parser)."""
+isotonic fit, the one-candidate monotone residual, the unblocked maps,
+the unblocked lattice fit, calibration without memoised inputs and the
+row-at-a-time corpus parser)."""
 
 import csv
 import io
@@ -139,6 +140,26 @@ def isotonic_fit_reference(values, weights=None) -> np.ndarray:
             length[top - 2] += length[top - 1]
             top -= 1
     return np.repeat(level[:top], length[:top])
+
+
+def monotonicity_score_reference(pairs, m, channel: int) -> float:
+    """Residual of one candidate row, pooled on the ``isotonic_fit`` stack
+    alone: the stacked scorer's oracle."""
+    m = np.asarray(m, dtype=float).reshape(3)
+    pool = pairs.unsaturated()
+    x = pool.raw @ m
+    y = pool.rendered[:, channel - 1]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ys = y[order]
+    # pool exact ties in x: group means with group sizes as weights
+    boundary = np.flatnonzero(np.diff(xs) > 0.0) + 1
+    starts = np.concatenate([[0], boundary])
+    ends = np.concatenate([boundary, [xs.size]])
+    counts = (ends - starts).astype(float)
+    means = np.add.reduceat(ys, starts) / counts
+    fit = np.repeat(ranking.isotonic_fit(means, counts), ends - starts)
+    return float(np.sqrt(np.mean((ys - fit) ** 2)))
 
 
 def map_forward_unblocked(model, raws) -> np.ndarray:

@@ -631,6 +631,14 @@ class TestRmse:
         with pytest.raises(ValueError, match=f"{name} must have shape"):
             rmse(pred, truth, "raw01")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["predictions", "truth"])
+    def test_rejects_non_finite_values(self, bad, name):
+        arrays = {"predictions": np.zeros((2, 3)), "truth": np.zeros((2, 3))}
+        arrays[name][1, 2] = bad
+        with pytest.raises(ValueError, match=f"{name} has non-finite values"):
+            rmse(arrays["predictions"], arrays["truth"], "raw01")
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse(np.zeros((2, 3)), np.zeros((3, 3)), "raw01")

@@ -78,11 +78,15 @@ class TestPixelPairSet:
         assert kept.patch == ("p0", "p2")
         assert np.array_equal(kept.raw, raw[[0, 2]])
         assert pairs.subset([2, 0]).patch == ("p2", "p0")
+        assert pairs.subset([-1, -3]).patch == ("p2", "p0")
 
     @pytest.mark.parametrize("bad, match", [
         (np.array([True, False]), "mask must have length 3"),
         ([0.0, 1.0], "must be integers"),
         ([[0, 1]], "one-dimensional"),
+        ([0, 3], r"index 3 is outside \[-3, 3\) for a set of 3 entries"),
+        ([10_000], "index 10000 is outside"),
+        ([-4, 0], "index -4 is outside"),
     ])
     def test_subset_rejects_bad_indices(self, bad, match):
         raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])

@@ -1,5 +1,7 @@
 """Tests for the dense dual active-set QP kernel."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,20 @@ def test_rejects_indefinite_q():
             a=np.zeros((0, 2)),
             b=np.zeros(0),
         )
+
+
+@pytest.mark.parametrize("a", [np.arange(12.0).reshape(3, 4), np.ones(2), np.ones((1, 2, 2))])
+def test_rejects_constraints_of_the_wrong_shape(a):
+    # a (3, 4) A holds 12 values, which would read as 6 rows of 2
+    with pytest.raises(ValueError, match=re.escape(f"A must be (m, 2), got {a.shape}")):
+        QuadProgram(np.eye(2), np.zeros(2), a, np.ones(a.size // 2))
+
+
+@pytest.mark.parametrize("a", [np.zeros(0), np.zeros((0, 2)), np.zeros((0, 0))])
+def test_empty_constraints_mean_none(a):
+    prob = QuadProgram(2.0 * np.eye(2), np.array([-2.0, -4.0]), a, np.zeros(0))
+    assert prob.a.shape == (0, 2) and prob.m == 0
+    assert np.allclose(solve_qp(prob, TOL).x, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("c", [np.zeros(0), 1.0, np.zeros((2, 1))])

@@ -12,6 +12,7 @@ from support import (
     disable_memo,
     grid_max_nn_gap,
     isotonic_fit_reference,
+    monotonicity_score_reference,
     score_all,
     score_candidate,
 )
@@ -609,7 +610,120 @@ class TestMonotonicityScore:
                     PixelPairSet.from_arrays(raw[keep], rendered[keep]), m, channel) == want
 
 
+def cascade_pairs(n=600, outliers=5):
+    """Rendered channel 1 rises with raw channel 1, except that the
+    ``outliers`` lowest raw values render brighter than everything: their
+    pooled block absorbs one neighbour after another."""
+    rng = np.random.default_rng(20)
+    raw = rng.uniform(0.02, 0.95, size=(n, 3))
+    y = np.round(np.interp(raw[:, 0], [0.0, 1.0], [0.05, 0.9]) * 255.0) / 255.0
+    y[np.argsort(raw[:, 0])[:outliers]] = 0.95
+    return PixelPairSet.from_arrays(raw, np.column_stack([y, y, y]))
+
+
+class TestStackedMonotonicityScore:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        k=st.integers(1, 9),
+        ties=st.booleans(),
+        levels=st.sampled_from([0, 8, 255]),
+        saturated=st.booleans(),
+        batch=st.sampled_from(["one", "pair", "all"]),
+        channel=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_one_candidate_oracle(self, n, k, ties, levels, saturated, batch,
+                                          channel, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.0, 0.9, size=(n, 3))
+        rows = rng.normal(size=(k, 3))
+        if ties:
+            # dyadic raws and small integer rows give exactly equal projections
+            raw = np.round(raw * 4.0) / 4.0
+            rows = rng.integers(-2, 3, size=(k, 3)).astype(float)
+            rows[~rows.any(axis=1), 0] = 1.0
+        rendered = rng.uniform(0.0, 0.9, size=(n, 3))
+        if levels:
+            rendered = np.round(rendered * levels) / levels
+        flags = rng.uniform(size=n) < 0.3 if saturated else np.zeros(n, dtype=bool)
+        flags[0] = False
+        pairs = PixelPairSet.from_arrays(raw, rendered, saturated=flags)
+        points = {"one": 1, "pair": 2 * int((~flags).sum()), "all": 2 ** 20}[batch]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking, "_RESIDUAL_POINTS", points)
+            got = monotonicity_score(pairs, rows, channel)
+            single = [monotonicity_score(pairs, row, channel) for row in rows]
+        want = np.array([monotonicity_score_reference(pairs, row, channel) for row in rows])
+        assert got.shape == (k,) and all(type(v) is float for v in single)
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
+        # a row scores the same bits alone, in a stack and in any batch
+        assert got.tolist() == single
+
+    def test_tied_projections_pool_in_pair_order(self):
+        # 40 runs of equal x whose pooled means already rise, so nothing
+        # but the tie pooling acts; the order in which a run's values are
+        # summed changes their bits, so the residuals match the oracle's
+        # bit for bit only if each run is summed in pair order
+        rng = np.random.default_rng(21)
+        level = rng.integers(0, 40, size=800)
+        raw = np.column_stack([level / 64.0, np.zeros(800), np.full(800, 0.5)])
+        y = (level + rng.uniform(0.0, 1.0, size=800)) / 41.0
+        pairs = PixelPairSet.from_arrays(raw, np.column_stack([y, y, y]))
+        rows = np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
+        want = [monotonicity_score_reference(pairs, row, 1) for row in rows]
+        assert monotonicity_score(pairs, rows, 1).tolist() == want
+
+    def test_outlier_cascade_is_finished_on_the_stack(self, monkeypatch):
+        pairs = cascade_pairs()
+        rows = np.array([[1.0, 0.0, 0.0], [0.99, 0.1, 0.0], [0.98, 0.0, 0.1]])
+        stacked = []
+
+        def counting_fit(values, weights=None):
+            stacked.append(len(values))
+            return isotonic_fit(values, weights)
+
+        monkeypatch.setattr(ranking, "isotonic_fit", counting_fit)
+        got = monotonicity_score(pairs, rows, 1)
+        assert stacked, "no candidate reached the stack"
+        want = np.array([monotonicity_score_reference(pairs, row, 1) for row in rows])
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("m, match", [
+        ([np.nan, 1.0, 0.0], r"candidate row m = \[nan +1\. +0\.\] is not finite"),
+        ([np.inf, 1.0, 0.0], "candidate row m = .* is not finite"),
+        ([[1.0, 0.0, 0.0], [0.0, -np.inf, 1.0]], r"candidate row m\[1\] = .* is not finite"),
+        ([0.0, 0.0, 0.0], "candidate row m = .* must be non-zero"),
+        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], r"candidate row m\[1\] = .* must be non-zero"),
+        (np.ones(4), r"m must have shape \(3,\) or \(k, 3\) with k >= 1, got \(4,\)"),
+        (np.ones((0, 3)), r"got \(0, 3\)"),
+        (np.ones((2, 4)), r"got \(2, 4\)"),
+        (np.ones((3, 1)), r"got \(3, 1\)"),
+        (np.ones((1, 2, 3)), r"got \(1, 2, 3\)"),
+    ])
+    def test_rejects_bad_rows_at_entry(self, m, match):
+        with pytest.raises(ValueError, match=match):
+            monotonicity_score(cascade_pairs(60), m, 1)
+
+
 class TestEstimateRow:
+    def test_scores_all_candidates_of_a_row_in_one_call(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        pairs = synthetic_channel_pairs(rng, 120, np.array([0.55, 0.35, 0.10]))
+        calls = []
+        score = ranking.monotonicity_score
+
+        def recording(p, m, channel):
+            calls.append((p, np.array(m), channel))
+            return score(p, m, channel)
+
+        monkeypatch.setattr(ranking, "monotonicity_score", recording)
+        row = estimate_row(pairs, 2, sample_sphere(2000), trials=4, rng_seed=6)
+        assert len(calls) == 1
+        p, m, channel = calls[0]
+        assert p is pairs and channel == 2 and m.shape == (4, 3)
+        assert any(np.array_equal(row, candidate) for candidate in m)
+
     def test_recovers_reference_row_direction(self, sphere100k):
         rng = np.random.default_rng(10)
         row = np.array([0.6, 0.3, 0.1])
