@@ -119,10 +119,30 @@ def trilinear_weights(v: np.ndarray, resolution: int):
     return idx, w
 
 
+def _check_rows(rows: np.ndarray, name: str, finite: bool) -> None:
+    """Raise ValueError naming the first row of ``rows`` holding a NaN, or
+    any non-finite value when ``finite`` is set."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = rows.sum()
+    if np.isfinite(total):
+        # a finite sum rules both out without a mask the size of rows
+        return
+    bad = ~np.isfinite(rows) if finite else np.isnan(rows)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"{name} row {row} is {'not finite' if finite else 'NaN'}: "
+                         f"{rows[row]}")
+
+
 def apply_lattice(lut: Lattice3, v):
-    """Trilinear interpolation of the LUT at v (a 3-vector or (n, 3))."""
+    """Trilinear interpolation of the LUT at v (a 3-vector or (n, 3)).
+
+    Points are clamped to the cube, so an infinite coordinate reads the
+    nearest face; a NaN raises ValueError naming its row.
+    """
     arr = np.asarray(v, dtype=float)
     single = arr.ndim == 1
+    _check_rows(_as_rows(arr, "v"), "v", finite=False)
     idx, w = trilinear_weights(arr, lut.resolution)
     flat = lut.nodes.reshape(-1, 3)
     out = np.einsum("nc,ncd->nd", w, flat[idx])
@@ -162,10 +182,15 @@ def fit_lattice(inputs, targets, resolution: int = 5,
     region simply passes colours through. Each output channel is one
     closed-form linear solve; regularization > 0 makes it unique. The
     normal equations are accumulated over blocks of _FIT_BLOCK samples,
-    so a fit of one block forms them in a single product.
+    so a fit of one block forms them in a single product. Inputs are
+    clamped to the cube; a NaN input, or a target that is not finite,
+    raises ValueError naming its row.
     """
-    v = np.clip(_as_rows(inputs, "inputs"), 0.0, 1.0)
+    v = _as_rows(inputs, "inputs")
     y = _as_rows(targets, "targets")
+    _check_rows(v, "inputs", finite=False)
+    _check_rows(y, "targets", finite=True)
+    v = np.clip(v, 0.0, 1.0)
     if v.shape[0] == 0:
         raise ValueError("need at least one sample")
     if v.shape != y.shape:

@@ -4,12 +4,15 @@ Each pair of pixels whose rendered values differ in a channel pins the
 corresponding matrix row to one side of a plane through the origin. Rows
 are recovered by finding the candidate directions, from a fixed dense
 sample of the unit sphere, that satisfy the most of those half-space
-constraints. A best-first branch-and-bound over two levels of caps of
-the sample finds exactly the points a dense scan would: it scores one
-cap to set a floor, then only the points of caps whose bound reaches
-it, about 0.5% of the half-sphere on the benchmark's constraint sets.
-Repeated trials over random colour subsets are arbitrated by how
-monotone the induced raw-to-rendered relation is.
+constraints. A row's trials are searched together by a best-first
+branch-and-bound over two levels of caps of the sample, which finds
+exactly the points a dense scan would: each bound pass is one product
+for a chunk of trials, each side of the antipodal sample is bounded on
+its own, and only the points of the (cap, side) pairs whose bounds reach
+a scored floor are scored, on that side alone. That is about 0.3% of the
+half-sphere on the benchmark's constraint sets. Repeated trials over
+random colour subsets are arbitrated by how monotone the induced
+raw-to-rendered relation is.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ ACHROMATIC_BRIGHTNESS = (0.25, 0.75)
 
 _SCORE_BLOCK = 4096
 
+# Values in one float32 product of the cap bounds (2 MB): trials are
+# searched in chunks, and centres bounded in pieces, that keep within it.
+_BOUND_ENTRIES = 2 ** 19
+
+# uint64 words that ``_count_true`` sums at once: each of a sum's 8 byte
+# lanes then counts at most 255 entries.
+_LANE_WORDS = 255
+
 # Candidate x pair elements scored together by ``monotonicity_score``:
 # its (k, n) work arrays stay near 8 MB each, about what one candidate
 # over 2**20 pairs needs.
@@ -53,10 +64,16 @@ _CAP_CENTRES = 1024
 # caps of the groups it opens.
 _CAP_GROUPS = 64
 
+# Reach (radians) beyond a group's farthest point within which a cap may
+# take that group's points. Every scored direction lies within about
+# 4.6 degrees of a cap centre, so each point finds its nearest cap.
+_LABEL_REACH = 0.1
+
 # Angular margin (radians) added to each cap radius. The float32 sign
 # test errs only for constraints within about 1e-6 rad of a point's
-# plane, so a constraint 1e-5 rad clear of a cap reads the same sign at
-# every point in it.
+# plane, and the float32 bound products by under 1e-6 rad, so a
+# constraint that a bound finds 1e-5 rad clear of a cap reads the same
+# sign at every point in it.
 _CAP_MARGIN = 1e-5
 
 
@@ -200,21 +217,34 @@ def _largest_angles(points: np.ndarray, centres: np.ndarray,
 def _build_caps(points: np.ndarray, antipodal: bool) -> CapIndex:
     scored = points[:points.shape[0] // 2] if antipodal else points
     centres = _spiral_centres(_CAP_CENTRES, antipodal)
-    # nearest centre by float32 products: a near tie may go either way,
-    # and the radii below hold for whichever centre was picked
-    c32 = np.ascontiguousarray(centres.T, dtype=np.float32)
+    groups = _spiral_centres(_CAP_GROUPS, antipodal)
+    # each cap centre joins its nearest group, and each point its nearest
+    # group and then the nearest cap within reach of that group, by
+    # float32 products: a near tie may go either way, and the radii below
+    # hold for whichever cap was picked
+    closeness = centres @ groups.T
+    owner = np.argmax(closeness, axis=1)
     p32 = scored.astype(np.float32)
-    label = np.concatenate([
-        np.argmax(p32[s:s + _SCORE_BLOCK] @ c32, axis=1)
+    g32 = np.ascontiguousarray(groups.T, dtype=np.float32)
+    point_group = np.concatenate([
+        np.argmax(p32[s:s + _SCORE_BLOCK] @ g32, axis=1)
         for s in range(0, scored.shape[0], _SCORE_BLOCK)
     ])
+    grouped = np.argsort(point_group, kind="stable")
+    starts = np.searchsorted(point_group[grouped], np.arange(groups.shape[0] + 1))
+    label = np.empty(scored.shape[0], dtype=np.int64)
+    for j in range(groups.shape[0]):
+        members = grouped[starts[j]:starts[j + 1]]
+        if members.size == 0:
+            continue
+        spread = np.arccos(np.clip(scored[members] @ groups[j], -1.0, 1.0)).max()
+        within = np.flatnonzero(closeness[:, j] >= np.cos(spread + _LABEL_REACH))
+        prod = p32[members] @ np.ascontiguousarray(centres[within].T, dtype=np.float32)
+        label[members] = within[np.argmax(prod, axis=1)]
     counts = np.bincount(label, minlength=centres.shape[0])
     used = np.flatnonzero(counts)
-    # each non-empty cap joins its nearest group, and the caps are
-    # numbered group by group so that a group's caps are contiguous
-    groups = _spiral_centres(_CAP_GROUPS, antipodal)
-    owner = np.zeros(centres.shape[0], dtype=np.int64)
-    owner[used] = np.argmax(centres[used] @ groups.T, axis=1)
+    # the non-empty caps are numbered group by group, so that a group's
+    # caps are contiguous
     by_group = used[np.argsort(owner[used], kind="stable")]
     rank = np.empty(centres.shape[0], dtype=np.int64)
     rank[by_group] = np.arange(by_group.size)
@@ -271,6 +301,16 @@ def _first_of_each_row(rows: np.ndarray) -> np.ndarray:
     return np.sort(order[starts])
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, read-only: every trial of a calibration
+    draws the same number of colours."""
+    pairs = np.triu_indices(k, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def build_half_spaces(pairs: PixelPairSet, channel: int,
                       max_colors: int = DEFAULT_MAX_COLORS,
                       rng_seed: int = 0) -> HalfSpaceSet:
@@ -295,7 +335,7 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
         chosen = rng.choice(raws.shape[0], size=max_colors, replace=False)
         raws = raws[chosen]
         rend = rend[chosen]
-    ii, jj = np.triu_indices(raws.shape[0], k=1)
+    ii, jj = _pair_indices(raws.shape[0])
     gap = rend[ii] - rend[jj]
     keep = np.abs(gap) >= RANK_TIE_EPS
     if not np.any(keep):
@@ -303,94 +343,251 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
             f"channel {channel} has no rendered differences above the tie threshold"
         )
     sign = np.where(gap[keep] > 0.0, 1.0, -1.0)
-    diffs = (raws[ii[keep]] - raws[jj[keep]]) * sign[:, None]
+    # np.take gathers rows several times faster than fancy indexing
+    diffs = np.take(raws, ii[keep], axis=0) - np.take(raws, jj[keep], axis=0)
+    diffs *= sign[:, None]
     return HalfSpaceSet(diffs)
 
 
+def _count_true(mask: np.ndarray) -> np.ndarray:
+    """True entries along the last axis of a C-contiguous bool array.
+
+    When the last axis is a multiple of 8 long, its bytes are read as
+    uint64 words and summed _LANE_WORDS words at a time, so each of the
+    8 byte lanes of a sum counts at most 255 entries and none carries
+    into the next; the lanes are then added. This is several times
+    faster than ``np.count_nonzero(mask, axis=-1)``, which counts any
+    other mask, such as the one-column products of a single constraint.
+    """
+    if mask.shape[-1] % 8:
+        return np.count_nonzero(mask, axis=-1)
+    words = mask.view(np.uint64)
+    total = np.zeros(words.shape[:-1], dtype=np.int64)
+    for start in range(0, words.shape[-1], _LANE_WORDS):
+        lanes = words[..., start:start + _LANE_WORDS].sum(
+            axis=-1, keepdims=True, dtype=np.uint64)
+        total += lanes.view(np.uint8).sum(axis=-1, dtype=np.int64)
+    return total
+
+
 def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
-                  antipodal: bool) -> np.ndarray:
+                  sizes: np.ndarray, antipodal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Most constraints any point within ``radius`` of each centre satisfies.
 
-    With g = c . d/|d| and s = sin(radius + margin), every such point
-    fails the constraints with g < -s, and its negation those with g > s.
+    ``unit`` holds a stack of trials' unit constraints as float32 (3, t,
+    p), padded with zeros, and ``sizes`` their counts. Returns (k, t)
+    bounds for the points near each centre and for their negations,
+    which read -1 unless the sample is antipodal. With g = c . d and
+    s = sin(radius + margin), every such point fails the constraints with
+    g < -s, and its negation those with g > s; each centre is divided by
+    its s, so both tests compare with 1, and a zero constraint never
+    fails. The products are float32, whose error the margin covers, and
+    are taken for pieces of centres that hold at most _BOUND_ENTRIES
+    values.
     """
-    g = centres @ unit.T
-    s = np.sin(radius + _CAP_MARGIN)[:, None]
-    m = unit.shape[0]
-    upper = m - np.count_nonzero(g < -s, axis=1)
-    if antipodal:
-        upper = np.maximum(upper, m - np.count_nonzero(g > s, axis=1))
-    return upper
+    _, trials, width = unit.shape
+    flat = unit.reshape(3, -1)
+    scaled = (centres / np.sin(radius + _CAP_MARGIN)[:, None]).astype(np.float32)
+    plus = np.empty((centres.shape[0], trials), dtype=np.int64)
+    minus = np.full_like(plus, -1)
+    step = max(1, _BOUND_ENTRIES // (trials * width))
+    for start in range(0, centres.shape[0], step):
+        g = (scaled[start:start + step] @ flat).reshape(-1, trials, width)
+        plus[start:start + step] = sizes - _count_true(g < -1.0)
+        if antipodal:
+            minus[start:start + step] = sizes - _count_true(g > 1.0)
+    return plus, minus
 
 
-def _scores(sphere: SphereSample, dt: np.ndarray,
-            idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint counts of the points ``idx``, and the indices they belong to.
+def _scores(points: np.ndarray, dt: np.ndarray, plus_end: int,
+            minus_start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint counts of a stack of float32 points (t, n, 3), trial by trial.
 
-    Products are formed in float32 blocks and read by sign; for an
-    antipodal sample each product also serves the point's negation.
+    Trial i's points are scored against its differences ``dt[i]`` (3, p).
+    Returns the counts (t, plus_end) of the points ``[:, :plus_end]``
+    themselves and (t, n - minus_start) of the negations of the points
+    ``[:, minus_start:]``: a product counts for a point when positive and
+    for its negation when negative. Products are formed in blocks of
+    _SCORE_BLOCK points, shared out among the trials.
     """
-    p32 = sphere.points[idx].astype(np.float32)
-    if p32.shape[0] % _SCORE_BLOCK == 1:
+    trials, n, _ = points.shape
+    block = max(2, _SCORE_BLOCK // trials)
+    if n % block == 1:
         # numpy forms a one-row product with gemv, which may round
         # differently from a matrix product, as a one-column product
         # does; a repeated row keeps every product a matrix product
-        p32 = np.vstack([p32, p32[-1:]])
-    pos = np.empty(p32.shape[0], dtype=np.int64)
-    neg = np.empty(p32.shape[0], dtype=np.int64)
-    for start in range(0, p32.shape[0], _SCORE_BLOCK):
-        prod = p32[start:start + _SCORE_BLOCK] @ dt
-        pos[start:start + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
-        neg[start:start + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
-    pos = pos[:idx.size]
-    if sphere.antipodal:
-        return (np.concatenate([pos, neg[:idx.size]]),
-                np.concatenate([idx, idx + sphere.count // 2]))
-    return pos, idx
+        points = np.concatenate([points, points[:, -1:]], axis=1)
+    plus = np.empty((trials, plus_end), dtype=np.int64)
+    minus = np.empty((trials, n - minus_start), dtype=np.int64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        prod = points[:, start:start + block] @ dt
+        if start < plus_end:
+            end = min(stop, plus_end)
+            plus[:, start:end] = _count_true(prod[:, :end - start] > 0.0)
+        if stop > minus_start:
+            begin = max(start, minus_start)
+            minus[:, begin - minus_start:stop - minus_start] = _count_true(
+                prod[:, begin - start:stop - start] < 0.0)
+    return plus, minus
 
 
-def _tied_points(sphere: SphereSample, diffs: np.ndarray) -> tuple[int, np.ndarray]:
-    """Most constraints any sphere point satisfies, and the points that do.
+def _best(idx: np.ndarray, scores: np.ndarray) -> tuple[int, np.ndarray]:
+    """Best score, and the ascending indices that reach it."""
+    best = int(scores.max())
+    return best, np.sort(idx[scores == best])
+
+
+def _search_trials(sphere: SphereSample,
+                   diffs: list[np.ndarray]) -> list[tuple[int, np.ndarray]]:
+    """Most constraints any sphere point satisfies, and the points that
+    do, for each of a stack of trials' differences (m, 3).
 
     The indices come in ascending order and equal those of scoring every
-    point. The search is a best-first branch-and-bound over the cap
-    index: it bounds the cap groups, descends into the group with the
-    highest bound, and scores the points of that group's best cap. Their
-    best score is a floor that only groups, and then caps within them,
-    whose upper bound reaches it can beat or tie; only those points are
-    scored again. On the criterion-9 constraint sets both passes together
-    score about 0.5% of the half-sphere. Every product has at least two
-    rows, so the floor is a score the final pass reproduces.
+    point. A trial of one difference scores every point: numpy forms a
+    one-column product with gemv, which rounds the last rows of a call
+    differently from the rest, so only the dense blocks reproduce it.
+    The other trials are searched together by ``_search_chunk``, in
+    chunks whose group bounds hold at most _BOUND_ENTRIES values, with
+    their differences padded by zero rows to a common multiple of 8.
     """
     caps = sphere.caps
-    dt = np.ascontiguousarray(diffs.T, dtype=np.float32)
-    if diffs.shape[0] == 1:
-        # numpy forms a one-column product with gemv, which rounds the
-        # last rows of a call differently from the rest; scoring every
-        # point keeps each product as the dense blocks form it
-        idx = np.arange(caps.order.size)
-    else:
-        unit = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-        group_upper = _upper_bounds(caps.group_centres, caps.group_radius, unit,
-                                    sphere.antipodal)
-        top = int(np.argmax(group_upper))
-        first, last = caps.group_offsets[top:top + 2]
-        cap_upper = _upper_bounds(caps.centres[first:last], caps.radius[first:last],
-                                  unit, sphere.antipodal)
-        best_cap = first + int(np.argmax(cap_upper))
-        incumbent = caps.order[caps.offsets[best_cap]:caps.offsets[best_cap + 1]]
-        floor = _scores(sphere, dt, incumbent)[0].max()
+    half = sphere.count // 2
+    sizes = np.array([d.shape[0] for d in diffs])
+    found: list = [None] * len(diffs)
+    for t in np.flatnonzero(sizes == 1):
+        every = np.arange(caps.order.size)
+        dt = np.ascontiguousarray(diffs[t].T[None], dtype=np.float32)
+        plus, minus = _scores(sphere.points[every].astype(np.float32)[None], dt,
+                              every.size, 0 if sphere.antipodal else every.size)
+        found[t] = _best(np.concatenate([every, every[:minus.size] + half]),
+                         np.concatenate([plus[0], minus[0]]))
+    searched = np.flatnonzero(sizes > 1)
+    if searched.size:
+        width = -(-int(sizes[searched].max()) // 8) * 8
+        step = max(1, _BOUND_ENTRIES // (caps.group_centres.shape[0] * width))
+        for start in range(0, searched.size, step):
+            chunk = searched[start:start + step]
+            padded = np.zeros((3, chunk.size, width))
+            for row, t in enumerate(chunk):
+                padded[:, row, :sizes[t]] = diffs[t].T
+            norm = np.sqrt(padded[0] ** 2 + padded[1] ** 2 + padded[2] ** 2)
+            unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
+            dt = np.ascontiguousarray(padded.transpose(1, 0, 2), dtype=np.float32)
+            for t, result in zip(chunk, _search_chunk(sphere, unit, dt, sizes[chunk])):
+                found[t] = result
+    return found
 
-        candidates = np.flatnonzero(
-            np.repeat(group_upper >= floor, np.diff(caps.group_offsets)))
-        open_caps = np.zeros(caps.centres.shape[0], dtype=bool)
-        open_caps[candidates] = _upper_bounds(
-            caps.centres[candidates], caps.radius[candidates], unit,
-            sphere.antipodal) >= floor
-        idx = np.sort(caps.order[np.repeat(open_caps, np.diff(caps.offsets))])
-    scores, idx = _scores(sphere, dt, idx)
-    best = int(scores.max())
-    return best, idx[scores == best]
+
+def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
+                  sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Best-first branch-and-bound over the cap index for a chunk of trials.
+
+    ``unit`` (3, t, p) and ``dt`` (t, 3, p) hold the trials' unit and
+    raw differences as float32, padded with zeros: a zero product counts
+    for no side, and zero columns leave the other products as the dense
+    blocks form them. Each bound pass is one product for the whole
+    chunk, and bounds each side of an antipodal sample on its own.
+
+    Per trial, the search bounds the cap groups, then the caps of its
+    best group, and scores the best of those caps on both sides; its
+    best score is a floor. It then bounds the caps of every group that
+    reaches the floor, scores the best (cap, side) left on both sides to
+    raise the floor, and scores the points of each (cap, side) whose
+    group and cap bounds still reach it, on that side alone. Every score
+    is kept, so the tied points are read off all three passes; on the
+    criterion-9 constraint sets they score about 0.3% of the
+    half-sphere.
+    """
+    caps = sphere.caps
+    group_caps = np.diff(caps.group_offsets)
+    cap_group = np.repeat(np.arange(group_caps.size), group_caps)
+
+    def bounds(centres, radius):
+        return _upper_bounds(centres, radius, unit, sizes, sphere.antipodal)
+
+    group_plus, group_minus = bounds(caps.group_centres, caps.group_radius)
+    top = np.argmax(np.maximum(group_plus, group_minus), axis=0)
+    in_top = np.zeros(group_caps.size, dtype=bool)
+    in_top[top] = True
+    in_top = in_top[cap_group]
+    near = np.flatnonzero(in_top)
+    cap_plus, cap_minus = bounds(caps.centres[near], caps.radius[near])
+    cap_best = np.maximum(cap_plus, cap_minus)
+    cap_best[cap_group[near][:, None] != top] = -1
+    first = near[np.argmax(cap_best, axis=0)]
+    pieces = [[piece] for piece in zip(*_score_caps(sphere, dt, first))]
+    floor = np.array([piece[0][1].max() for piece in pieces])
+
+    # every top group reaches its trial's floor: only the other groups'
+    # caps are still to be bounded
+    open_plus = group_plus >= floor
+    open_minus = group_minus >= floor
+    rest = np.flatnonzero(
+        np.repeat((open_plus | open_minus).any(axis=1), group_caps) & ~in_top)
+    if rest.size:
+        rest_plus, rest_minus = bounds(caps.centres[rest], caps.radius[rest])
+        near = np.concatenate([near, rest])
+        cap_plus = np.vstack([cap_plus, rest_plus])
+        cap_minus = np.vstack([cap_minus, rest_minus])
+    fresh = near[:, None] != first
+    open_plus = open_plus[cap_group[near]] & (cap_plus >= floor) & fresh
+    open_minus = open_minus[cap_group[near]] & (cap_minus >= floor) & fresh
+    bound = np.maximum(np.where(open_plus, cap_plus, -1),
+                       np.where(open_minus, cap_minus, -1))
+    more = np.flatnonzero(bound.max(axis=0) >= 0)
+    second = np.full(sizes.size, -1)
+    if more.size:
+        second[more] = near[np.argmax(bound[:, more], axis=0)]
+        for i, piece in zip(more, zip(*_score_caps(sphere, dt[more], second[more]))):
+            pieces[i].append(piece)
+            floor[i] = max(floor[i], piece[1].max())
+    fresh = near[:, None] != second
+    open_plus &= (cap_plus >= floor) & fresh
+    open_minus &= (cap_minus >= floor) & fresh
+
+    found = []
+    for i, trial in enumerate(pieces):
+        plus = near[open_plus[:, i]]
+        rows = _members(caps, np.concatenate([plus, near[open_minus[:, i]]]))
+        split = int(caps.offsets[plus + 1].sum() - caps.offsets[plus].sum())
+        plus_scores, minus_scores = _scores(
+            sphere.points[rows].astype(np.float32)[None], dt[i:i + 1], split, split)
+        rows[split:] += sphere.count // 2
+        scores = np.concatenate([plus_scores[0], minus_scores[0]])
+        idx, scores = zip(*trial, (rows, scores))
+        found.append(_best(np.concatenate(idx), np.concatenate(scores)))
+    return found
+
+
+def _members(caps: CapIndex, which: np.ndarray) -> np.ndarray:
+    """Scored points of the caps ``which``, cap after cap."""
+    sizes = caps.offsets[which + 1] - caps.offsets[which]
+    shift = caps.offsets[which] - (np.cumsum(sizes) - sizes)
+    return caps.order[np.repeat(shift, sizes) + np.arange(sizes.sum())]
+
+
+def _score_caps(sphere: SphereSample, dt: np.ndarray,
+                which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sphere indices and scores (t, w) of the points of cap ``which[i]``
+    under trial i, and of their negations for an antipodal sample.
+
+    The caps are scored as one stack, each filled out to the largest by
+    repeating its last point; the repeats score -1.
+    """
+    caps = sphere.caps
+    sizes = caps.offsets[which + 1] - caps.offsets[which]
+    slot = np.arange(sizes.max())
+    filler = slot >= sizes[:, None]
+    idx = caps.order[caps.offsets[which][:, None] + np.minimum(slot, sizes[:, None] - 1)]
+    plus, minus = _scores(sphere.points[idx].astype(np.float32), dt, slot.size,
+                          0 if sphere.antipodal else slot.size)
+    plus[filler] = -1
+    if not sphere.antipodal:
+        return idx, plus
+    minus[filler] = -1
+    return (np.concatenate([idx, idx + sphere.count // 2], axis=1),
+            np.concatenate([plus, minus], axis=1))
 
 
 def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -538,12 +735,11 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    candidates = []
-    for trial in range(trials):
-        hs = build_half_spaces(pairs, channel, max_colors, rng_seed + trial)
-        _, tied = _tied_points(sphere, hs.differences)
-        candidates.append(_median_direction(sphere.points[tied]))
-    residuals = monotonicity_score(pairs, np.array(candidates), channel)
+    sets = [build_half_spaces(pairs, channel, max_colors, rng_seed + trial)
+            for trial in range(trials)]
+    found = _search_trials(sphere, [hs.differences for hs in sets])
+    candidates = np.array([_median_direction(sphere.points[tied]) for _, tied in found])
+    residuals = monotonicity_score(pairs, candidates, channel)
     return candidates[int(np.argmin(residuals))]
 
 

@@ -117,6 +117,12 @@ def dense_tied_points(sphere, diffs: np.ndarray):
     return best, np.flatnonzero(scores == best)
 
 
+def dense_search_trials(sphere, diffs):
+    """``dense_tied_points`` of each trial of a stack: the oracle of the
+    row search."""
+    return [dense_tied_points(sphere, d) for d in diffs]
+
+
 def isotonic_fit_reference(values, weights=None) -> np.ndarray:
     """Pool-adjacent-violators on float64 array elements: the isotonic oracle."""
     y = np.asarray(values, dtype=float)

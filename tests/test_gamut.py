@@ -141,6 +141,16 @@ class TestApplyLattice:
             assert gap <= 1e-6
 
 
+    def test_nan_row_named_and_infinities_clamped(self):
+        lut = Lattice3.identity(5)
+        with pytest.raises(ValueError, match=r"v row 0 is NaN"):
+            apply_lattice(lut, [np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match=r"v row 2 is NaN"):
+            apply_lattice(lut, [[0.1, 0.2, 0.3], [0.5, 0.5, 0.5], [0.5, np.nan, 0.5]])
+        clamped = apply_lattice(lut, [[np.inf, -np.inf, 0.5]])
+        assert np.array_equal(clamped, [[1.0, 0.0, 0.5]])
+
+
 class TestFitLattice:
     def test_identity_targets_recover_grid_coordinates(self):
         rng = np.random.default_rng(11)
@@ -230,6 +240,19 @@ class TestFitLattice:
     def test_rejects_shapes_other_than_rows(self, inputs, targets, name):
         with pytest.raises(ValueError, match=f"{name} must have shape"):
             fit_lattice(inputs, targets)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("inputs", np.nan, r"inputs row 7 is NaN"),
+        ("targets", np.nan, r"targets row 7 is not finite"),
+        ("targets", np.inf, r"targets row 7 is not finite"),
+    ])
+    def test_rejects_bad_row_naming_it(self, name, value, match):
+        rng = np.random.default_rng(12)
+        data = {"inputs": rng.uniform(0.0, 1.0, size=(10, 3)),
+                "targets": rng.uniform(0.0, 1.0, size=(10, 3))}
+        data[name][7, 1] = value
+        with pytest.raises(ValueError, match=match):
+            fit_lattice(data["inputs"], data["targets"])
 
     @pytest.mark.parametrize("resolution", [1, 0, -2, 2.5])
     def test_rejects_resolution_below_two_or_fractional(self, resolution):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from support import (
     angle_degrees,
     brute_force_max_nn_gap,
+    dense_search_trials,
     dense_tied_points,
     disable_memo,
     grid_max_nn_gap,
@@ -29,7 +30,9 @@ from rankcal.ranking import (
     monotonicity_score,
     rescale_achromatic,
     sample_sphere,
-    _tied_points,
+    _count_true,
+    _pair_indices,
+    _search_trials,
 )
 
 
@@ -163,6 +166,13 @@ class TestBuildHalfSpaces:
         )
         hs = build_half_spaces(flagged, 1, max_colors=50, rng_seed=0)
         assert len(hs) <= 20 * 19 // 2
+
+    def test_pair_indices_cached_read_only(self):
+        ii, jj = _pair_indices(50)
+        assert _pair_indices(50)[0] is ii
+        expect_i, expect_j = np.triu_indices(50, 1)
+        assert np.array_equal(ii, expect_i) and np.array_equal(jj, expect_j)
+        assert not ii.flags.writeable and not jj.flags.writeable
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(3)
@@ -320,10 +330,30 @@ class TestTiedPoints:
     @given(hs=half_space_sets(), n=st.sampled_from(SEARCH_SPHERE_COUNTS))
     def test_matches_dense_scan(self, search_spheres, hs, n):
         sphere = search_spheres[n]
-        best, tied = _tied_points(sphere, hs.differences)
+        [(best, tied)] = _search_trials(sphere, [hs.differences])
         dense_best, dense_tied = dense_tied_points(sphere, hs.differences)
         assert best == dense_best
         assert np.array_equal(tied, dense_tied)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stack=st.lists(half_space_sets(), min_size=1, max_size=8),
+           n=st.sampled_from(SEARCH_SPHERE_COUNTS + (100_000,)),
+           bound_entries=st.sampled_from([2 ** 19, 4096, 1]))
+    def test_stack_matches_dense_scan(self, search_spheres, sphere100k, stack, n,
+                                      bound_entries):
+        # trials of mixed sizes searched together, m = 1 (the dense branch)
+        # among them; small bound budgets split the stack into chunks of
+        # one trial and the caps into pieces of one centre
+        sphere = sphere100k if n == 100_000 else search_spheres[n]
+        diffs = [hs.differences for hs in stack]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ranking, "_BOUND_ENTRIES", bound_entries)
+            found = _search_trials(sphere, diffs)
+        assert len(found) == len(diffs)
+        for (best, tied), d in zip(found, diffs):
+            dense_best, dense_tied = dense_tied_points(sphere, d)
+            assert best == dense_best
+            assert np.array_equal(tied, dense_tied)
 
     @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
     def test_caps_partition_scored_points_within_radius(self, n):
@@ -338,6 +368,20 @@ class TestTiedPoints:
         cosine = np.einsum("ij,ij->i", sphere.points[caps.order], centre)
         assert np.all(cosine >= np.cos(radius) - 1e-12)
         assert np.degrees(caps.radius.max()) <= 5.0
+
+    @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
+    def test_points_join_their_nearest_cap(self, n):
+        # labelled group by group, each point still finds the nearest of
+        # all cap centres, up to float32 near-ties
+        sphere = sample_sphere(n)
+        caps = sphere.caps
+        centres = ranking._spiral_centres(ranking._CAP_CENTRES, sphere.antipodal)
+        points = sphere.points[caps.order]
+        own = np.repeat(caps.centres, np.diff(caps.offsets), axis=0)
+        for s in range(0, points.shape[0], 4096):
+            nearest = (points[s:s + 4096] @ centres.T).max(axis=1)
+            got = np.einsum("ij,ij->i", points[s:s + 4096], own[s:s + 4096])
+            assert np.all(got >= nearest - 1e-6)
 
     @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
     def test_groups_partition_caps_within_radius(self, n):
@@ -361,24 +405,25 @@ class TestTiedPoints:
         # the floor comes from scoring one cap's points; a cap of one
         # point must score as it does within the final pass's blocks
         sphere = search_spheres[n]
+        caps = sphere.caps
         calls = []
-        score = ranking._scores
+        score = ranking._score_caps
 
-        def spy(sample, dt, idx):
-            calls.append(idx.size)
-            return score(sample, dt, idx)
+        def spy(sample, dt, which):
+            calls.append(caps.offsets[which + 1] - caps.offsets[which])
+            return score(sample, dt, which)
 
-        monkeypatch.setattr(ranking, "_scores", spy)
+        monkeypatch.setattr(ranking, "_score_caps", spy)
         rng = np.random.default_rng(n)
         one_point = 0
         for _ in range(100):
             d = rng.normal(size=(int(rng.integers(2, 300)), 3))
             calls.clear()
-            best, tied = _tied_points(sphere, d)
+            [(best, tied)] = _search_trials(sphere, [d])
             dense_best, dense_tied = dense_tied_points(sphere, d)
             assert best == dense_best
             assert np.array_equal(tied, dense_tied)
-            one_point += calls[0] == 1
+            one_point += calls[0][0] == 1
         assert one_point >= 50
 
     def test_index_built_once_per_sample(self):
@@ -386,10 +431,29 @@ class TestTiedPoints:
         assert sphere.caps is sphere.caps
 
 
+class TestCountTrue:
+    def test_matches_count_nonzero_at_every_lane_length(self):
+        # up to 2040 entries the byte lanes of one word sum hold at most
+        # 255 each; all-True rows fill them
+        rng = np.random.default_rng(5)
+        for length in range(8, 2041, 8):
+            mask = np.vstack([rng.random((3, length)) < p for p in (0.02, 0.5, 0.98)]
+                             + [np.ones((1, length), dtype=bool),
+                                np.zeros((1, length), dtype=bool)])
+            assert np.array_equal(_count_true(mask), np.count_nonzero(mask, axis=1))
+
+    @pytest.mark.parametrize("length", [2048, 4080, 4088, 6000])
+    def test_longer_rows_are_summed_in_pieces(self, length):
+        rng = np.random.default_rng(length)
+        mask = np.vstack([rng.random((2, 3, length)) < 0.7,
+                          np.ones((1, 3, length), dtype=bool)])
+        assert np.array_equal(_count_true(mask), np.count_nonzero(mask, axis=2))
+
+
 class TestPruning:
-    # measured: 0.45% of the half-sphere per search at both sizes, the
-    # incumbent cap's points included; a floor 33 constraints low, as
-    # cap hit counts give, scores about 2%
+    # measured: 0.32% of the half-sphere per search at 140 pairs and
+    # 0.35% at 8000, the two floor caps' points included; a floor 33
+    # constraints low, as cap hit counts give, scores about 2%
     MAX_SCORED_SHARE = 0.007
 
     @pytest.mark.parametrize("pairs", [140, 8000])
@@ -399,24 +463,26 @@ class TestPruning:
                          "--seed", "17", "--quantize"]) == 0
         searched = []
         scored = []
-        search = ranking._tied_points
+        search = ranking._search_trials
         score = ranking._scores
 
         def count_search(sphere, diffs):
-            searched.append(sphere.caps.order.size)
+            searched.append((len(diffs), sphere.caps.order.size))
             return search(sphere, diffs)
 
-        def count_scored(sphere, dt, idx):
-            scored.append(idx.size)
-            return score(sphere, dt, idx)
+        def count_scored(points, dt, plus_end, minus_start):
+            scored.append(points.shape[0] * points.shape[1])
+            return score(points, dt, plus_end, minus_start)
 
-        monkeypatch.setattr(ranking, "_tied_points", count_search)
+        monkeypatch.setattr(ranking, "_search_trials", count_search)
         monkeypatch.setattr(ranking, "_scores", count_scored)
         assert cli_main(["calibrate", "--data", str(corpus), "--subset",
                          f"uniform:{pairs}", "--out", str(tmp_path / "m.txt"),
                          "--seed", "2"]) == 0
-        assert len(searched) == 75
-        assert sum(scored) / sum(searched) <= self.MAX_SCORED_SHARE
+        assert len(searched) == 3
+        assert sum(trials for trials, _ in searched) == 75
+        total = sum(trials * points for trials, points in searched)
+        assert sum(scored) / total <= self.MAX_SCORED_SHARE
 
 
 class TestDenseOracle:
@@ -442,7 +508,7 @@ class TestDenseOracle:
             return out.read_bytes()
 
         pruned = model_bytes("pruned")
-        monkeypatch.setattr(ranking, "_tied_points", dense_tied_points)
+        monkeypatch.setattr(ranking, "_search_trials", dense_search_trials)
         assert model_bytes("dense") == pruned
 
 
