@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--out", required=True, help="model file to write")
     p_cal.add_argument("--seed", type=int, default=0)
     p_cal.add_argument("--sphere-count", type=int, default=100_000,
-                       help="row-search directions on the unit sphere")
+                       help="row-search directions on the unit sphere; "
+                            "an even count, in antipodal pairs")
     p_cal.add_argument("--trials", type=int, default=25,
                        help="random colour subsets per matrix row")
 
@@ -98,8 +99,8 @@ def _cmd_simulate(args, parser) -> int:
         parser.error("--patches must be >= 1")
     if args.illuminants < 1 or args.exposures < 1:
         parser.error("--illuminants and --exposures must be >= 1")
-    if args.noise < 0:
-        parser.error("--noise must be >= 0")
+    if not 0 <= args.noise < float("inf"):
+        parser.error("--noise must be finite and >= 0")
     camera = make_camera(
         seed=args.seed,
         delta=args.delta,
@@ -120,6 +121,8 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    cfg = CalibrationConfig(rng_seed=args.seed, sphere_count=args.sphere_count,
+                            trials=args.trials)
     corpus = load_corpus(args.data)
     spec = parse_subset_spec(args.subset, rng_seed=args.seed)
     train = corpus if spec is None else select_subset(corpus, spec)
@@ -127,8 +130,6 @@ def _cmd_calibrate(args) -> int:
     def progress(stage: str, seconds: float) -> None:
         print(f"stage {stage}: {seconds:.2f} s", file=sys.stderr)
 
-    cfg = CalibrationConfig(rng_seed=args.seed, sphere_count=args.sphere_count,
-                            trials=args.trials)
     model = calibrate(train, cfg, progress)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_model(model))

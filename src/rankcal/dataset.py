@@ -68,7 +68,7 @@ class SubsetSpec:
         if self.kind not in counts:
             raise ValueError(f"unknown subset kind {self.kind!r}")
         for name in ("k", "n_exposures", "n_illuminants", "rng_seed"):
-            _check_integer(self, name, 1 if name in counts[self.kind] else 0)
+            _check_integer(getattr(self, name), name, 1 if name in counts[self.kind] else 0)
 
 
 def parse_subset_spec(text: str, rng_seed: int = 0) -> SubsetSpec | None:

@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
-from .model import Lattice3, _as_rows
+from .model import Lattice3, _as_rows, _check_rows
 from .qp import QuadProgram, solve_qp
 
 _QP_TOL = 1e-8
@@ -59,9 +59,10 @@ def solve_affine_gamut(points) -> AffineGamutMap:
     programs sharing the same design matrix, which is how the QP is
     solved here; the combined optimum is identical. (T = 0, o = 0.5) is
     always feasible, so the program cannot be infeasible; coplanar input
-    raises DegenerateGeometry.
+    raises DegenerateGeometry, and a point that is not finite ValueError.
     """
     v = _as_rows(points, "points")
+    _check_rows(v, "points", finite=True)
     n = v.shape[0]
     if n < 4:
         raise DegenerateGeometry(f"need at least 4 points, have {n}")
@@ -119,21 +120,6 @@ def trilinear_weights(v: np.ndarray, resolution: int):
     return idx, w
 
 
-def _check_rows(rows: np.ndarray, name: str, finite: bool) -> None:
-    """Raise ValueError naming the first row of ``rows`` holding a NaN, or
-    any non-finite value when ``finite`` is set."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        total = rows.sum()
-    if np.isfinite(total):
-        # a finite sum rules both out without a mask the size of rows
-        return
-    bad = ~np.isfinite(rows) if finite else np.isnan(rows)
-    if bad.any():
-        row = int(np.argmax(bad.any(axis=1)))
-        raise ValueError(f"{name} row {row} is {'not finite' if finite else 'NaN'}: "
-                         f"{rows[row]}")
-
-
 def apply_lattice(lut: Lattice3, v):
     """Trilinear interpolation of the LUT at v (a 3-vector or (n, 3)).
 
@@ -150,24 +136,17 @@ def apply_lattice(lut: Lattice3, v):
 
 
 def _grid_laplacian(resolution: int) -> np.ndarray:
-    """Graph Laplacian of the node lattice with 6-neighbour edges."""
+    """Graph Laplacian of the node lattice with 6-neighbour edges: -1 for
+    each pair of neighbours, and each node's neighbour count on the
+    diagonal. Node (i, j, k) is row (i * r + j) * r + k."""
     r = resolution
-    n = r ** 3
-    lap = np.zeros((n, n))
-    def flat(i, j, k):
-        return (i * r + j) * r + k
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                here = flat(i, j, k)
-                for di, dj, dk in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                    ni, nj, nk = i + di, j + dj, k + dk
-                    if ni < r and nj < r and nk < r:
-                        there = flat(ni, nj, nk)
-                        lap[here, here] += 1.0
-                        lap[there, there] += 1.0
-                        lap[here, there] -= 1.0
-                        lap[there, here] -= 1.0
+    node = np.arange(r ** 3).reshape(r, r, r)
+    lap = np.zeros((r ** 3, r ** 3))
+    for axis in range(3):
+        line = np.moveaxis(node, axis, 0)
+        lap[line[:-1].ravel(), line[1:].ravel()] = -1.0
+    lap += lap.T
+    np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 
 

@@ -44,17 +44,31 @@ def _as_rows(values, name: str) -> np.ndarray:
     return rows
 
 
-def _check_integer(config, name: str, least: int) -> None:
-    """Raise ValueError unless ``config.<name>`` is an integer >= least (not a bool)."""
-    value = getattr(config, name)
+def _check_rows(rows: np.ndarray, name: str, finite: bool) -> None:
+    """Raise ValueError naming the first row of ``rows`` holding a NaN, or
+    any non-finite value when ``finite`` is set."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = rows.sum()
+    if np.isfinite(total):
+        # a finite sum rules both out without a mask the size of rows
+        return
+    bad = ~np.isfinite(rows) if finite else np.isnan(rows)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"{name} row {row} is {'not finite' if finite else 'NaN'}: "
+                         f"{rows[row]}")
+
+
+def _check_integer(value, name: str, least: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >=
+    least (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_finite(config, name: str, positive: bool) -> None:
-    """Raise ValueError unless ``config.<name>`` is a finite real > 0, or
-    >= 0 when not ``positive``."""
-    value = getattr(config, name)
+def _check_finite(value, name: str, positive: bool) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real
+    > 0, or >= 0 when not ``positive``."""
     if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
             or value < 0 or (positive and value == 0)):
         bound = "> 0" if positive else ">= 0"

@@ -69,8 +69,11 @@ class CalibrationConfig:
     def __post_init__(self) -> None:
         for name, least in (("rng_seed", 0), ("sphere_count", 6), ("trials", 1),
                             ("max_colors", 2), ("lattice_resolution", 2)):
-            _check_integer(self, name, least)
-        _check_finite(self, "lattice_regularization", positive=True)
+            _check_integer(getattr(self, name), name, least)
+        if self.sphere_count % 2:
+            raise ValueError(f"sphere_count must be even, got {self.sphere_count!r}")
+        _check_finite(self.lattice_regularization, "lattice_regularization",
+                      positive=True)
 
     def settings_dict(self) -> dict:
         return {

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DegenerateChannel, InsufficientData, NoAchromaticSample
 from .errors import CalibrationError
-from .model import SATURATION_FRACTION, ColorMatrix, PixelPairSet
+from .model import SATURATION_FRACTION, ColorMatrix, PixelPairSet, _check_integer, _check_rows
 
 DEFAULT_SPHERE_COUNT = 100_000
 DEFAULT_TRIALS = 25
@@ -79,29 +80,32 @@ _CAP_MARGIN = 1e-5
 
 @dataclass(frozen=True)
 class SphereSample:
-    """Unit direction candidates covering the whole sphere.
-
-    ``antipodal`` is set when the second half of the points is exactly
-    the negation of the first half; scoring then needs only half the
-    dot products, reading each one's sign both ways.
+    """Unit direction candidates covering the whole sphere, in antipodal
+    pairs: the second half of the points is exactly the negation of the
+    first, so scoring needs only half the dot products, reading each
+    one's sign both ways.
     """
 
     points: np.ndarray
-    antipodal: bool = False
+    # read by perfbench's sample_sphere counter; ROADMAP item 2 drops both
+    antipodal: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("sphere points must have shape (n, 3)")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-12:
-            raise ValueError("sphere points must have unit norm")
-        pts = pts.copy()
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
+            raise ValueError(f"sphere points must have shape (n, 3) with n >= 1, "
+                             f"got {pts.shape}")
+        # written so that a NaN or infinite point fails it
+        bad = np.flatnonzero(~(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-12))
+        if bad.size:
+            raise ValueError(f"sphere point {bad[0]} = {pts[bad[0]]} is not a finite "
+                             f"unit vector")
+        n = pts.shape[0]
+        if n % 2 or not np.array_equal(pts[n // 2:], -pts[:n // 2]):
+            raise ValueError(f"sphere points must be antipodal: the last half of the "
+                             f"{n} points must negate the first half")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        n = pts.shape[0]
-        paired = n % 2 == 0 and np.array_equal(pts[n // 2:], -pts[:n // 2])
-        object.__setattr__(self, "antipodal", paired)
 
     @property
     def count(self) -> int:
@@ -109,8 +113,8 @@ class SphereSample:
 
     @functools.cached_property
     def caps(self) -> CapIndex:
-        """Cap index of the scored points, built on first use."""
-        return _build_caps(self.points, self.antipodal)
+        """Cap index of the first half of the points, built on first use."""
+        return _build_caps(self.points[:self.count // 2])
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,10 @@ class CapIndex:
     Cap k holds the points ``order[offsets[k]:offsets[k + 1]]``, each
     within ``radius[k]`` radians of ``centres[k]``. Group j holds the
     caps ``group_offsets[j]:group_offsets[j + 1]``, whose points all lie
-    within ``group_radius[j]`` radians of ``group_centres[j]``. An
-    antipodal sample indexes its first half; any other sample indexes
-    every point, around the hemisphere centres and their negations.
-    Empty caps and empty groups are dropped.
+    within ``group_radius[j]`` radians of ``group_centres[j]``. The
+    index covers the first half of a sample, whose points and centres
+    all lie in the upper hemisphere. Empty caps and empty groups are
+    dropped.
     """
 
     centres: np.ndarray
@@ -152,7 +156,10 @@ class HalfSpaceSet:
             raise ValueError("differences must have shape (m, 3)")
         if d.shape[0] == 0:
             raise ValueError("half-space set must be non-empty")
-        if np.any(np.linalg.norm(d, axis=1) < 1e-15):
+        norms = np.linalg.norm(d, axis=1)
+        if not np.isfinite(norms).all():
+            _check_rows(d, "differences", finite=True)
+        if np.any(norms < 1e-15):
             raise ValueError("half-space set contains a zero vector")
         d = d.copy()
         d.setflags(write=False)
@@ -162,8 +169,10 @@ class HalfSpaceSet:
         return self.differences.shape[0]
 
 
-def _fibonacci_spiral(z: np.ndarray) -> np.ndarray:
-    i = np.arange(z.size, dtype=float)
+def _hemisphere_spiral(count: int) -> np.ndarray:
+    """Fibonacci spiral of ``count`` unit vectors over the open upper hemisphere."""
+    z = 1.0 - (np.arange(count, dtype=float) + 0.5) / count  # z in (0, 1)
+    i = np.arange(count, dtype=float)
     radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     theta = np.pi * (3.0 - np.sqrt(5.0)) * i
     pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
@@ -174,10 +183,10 @@ def _fibonacci_spiral(z: np.ndarray) -> np.ndarray:
 def sample_sphere(n: int) -> SphereSample:
     """Deterministic, near-uniform unit vectors over the full sphere.
 
-    Even n builds a Fibonacci spiral over the open upper hemisphere and
-    mirrors it, so every direction appears with its negation and scoring
-    can share dot products between the two. Odd n uses one full-sphere
-    spiral. At n = 100000 the largest nearest-neighbour gap is about
+    n must be even: a Fibonacci spiral of n / 2 points over the open
+    upper hemisphere is followed by its negation, so every direction
+    appears with its negation and scoring can share dot products between
+    the two. At n = 100000 the largest nearest-neighbour gap is about
     0.65 degrees. n = 6 is the axis-aligned octahedron.
 
     The sample is immutable and depends on n alone, so the process keeps
@@ -185,26 +194,11 @@ def sample_sphere(n: int) -> SphereSample:
     n = 100000 that is about 3 MB.
     """
     n = int(n)
-    if n < 6:
-        raise ValueError(f"sphere sample needs at least 6 points, got {n}")
-    if n == 6:
-        pts = np.vstack([np.eye(3), -np.eye(3)])
-        return SphereSample(pts)
-    if n % 2 == 0:
-        half = n // 2
-        z = 1.0 - (np.arange(half, dtype=float) + 0.5) / half  # z in (0, 1)
-        upper = _fibonacci_spiral(z)
-        return SphereSample(np.vstack([upper, -upper]))
-    z = 1.0 - 2.0 * (np.arange(n, dtype=float) + 0.5) / n
-    return SphereSample(_fibonacci_spiral(z))
-
-
-def _spiral_centres(count: int, antipodal: bool) -> np.ndarray:
-    """Fibonacci centres over the upper hemisphere, and their negations
-    unless the scored points are the upper half of an antipodal sample."""
-    z = 1.0 - (np.arange(count, dtype=float) + 0.5) / count
-    centres = _fibonacci_spiral(z)
-    return centres if antipodal else np.vstack([centres, -centres])
+    if n < 6 or n % 2:
+        raise ValueError(f"sphere sample needs an even count of at least 6 points, "
+                         f"got {n}")
+    upper = np.eye(3) if n == 6 else _hemisphere_spiral(n // 2)
+    return SphereSample(np.vstack([upper, -upper]))
 
 
 def _largest_angles(points: np.ndarray, centres: np.ndarray,
@@ -214,10 +208,9 @@ def _largest_angles(points: np.ndarray, centres: np.ndarray,
     return np.maximum.reduceat(np.arccos(np.clip(cosine, -1.0, 1.0)), starts)
 
 
-def _build_caps(points: np.ndarray, antipodal: bool) -> CapIndex:
-    scored = points[:points.shape[0] // 2] if antipodal else points
-    centres = _spiral_centres(_CAP_CENTRES, antipodal)
-    groups = _spiral_centres(_CAP_GROUPS, antipodal)
+def _build_caps(scored: np.ndarray) -> CapIndex:
+    centres = _hemisphere_spiral(_CAP_CENTRES)
+    groups = _hemisphere_spiral(_CAP_GROUPS)
     # each cap centre joins its nearest group, and each point its nearest
     # group and then the nearest cap within reach of that group, by
     # float32 products: a near tie may go either way, and the radii below
@@ -322,8 +315,8 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
     """
     if channel not in (1, 2, 3):
         raise ValueError(f"channel must be 1..3, got {channel}")
-    if max_colors < 2:
-        raise ValueError(f"max_colors must be >= 2 to form a pair, got {max_colors}")
+    _check_integer(max_colors, "max_colors", 2)  # a pair needs two colours
+    _check_integer(rng_seed, "rng_seed", 0)
     eligible, raws, rendered = pairs._rank_pool
     if eligible < 2:
         raise InsufficientData(
@@ -350,17 +343,15 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
 
 
 def _count_true(mask: np.ndarray) -> np.ndarray:
-    """True entries along the last axis of a C-contiguous bool array.
+    """True entries along the last axis of a C-contiguous bool array
+    whose last axis is a multiple of 8 long, as every padded constraint
+    stack is.
 
-    When the last axis is a multiple of 8 long, its bytes are read as
-    uint64 words and summed _LANE_WORDS words at a time, so each of the
-    8 byte lanes of a sum counts at most 255 entries and none carries
-    into the next; the lanes are then added. This is several times
-    faster than ``np.count_nonzero(mask, axis=-1)``, which counts any
-    other mask, such as the one-column products of a single constraint.
+    Its bytes are read as uint64 words and summed _LANE_WORDS words at a
+    time, so each of the 8 byte lanes of a sum counts at most 255
+    entries and none carries into the next; the lanes are then added.
+    This is several times faster than ``np.count_nonzero(mask, axis=-1)``.
     """
-    if mask.shape[-1] % 8:
-        return np.count_nonzero(mask, axis=-1)
     words = mask.view(np.uint64)
     total = np.zeros(words.shape[:-1], dtype=np.int64)
     for start in range(0, words.shape[-1], _LANE_WORDS):
@@ -371,31 +362,29 @@ def _count_true(mask: np.ndarray) -> np.ndarray:
 
 
 def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
-                  sizes: np.ndarray, antipodal: bool) -> tuple[np.ndarray, np.ndarray]:
+                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Most constraints any point within ``radius`` of each centre satisfies.
 
     ``unit`` holds a stack of trials' unit constraints as float32 (3, t,
     p), padded with zeros, and ``sizes`` their counts. Returns (k, t)
-    bounds for the points near each centre and for their negations,
-    which read -1 unless the sample is antipodal. With g = c . d and
-    s = sin(radius + margin), every such point fails the constraints with
-    g < -s, and its negation those with g > s; each centre is divided by
-    its s, so both tests compare with 1, and a zero constraint never
-    fails. The products are float32, whose error the margin covers, and
-    are taken for pieces of centres that hold at most _BOUND_ENTRIES
-    values.
+    bounds for the points near each centre and for their negations. With
+    g = c . d and s = sin(radius + margin), every such point fails the
+    constraints with g < -s, and its negation those with g > s; each
+    centre is divided by its s, so both tests compare with 1, and a zero
+    constraint never fails. The products are float32, whose error the
+    margin covers, and are taken for pieces of centres that hold at most
+    _BOUND_ENTRIES values.
     """
     _, trials, width = unit.shape
     flat = unit.reshape(3, -1)
     scaled = (centres / np.sin(radius + _CAP_MARGIN)[:, None]).astype(np.float32)
     plus = np.empty((centres.shape[0], trials), dtype=np.int64)
-    minus = np.full_like(plus, -1)
+    minus = np.empty_like(plus)
     step = max(1, _BOUND_ENTRIES // (trials * width))
     for start in range(0, centres.shape[0], step):
         g = (scaled[start:start + step] @ flat).reshape(-1, trials, width)
         plus[start:start + step] = sizes - _count_true(g < -1.0)
-        if antipodal:
-            minus[start:start + step] = sizes - _count_true(g > 1.0)
+        minus[start:start + step] = sizes - _count_true(g > 1.0)
     return plus, minus
 
 
@@ -444,38 +433,23 @@ def _search_trials(sphere: SphereSample,
     do, for each of a stack of trials' differences (m, 3).
 
     The indices come in ascending order and equal those of scoring every
-    point. A trial of one difference scores every point: numpy forms a
-    one-column product with gemv, which rounds the last rows of a call
-    differently from the rest, so only the dense blocks reproduce it.
-    The other trials are searched together by ``_search_chunk``, in
+    point. The trials are searched together by ``_search_chunk``, in
     chunks whose group bounds hold at most _BOUND_ENTRIES values, with
     their differences padded by zero rows to a common multiple of 8.
     """
-    caps = sphere.caps
-    half = sphere.count // 2
     sizes = np.array([d.shape[0] for d in diffs])
-    found: list = [None] * len(diffs)
-    for t in np.flatnonzero(sizes == 1):
-        every = np.arange(caps.order.size)
-        dt = np.ascontiguousarray(diffs[t].T[None], dtype=np.float32)
-        plus, minus = _scores(sphere.points[every].astype(np.float32)[None], dt,
-                              every.size, 0 if sphere.antipodal else every.size)
-        found[t] = _best(np.concatenate([every, every[:minus.size] + half]),
-                         np.concatenate([plus[0], minus[0]]))
-    searched = np.flatnonzero(sizes > 1)
-    if searched.size:
-        width = -(-int(sizes[searched].max()) // 8) * 8
-        step = max(1, _BOUND_ENTRIES // (caps.group_centres.shape[0] * width))
-        for start in range(0, searched.size, step):
-            chunk = searched[start:start + step]
-            padded = np.zeros((3, chunk.size, width))
-            for row, t in enumerate(chunk):
-                padded[:, row, :sizes[t]] = diffs[t].T
-            norm = np.sqrt(padded[0] ** 2 + padded[1] ** 2 + padded[2] ** 2)
-            unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
-            dt = np.ascontiguousarray(padded.transpose(1, 0, 2), dtype=np.float32)
-            for t, result in zip(chunk, _search_chunk(sphere, unit, dt, sizes[chunk])):
-                found[t] = result
+    width = -(-int(sizes.max()) // 8) * 8
+    step = max(1, _BOUND_ENTRIES // (sphere.caps.group_centres.shape[0] * width))
+    found = []
+    for start in range(0, sizes.size, step):
+        chunk = diffs[start:start + step]
+        padded = np.zeros((3, len(chunk), width))
+        for row, d in enumerate(chunk):
+            padded[:, row, :d.shape[0]] = d.T
+        norm = np.sqrt(padded[0] ** 2 + padded[1] ** 2 + padded[2] ** 2)
+        unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
+        dt = np.ascontiguousarray(padded.transpose(1, 0, 2), dtype=np.float32)
+        found += _search_chunk(sphere, unit, dt, sizes[start:start + step])
     return found
 
 
@@ -487,7 +461,7 @@ def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
     raw differences as float32, padded with zeros: a zero product counts
     for no side, and zero columns leave the other products as the dense
     blocks form them. Each bound pass is one product for the whole
-    chunk, and bounds each side of an antipodal sample on its own.
+    chunk, and bounds each side of the sample on its own.
 
     Per trial, the search bounds the cap groups, then the caps of its
     best group, and scores the best of those caps on both sides; its
@@ -503,16 +477,15 @@ def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
     group_caps = np.diff(caps.group_offsets)
     cap_group = np.repeat(np.arange(group_caps.size), group_caps)
 
-    def bounds(centres, radius):
-        return _upper_bounds(centres, radius, unit, sizes, sphere.antipodal)
-
-    group_plus, group_minus = bounds(caps.group_centres, caps.group_radius)
+    group_plus, group_minus = _upper_bounds(caps.group_centres, caps.group_radius,
+                                            unit, sizes)
     top = np.argmax(np.maximum(group_plus, group_minus), axis=0)
     in_top = np.zeros(group_caps.size, dtype=bool)
     in_top[top] = True
     in_top = in_top[cap_group]
     near = np.flatnonzero(in_top)
-    cap_plus, cap_minus = bounds(caps.centres[near], caps.radius[near])
+    cap_plus, cap_minus = _upper_bounds(caps.centres[near], caps.radius[near],
+                                        unit, sizes)
     cap_best = np.maximum(cap_plus, cap_minus)
     cap_best[cap_group[near][:, None] != top] = -1
     first = near[np.argmax(cap_best, axis=0)]
@@ -526,7 +499,8 @@ def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
     rest = np.flatnonzero(
         np.repeat((open_plus | open_minus).any(axis=1), group_caps) & ~in_top)
     if rest.size:
-        rest_plus, rest_minus = bounds(caps.centres[rest], caps.radius[rest])
+        rest_plus, rest_minus = _upper_bounds(caps.centres[rest], caps.radius[rest],
+                                              unit, sizes)
         near = np.concatenate([near, rest])
         cap_plus = np.vstack([cap_plus, rest_plus])
         cap_minus = np.vstack([cap_minus, rest_minus])
@@ -569,8 +543,8 @@ def _members(caps: CapIndex, which: np.ndarray) -> np.ndarray:
 
 def _score_caps(sphere: SphereSample, dt: np.ndarray,
                 which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere indices and scores (t, w) of the points of cap ``which[i]``
-    under trial i, and of their negations for an antipodal sample.
+    """Sphere indices and scores (t, 2w) of the points of cap ``which[i]``
+    under trial i, and of their negations.
 
     The caps are scored as one stack, each filled out to the largest by
     repeating its last point; the repeats score -1.
@@ -580,11 +554,8 @@ def _score_caps(sphere: SphereSample, dt: np.ndarray,
     slot = np.arange(sizes.max())
     filler = slot >= sizes[:, None]
     idx = caps.order[caps.offsets[which][:, None] + np.minimum(slot, sizes[:, None] - 1)]
-    plus, minus = _scores(sphere.points[idx].astype(np.float32), dt, slot.size,
-                          0 if sphere.antipodal else slot.size)
+    plus, minus = _scores(sphere.points[idx].astype(np.float32), dt, slot.size, 0)
     plus[filler] = -1
-    if not sphere.antipodal:
-        return idx, plus
     minus[filler] = -1
     return (np.concatenate([idx, idx + sphere.count // 2], axis=1),
             np.concatenate([plus, minus], axis=1))
@@ -733,8 +704,7 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
     candidate whose induced mapping has the lowest monotone-fit residual
     on the full pair set wins.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_integer(trials, "trials", 1)
     sets = [build_half_spaces(pairs, channel, max_colors, rng_seed + trial)
             for trial in range(trials)]
     found = _search_trials(sphere, [hs.differences for hs in sets])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
-from .model import ColorMatrix, PixelPairSet, _as_rows, saturation_flags
+from .model import ColorMatrix, PixelPairSet, _as_rows, _check_finite, saturation_flags
 from .modelfile import _fmt, _Reader
 
 TONE_FAMILIES = ("gamma", "srgb", "filmic")
@@ -74,8 +74,8 @@ class SyntheticCamera:
         grid = np.linspace(0.0, 1.0, 512)
         if np.any(np.diff(self.tone(grid)) <= 0.0):
             raise ValueError("tone curve must be strictly increasing on [0, 1]")
-        if self.warp_scale < 0.0 or self.noise_sigma < 0.0:
-            raise ValueError("warp_scale and noise_sigma must be non-negative")
+        _check_finite(self.warp_scale, "warp_scale", positive=False)
+        _check_finite(self.noise_sigma, "noise_sigma", positive=False)
         if self.warp_scale > 0.0 and self.gamut is None:
             raise ValueError("a warped camera needs a fitted gamut map")
 

@@ -41,8 +41,8 @@ class FitConfig:
     smoothness: float = 1e-5
 
     def __post_init__(self) -> None:
-        _check_integer(self, "degree", 1)
-        _check_finite(self, "smoothness", positive=True)
+        _check_integer(self.degree, "degree", 1)
+        _check_finite(self.smoothness, "smoothness", positive=True)
 
 
 def curvature_matrix(degree: int) -> np.ndarray:

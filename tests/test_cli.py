@@ -49,6 +49,15 @@ class TestSimulateCommand:
             run(["simulate", "--out", tmp_path / "c.csv", "--patches", 0])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_is_usage_error(self, tmp_path, noise, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--out", tmp_path / "c.csv", "--patches", 10,
+                 "--noise", noise])
+        assert exc.value.code == 2
+        assert "--noise must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_same_seed_same_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -97,6 +106,14 @@ class TestCalibrateCommand:
         assert run(["calibrate", "--data", data, "--subset", "bogus",
                     "--out", tmp_path / "m.txt"]) == 1
 
+    def test_odd_sphere_count_exits_1_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        run(["simulate", "--out", data, "--patches", 140, "--seed", 1, "--quantize"])
+        model = tmp_path / "m.txt"
+        assert run(["calibrate", "--data", data, "--out", model,
+                    "--sphere-count", 2001, "--trials", 2]) == 1
+        assert "sphere_count must be even, got 2001" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_over_long_field_exits_1_naming_line(self, tmp_path, capsys):
         data = tmp_path / "c.csv"

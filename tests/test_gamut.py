@@ -99,6 +99,13 @@ class TestSolveAffineGamut:
         with pytest.raises(DegenerateGeometry):
             solve_affine_gamut(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_named(self, bad):
+        pts = np.random.default_rng(6).uniform(0.0, 1.0, size=(20, 3))
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match="points row 7 is not finite"):
+            solve_affine_gamut(pts)
+
 
 class TestApplyLattice:
     def test_reproduces_nodes(self):
@@ -149,6 +156,21 @@ class TestApplyLattice:
             apply_lattice(lut, [[0.1, 0.2, 0.3], [0.5, 0.5, 0.5], [0.5, np.nan, 0.5]])
         clamped = apply_lattice(lut, [[np.inf, -np.inf, 0.5]])
         assert np.array_equal(clamped, [[1.0, 0.0, 0.5]])
+
+
+class TestGridLaplacian:
+    @pytest.mark.parametrize("r", [2, 3, 5, 9])
+    def test_six_neighbour_graph_laplacian(self, r):
+        lap = gamut._grid_laplacian(r)
+        node = np.array(np.unravel_index(np.arange(r ** 3), (r, r, r))).T
+        steps = np.abs(node[:, None, :] - node[None, :, :]).sum(axis=2)
+        neighbours = steps == 1
+        assert lap.shape == (r ** 3, r ** 3)
+        assert np.array_equal(lap, lap.T)
+        assert np.array_equal(lap.sum(axis=1), np.zeros(r ** 3))
+        assert np.array_equal(np.diag(lap), neighbours.sum(axis=1))
+        assert np.array_equal(lap[neighbours], np.full(neighbours.sum(), -1.0))
+        assert np.array_equal(lap[steps > 1], np.zeros((steps > 1).sum()))
 
 
 class TestFitLattice:

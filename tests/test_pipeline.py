@@ -29,6 +29,7 @@ from rankcal.pipeline import (
     map_backward,
     map_forward,
 )
+from rankcal.ranking import sample_sphere
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, render_batch
 
 
@@ -91,6 +92,7 @@ class TestCalibrate:
     @pytest.mark.parametrize("field, value", [
         ("rng_seed", -1), ("rng_seed", 2.0), ("rng_seed", True),
         ("sphere_count", 5), ("sphere_count", 2000.5), ("sphere_count", True),
+        ("sphere_count", 2001),
         ("trials", 0), ("trials", 2.0), ("max_colors", 1),
         ("lattice_resolution", 1), ("lattice_resolution", 2.5),
         ("lattice_regularization", 0.0), ("lattice_regularization", -1e-3),
@@ -100,6 +102,11 @@ class TestCalibrate:
     def test_config_rejects_bad_field_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             CalibrationConfig(**{field: value})
+
+    def test_estimate_matrix_rejects_non_integer_trials(self):
+        corpus = make_corpus(make_camera(seed=5), 60, rng_seed=6)
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 2.5"):
+            pipeline.estimate_matrix(corpus, sample_sphere(2000), trials=2.5)
 
     def test_config_accepts_numpy_integers(self):
         cfg = CalibrationConfig(sphere_count=np.int64(6), trials=np.int32(1),

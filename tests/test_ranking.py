@@ -24,6 +24,7 @@ from rankcal.errors import DegenerateChannel, NoAchromaticSample
 from rankcal.model import SATURATION_FRACTION, ColorMatrix, PixelPairSet
 from rankcal.ranking import (
     HalfSpaceSet,
+    SphereSample,
     build_half_spaces,
     estimate_row,
     isotonic_fit,
@@ -47,7 +48,7 @@ class TestSampleSphere:
         assert gap == pytest.approx(90.0, abs=1e-9)
 
     def test_unit_norm_and_both_hemispheres(self):
-        sphere = sample_sphere(4001)  # odd: single full spiral
+        sphere = sample_sphere(4002)
         norms = np.linalg.norm(sphere.points, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-12
         assert sphere.points[:, 2].max() > 0.99
@@ -67,9 +68,23 @@ class TestSampleSphere:
         assert sphere100k.count == 100_000
 
     def test_even_samples_are_antipodal(self):
-        sphere = sample_sphere(1000)
-        assert sphere.antipodal
-        assert np.array_equal(sphere.points[500:], -sphere.points[:500])
+        for n in (6, 1000, 4002):
+            points = sample_sphere(n).points
+            assert np.array_equal(points[n // 2:], -points[:n // 2])
+        with pytest.raises(ValueError, match="even count .* got 4001"):
+            sample_sphere(4001)
+
+    @pytest.mark.parametrize("points, match", [
+        (np.vstack([np.eye(3), -np.eye(3)[::-1]]), "antipodal: .* 6 points"),
+        (np.vstack([np.eye(3), -np.eye(3), [[0.0, 0.0, 1.0]]]), "antipodal: .* 7 points"),
+        (np.array([[np.nan, 0.0, 0.0], [-np.nan, 0.0, 0.0]]), "point 0 .* not a finite"),
+        (np.array([[1.0, 0.0, 0.0], [-np.inf, 0.0, 0.0]]), "point 1 .* not a finite"),
+        (np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]), "point 0 .* unit vector"),
+        (np.empty((0, 3)), r"shape \(n, 3\) with n >= 1, got \(0, 3\)"),
+    ], ids=["not_negated", "odd", "nan", "infinite", "not_unit", "empty"])
+    def test_hand_built_sample_must_be_antipodal_unit_and_finite(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            SphereSample(points)
 
     def test_deterministic(self):
         a = sample_sphere(5000).points
@@ -82,16 +97,16 @@ class TestSampleSphere:
         built = []
         build = ranking._build_caps
 
-        def counting(points, antipodal):
-            built.append(points.shape[0])
-            return build(points, antipodal)
+        def counting(scored):
+            built.append(scored.shape[0])
+            return build(scored)
 
         monkeypatch.setattr(ranking, "_build_caps", counting)
         sample_sphere.cache_clear()
         sphere = sample_sphere(3000)
         assert sample_sphere(3000) is sphere
         assert sample_sphere(3000).caps is sample_sphere(3000).caps
-        assert built == [3000]
+        assert built == [1500]
         assert not sphere.points.flags.writeable
         for name, value in vars(sphere.caps).items():
             assert not value.flags.writeable, name
@@ -156,6 +171,24 @@ class TestBuildHalfSpaces:
         pairs = synthetic_channel_pairs(rng, 40, np.array([0.6, 0.3, 0.1]))
         with pytest.raises(ValueError, match="max_colors"):
             build_half_spaces(pairs, 1, max_colors=max_colors, rng_seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_colors", float("nan")), ("max_colors", 2.5), ("max_colors", True),
+        ("rng_seed", -1), ("rng_seed", 1.5),
+    ])
+    def test_bad_argument_rejected_by_name(self, field, value):
+        rng = np.random.default_rng(4)
+        pairs = synthetic_channel_pairs(rng, 40, np.array([0.6, 0.3, 0.1]))
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= ., got {value!r}"):
+            build_half_spaces(pairs, 1, **{field: value})
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[np.nan, 1.0, 0.0]], r"differences row 0 is not finite: \[nan +1\. +0\.\]"),
+        ([[0.0, 0.0, 1.0], [1.0, np.inf, 0.0]], "differences row 1 is not finite"),
+    ])
+    def test_half_space_set_rejects_non_finite_row(self, rows, match):
+        with pytest.raises(ValueError, match=match):
+            HalfSpaceSet(np.array(rows))
 
     def test_saturated_entries_excluded(self):
         rng = np.random.default_rng(2)
@@ -287,7 +320,7 @@ class TestScoreCandidate:
         assert np.mean(diff == 0) > 0.999
 
 
-SEARCH_SPHERE_COUNTS = (6, 2000, 4001, 20000)
+SEARCH_SPHERE_COUNTS = (6, 2000, 4002, 20000)
 
 
 @pytest.fixture(scope="module")
@@ -341,9 +374,9 @@ class TestTiedPoints:
            bound_entries=st.sampled_from([2 ** 19, 4096, 1]))
     def test_stack_matches_dense_scan(self, search_spheres, sphere100k, stack, n,
                                       bound_entries):
-        # trials of mixed sizes searched together, m = 1 (the dense branch)
-        # among them; small bound budgets split the stack into chunks of
-        # one trial and the caps into pieces of one centre
+        # trials of mixed sizes searched together, m = 1 among them; small
+        # bound budgets split the stack into chunks of one trial and the
+        # caps into pieces of one centre
         sphere = sphere100k if n == 100_000 else search_spheres[n]
         diffs = [hs.differences for hs in stack]
         with pytest.MonkeyPatch.context() as patch:
@@ -359,8 +392,7 @@ class TestTiedPoints:
     def test_caps_partition_scored_points_within_radius(self, n):
         sphere = sample_sphere(n)
         caps = sphere.caps
-        scored = n // 2 if sphere.antipodal else n
-        assert np.array_equal(np.sort(caps.order), np.arange(scored))
+        assert np.array_equal(np.sort(caps.order), np.arange(n // 2))
         sizes = np.diff(caps.offsets)
         assert caps.offsets[0] == 0 and np.all(sizes > 0)
         centre = np.repeat(caps.centres, sizes, axis=0)
@@ -375,7 +407,7 @@ class TestTiedPoints:
         # all cap centres, up to float32 near-ties
         sphere = sample_sphere(n)
         caps = sphere.caps
-        centres = ranking._spiral_centres(ranking._CAP_CENTRES, sphere.antipodal)
+        centres = ranking._hemisphere_spiral(ranking._CAP_CENTRES)
         points = sphere.points[caps.order]
         own = np.repeat(caps.centres, np.diff(caps.offsets), axis=0)
         for s in range(0, points.shape[0], 4096):
@@ -813,6 +845,12 @@ class TestEstimateRow:
         a = estimate_row(pairs, 1, sphere100k, trials=3, rng_seed=6)
         b = estimate_row(pairs, 1, sphere100k, trials=3, rng_seed=6)
         assert a.tobytes() == b.tobytes()
+
+    def test_non_integer_trials_rejected_by_name(self):
+        rng = np.random.default_rng(15)
+        pairs = synthetic_channel_pairs(rng, 60, np.array([0.5, 0.4, 0.1]))
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 1.5"):
+            estimate_row(pairs, 1, sample_sphere(2000), trials=1.5)
 
     def test_scale_invariance_of_direction(self, sphere100k):
         rng = np.random.default_rng(13)

@@ -97,6 +97,14 @@ class TestMakeCamera:
         with pytest.raises(ValueError):
             make_camera(seed=0, delta=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")), ("noise_sigma", -0.1),
+        ("warp_scale", float("nan")),
+    ])
+    def test_bad_noise_or_warp_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            make_camera(seed=0, gamut_mode="warped", **{field: value})
+
     def test_tone_must_increase(self):
         with pytest.raises(ValueError):
             SyntheticCamera(matrix=ColorMatrix.identity(),
