@@ -4,15 +4,16 @@ Each pair of pixels whose rendered values differ in a channel pins the
 corresponding matrix row to one side of a plane through the origin. Rows
 are recovered by finding the candidate directions, from a fixed dense
 sample of the unit sphere, that satisfy the most of those half-space
-constraints. A row's trials are searched together by a best-first
-branch-and-bound over two levels of caps of the sample, which finds
-exactly the points a dense scan would: each bound pass is one product
-for a chunk of trials, each side of the antipodal sample is bounded on
-its own, and only the points of the (cap, side) pairs whose bounds reach
-a scored floor are scored, on that side alone. That is about 0.3% of the
-half-sphere on the benchmark's constraint sets. Repeated trials over
-random colour subsets are arbitrated by how monotone the induced
-raw-to-rendered relation is.
+constraints. A row's trials are searched by a branch-and-bound over two
+levels of caps of the sample, which finds exactly the points a dense
+scan would. Each trial's floor is the best score of a few points: those
+its row's earlier trials tied on, or for the first trial its best cap.
+Each bound pass is one product for a chunk of trials, each side of the
+antipodal sample is bounded on its own, and only the points of the (cap,
+side) pairs whose bounds reach the floor are scored, on that side alone.
+That is about 0.35% of the half-sphere on the benchmark's constraint
+sets. Repeated trials over random colour subsets are arbitrated by how
+monotone the induced raw-to-rendered relation is.
 """
 
 from __future__ import annotations
@@ -179,22 +180,24 @@ def _hemisphere_spiral(count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
-@functools.lru_cache(maxsize=2)
+# typed, so that a cached 6 does not answer for 6.0 before the check
+@functools.lru_cache(maxsize=2, typed=True)
 def sample_sphere(n: int) -> SphereSample:
     """Deterministic, near-uniform unit vectors over the full sphere.
 
-    n must be even: a Fibonacci spiral of n / 2 points over the open
-    upper hemisphere is followed by its negation, so every direction
-    appears with its negation and scoring can share dot products between
-    the two. At n = 100000 the largest nearest-neighbour gap is about
-    0.65 degrees. n = 6 is the axis-aligned octahedron.
+    n must be an even integer: a Fibonacci spiral of n / 2 points over
+    the open upper hemisphere is followed by its negation, so every
+    direction appears with its negation and scoring can share dot
+    products between the two. At n = 100000 the largest
+    nearest-neighbour gap is about 0.65 degrees. n = 6 is the
+    axis-aligned octahedron.
 
     The sample is immutable and depends on n alone, so the process keeps
     the last two it built, each with its cap index once searched: at
     n = 100000 that is about 3 MB.
     """
-    n = int(n)
-    if n < 6 or n % 2:
+    _check_integer(n, "n", 6)
+    if n % 2:
         raise ValueError(f"sphere sample needs an even count of at least 6 points, "
                          f"got {n}")
     upper = np.eye(3) if n == 6 else _hemisphere_spiral(n // 2)
@@ -390,16 +393,17 @@ def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
 
 def _scores(points: np.ndarray, dt: np.ndarray, plus_end: int,
             minus_start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint counts of a stack of float32 points (t, n, 3), trial by trial.
+    """Constraint counts of float32 points (t, n, 3), trial by trial.
 
-    Trial i's points are scored against its differences ``dt[i]`` (3, p).
+    Trial i's points are scored against its differences ``dt[i]`` (3, p);
+    points of shape (1, n, 3) are shared by every trial.
     Returns the counts (t, plus_end) of the points ``[:, :plus_end]``
     themselves and (t, n - minus_start) of the negations of the points
     ``[:, minus_start:]``: a product counts for a point when positive and
     for its negation when negative. Products are formed in blocks of
     _SCORE_BLOCK points, shared out among the trials.
     """
-    trials, n, _ = points.shape
+    trials, n = dt.shape[0], points.shape[1]
     block = max(2, _SCORE_BLOCK // trials)
     if n % block == 1:
         # numpy forms a one-row product with gemv, which may round
@@ -421,116 +425,95 @@ def _scores(points: np.ndarray, dt: np.ndarray, plus_end: int,
     return plus, minus
 
 
-def _best(idx: np.ndarray, scores: np.ndarray) -> tuple[int, np.ndarray]:
-    """Best score, and the ascending indices that reach it."""
-    best = int(scores.max())
-    return best, np.sort(idx[scores == best])
-
-
 def _search_trials(sphere: SphereSample,
                    diffs: list[np.ndarray]) -> list[tuple[int, np.ndarray]]:
     """Most constraints any sphere point satisfies, and the points that
     do, for each of a stack of trials' differences (m, 3).
 
     The indices come in ascending order and equal those of scoring every
-    point. The trials are searched together by ``_search_chunk``, in
-    chunks whose group bounds hold at most _BOUND_ENTRIES values, with
-    their differences padded by zero rows to a common multiple of 8.
+    point. The first trial is searched alone; the rest in chunks whose
+    group bounds hold at most _BOUND_ENTRIES values, floored on the
+    points every earlier trial tied on. Differences are padded by zero
+    rows to a common multiple of 8.
     """
     sizes = np.array([d.shape[0] for d in diffs])
     width = -(-int(sizes.max()) // 8) * 8
     step = max(1, _BOUND_ENTRIES // (sphere.caps.group_centres.shape[0] * width))
+    edges = [0, *range(1, sizes.size, step), sizes.size]
     found = []
-    for start in range(0, sizes.size, step):
-        chunk = diffs[start:start + step]
+    for start, stop in zip(edges, edges[1:]):
+        chunk = diffs[start:stop]
         padded = np.zeros((3, len(chunk), width))
         for row, d in enumerate(chunk):
             padded[:, row, :d.shape[0]] = d.T
         norm = np.sqrt(padded[0] ** 2 + padded[1] ** 2 + padded[2] ** 2)
         unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
         dt = np.ascontiguousarray(padded.transpose(1, 0, 2), dtype=np.float32)
-        found += _search_chunk(sphere, unit, dt, sizes[start:start + step])
+        if found:
+            floor_points = np.unique(np.concatenate([tied for _, tied in found]))
+        else:
+            floor_points = _best_cap_points(sphere, unit, sizes[:1])
+        found += _search_chunk(sphere, unit, dt, sizes[start:stop], floor_points)
     return found
 
 
+def _best_cap_points(sphere: SphereSample, unit: np.ndarray,
+                     sizes: np.ndarray) -> np.ndarray:
+    """Sphere indices of the points of one trial's best-bounded cap in its
+    best-bounded group, on the cap's better side."""
+    caps = sphere.caps
+    plus, minus = _upper_bounds(caps.group_centres, caps.group_radius, unit, sizes)
+    top = int(np.argmax(np.maximum(plus, minus)))
+    near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
+    plus, minus = _upper_bounds(caps.centres[near], caps.radius[near], unit, sizes)
+    best = int(np.argmax(np.maximum(plus, minus)))
+    side = 0 if plus[best, 0] >= minus[best, 0] else sphere.count // 2
+    return np.sort(_members(caps, near[best:best + 1])) + side
+
+
 def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
-                  sizes: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Best-first branch-and-bound over the cap index for a chunk of trials.
+                  sizes: np.ndarray,
+                  floor_points: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Branch-and-bound over the cap index for a chunk of trials.
 
     ``unit`` (3, t, p) and ``dt`` (t, 3, p) hold the trials' unit and
     raw differences as float32, padded with zeros: a zero product counts
     for no side, and zero columns leave the other products as the dense
-    blocks form them. Each bound pass is one product for the whole
-    chunk, and bounds each side of the sample on its own.
-
-    Per trial, the search bounds the cap groups, then the caps of its
-    best group, and scores the best of those caps on both sides; its
-    best score is a floor. It then bounds the caps of every group that
-    reaches the floor, scores the best (cap, side) left on both sides to
-    raise the floor, and scores the points of each (cap, side) whose
-    group and cap bounds still reach it, on that side alone. Every score
-    is kept, so the tied points are read off all three passes; on the
-    criterion-9 constraint sets they score about 0.3% of the
-    half-sphere.
+    blocks form them. Each trial's floor is the best score of the
+    ascending sphere indices ``floor_points``. The caps of every group
+    that reaches a trial's floor are bounded, in one product for the
+    chunk, and the points of each (cap, side) whose group and cap bounds
+    still reach it are scored, on that side alone. The floor is a score
+    that some point reaches, so every tied point is among them.
     """
     caps = sphere.caps
-    group_caps = np.diff(caps.group_offsets)
-    cap_group = np.repeat(np.arange(group_caps.size), group_caps)
+    half = sphere.count // 2
+    upper = int(np.searchsorted(floor_points, half))
+    points = sphere.points[floor_points % half].astype(np.float32)[None]
+    floor = np.concatenate(_scores(points, dt, upper, upper), axis=1).max(axis=1)
 
+    group_caps = np.diff(caps.group_offsets)
     group_plus, group_minus = _upper_bounds(caps.group_centres, caps.group_radius,
                                             unit, sizes)
-    top = np.argmax(np.maximum(group_plus, group_minus), axis=0)
-    in_top = np.zeros(group_caps.size, dtype=bool)
-    in_top[top] = True
-    in_top = in_top[cap_group]
-    near = np.flatnonzero(in_top)
+    open_plus = np.repeat(group_plus >= floor, group_caps, axis=0)
+    open_minus = np.repeat(group_minus >= floor, group_caps, axis=0)
+    near = np.flatnonzero((open_plus | open_minus).any(axis=1))
     cap_plus, cap_minus = _upper_bounds(caps.centres[near], caps.radius[near],
                                         unit, sizes)
-    cap_best = np.maximum(cap_plus, cap_minus)
-    cap_best[cap_group[near][:, None] != top] = -1
-    first = near[np.argmax(cap_best, axis=0)]
-    pieces = [[piece] for piece in zip(*_score_caps(sphere, dt, first))]
-    floor = np.array([piece[0][1].max() for piece in pieces])
-
-    # every top group reaches its trial's floor: only the other groups'
-    # caps are still to be bounded
-    open_plus = group_plus >= floor
-    open_minus = group_minus >= floor
-    rest = np.flatnonzero(
-        np.repeat((open_plus | open_minus).any(axis=1), group_caps) & ~in_top)
-    if rest.size:
-        rest_plus, rest_minus = _upper_bounds(caps.centres[rest], caps.radius[rest],
-                                              unit, sizes)
-        near = np.concatenate([near, rest])
-        cap_plus = np.vstack([cap_plus, rest_plus])
-        cap_minus = np.vstack([cap_minus, rest_minus])
-    fresh = near[:, None] != first
-    open_plus = open_plus[cap_group[near]] & (cap_plus >= floor) & fresh
-    open_minus = open_minus[cap_group[near]] & (cap_minus >= floor) & fresh
-    bound = np.maximum(np.where(open_plus, cap_plus, -1),
-                       np.where(open_minus, cap_minus, -1))
-    more = np.flatnonzero(bound.max(axis=0) >= 0)
-    second = np.full(sizes.size, -1)
-    if more.size:
-        second[more] = near[np.argmax(bound[:, more], axis=0)]
-        for i, piece in zip(more, zip(*_score_caps(sphere, dt[more], second[more]))):
-            pieces[i].append(piece)
-            floor[i] = max(floor[i], piece[1].max())
-    fresh = near[:, None] != second
-    open_plus &= (cap_plus >= floor) & fresh
-    open_minus &= (cap_minus >= floor) & fresh
+    open_plus = open_plus[near] & (cap_plus >= floor)
+    open_minus = open_minus[near] & (cap_minus >= floor)
 
     found = []
-    for i, trial in enumerate(pieces):
+    for i in range(sizes.size):
         plus = near[open_plus[:, i]]
         rows = _members(caps, np.concatenate([plus, near[open_minus[:, i]]]))
         split = int(caps.offsets[plus + 1].sum() - caps.offsets[plus].sum())
         plus_scores, minus_scores = _scores(
             sphere.points[rows].astype(np.float32)[None], dt[i:i + 1], split, split)
-        rows[split:] += sphere.count // 2
+        rows[split:] += half
         scores = np.concatenate([plus_scores[0], minus_scores[0]])
-        idx, scores = zip(*trial, (rows, scores))
-        found.append(_best(np.concatenate(idx), np.concatenate(scores)))
+        best = int(scores.max())
+        found.append((best, np.sort(rows[scores == best])))
     return found
 
 
@@ -539,26 +522,6 @@ def _members(caps: CapIndex, which: np.ndarray) -> np.ndarray:
     sizes = caps.offsets[which + 1] - caps.offsets[which]
     shift = caps.offsets[which] - (np.cumsum(sizes) - sizes)
     return caps.order[np.repeat(shift, sizes) + np.arange(sizes.sum())]
-
-
-def _score_caps(sphere: SphereSample, dt: np.ndarray,
-                which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere indices and scores (t, 2w) of the points of cap ``which[i]``
-    under trial i, and of their negations.
-
-    The caps are scored as one stack, each filled out to the largest by
-    repeating its last point; the repeats score -1.
-    """
-    caps = sphere.caps
-    sizes = caps.offsets[which + 1] - caps.offsets[which]
-    slot = np.arange(sizes.max())
-    filler = slot >= sizes[:, None]
-    idx = caps.order[caps.offsets[which][:, None] + np.minimum(slot, sizes[:, None] - 1)]
-    plus, minus = _scores(sphere.points[idx].astype(np.float32), dt, slot.size, 0)
-    plus[filler] = -1
-    minus[filler] = -1
-    return (np.concatenate([idx, idx + sphere.count // 2], axis=1),
-            np.concatenate([plus, minus], axis=1))
 
 
 def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -10,12 +10,14 @@ the gamut-folded matrix (``effective_matrix``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
-from .model import ColorMatrix, PixelPairSet, _as_rows, _check_finite, saturation_flags
+from .model import (ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer,
+                    saturation_flags)
 from .modelfile import _fmt, _Reader
 
 TONE_FAMILIES = ("gamma", "srgb", "filmic")
@@ -102,15 +104,19 @@ def render_batch(camera: SyntheticCamera, raws: np.ndarray,
         v = camera.gamut.apply(v)
         if camera.warp_scale > 0.0:
             v = _warp(np.clip(v, 0.0, 1.0), camera.warp_scale)
-    v = np.clip(v, 0.0, 1.0)
-    out = camera.tone(v)
+    # v and out are built here, never the caller's rows, so each step
+    # after the first product works in place
+    out = camera.tone(np.clip(v, 0.0, 1.0, out=v))
     if camera.noise_sigma > 0.0:
         if rng is None:
             raise ValueError("rendering with noise requires an explicit rng")
-        out = out + rng.normal(0.0, camera.noise_sigma, size=out.shape)
+        out += rng.normal(0.0, camera.noise_sigma, size=out.shape)
     if camera.quantize:
-        out = np.round(np.clip(out, 0.0, 1.0) * 255.0) / 255.0
-    return np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
+        out *= 255.0
+        np.round(out, out=out)
+        out /= 255.0
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def make_camera(seed: int = 0, delta: float = 0.25,
@@ -209,38 +215,45 @@ def _reflectances(n_patches: int, rng: np.random.Generator) -> np.ndarray:
 def make_corpus(camera: SyntheticCamera, n_patches: int,
                 illuminants=None, exposures=None,
                 rng_seed: int = 0) -> PixelPairSet:
-    """Labelled raw/rendered pairs over patches x illuminants x exposures."""
-    if n_patches < 1:
-        raise ValueError("need at least one patch")
+    """Labelled raw/rendered pairs over patches x illuminants x exposures.
+
+    ``n_patches`` must be an integer >= 1, each exposure finite and >= 0
+    (0 renders black, flagged as saturated), and each illuminant gain
+    finite and > 0.
+    """
+    _check_integer(n_patches, "n_patches", 1)
     illuminants = [np.ones(3)] if illuminants is None else [
         np.asarray(d, dtype=float).reshape(3) for d in illuminants
     ]
+    for i, d in enumerate(illuminants):
+        for c, gain in enumerate(d.tolist()):
+            _check_finite(gain, f"illuminants[{i}][{c}]", positive=True)
     exposures = [1.0] if exposures is None else [float(e) for e in exposures]
+    for i, exposure in enumerate(exposures):
+        _check_finite(exposure, f"exposures[{i}]", positive=False)
     rng = np.random.default_rng(rng_seed)
     refl = _reflectances(n_patches, rng)
 
     raw_rows, rend_rows = [], []
-    cam_t, illu_t, expo_t, patch_t = [], [], [], []
-    for ei, exposure in enumerate(exposures):
-        for li, d in enumerate(illuminants):
+    for exposure in exposures:
+        for d in illuminants:
             raws = np.clip(exposure * refl * d[None, :], 0.0, 1.0)
-            rendered = render_batch(camera, raws, rng)
             raw_rows.append(raws)
-            rend_rows.append(rendered)
-            cam_t += [camera.camera_id] * n_patches
-            illu_t += [f"i{li}"] * n_patches
-            expo_t += [f"e{ei}"] * n_patches
-            patch_t += [f"p{pi}" for pi in range(n_patches)]
+            rend_rows.append(render_batch(camera, raws, rng))
 
     raw = np.vstack(raw_rows)
     rendered = np.vstack(rend_rows)
+    # tags by repetition: exposures vary slowest, then illuminants, then patches
+    lights = len(illuminants)
     return PixelPairSet(
         raw=raw,
         rendered=rendered,
-        camera=tuple(cam_t),
-        illuminant=tuple(illu_t),
-        exposure=tuple(expo_t),
-        patch=tuple(patch_t),
+        camera=(camera.camera_id,) * raw.shape[0],
+        illuminant=tuple(chain.from_iterable(
+            repeat(f"i{li}", n_patches) for li in range(lights))) * len(exposures),
+        exposure=tuple(chain.from_iterable(
+            repeat(f"e{ei}", n_patches * lights) for ei in range(len(exposures)))),
+        patch=tuple(f"p{pi}" for pi in range(n_patches)) * (lights * len(exposures)),
         saturated=saturation_flags(raw, rendered * 255.0),
     )
 

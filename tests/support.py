@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from rankcal import pipeline, ranking
+from rankcal import pipeline, ranking, simulate
 from rankcal.dataset import CSV_COLUMNS
 from rankcal.errors import CorpusFormatError, EmptyCorpus
 from rankcal.gamut import _grid_laplacian, apply_lattice, trilinear_weights
@@ -212,6 +212,23 @@ def fit_lattice_unblocked(inputs, targets, resolution: int = 5,
         residual = np.linalg.solve(system, rhs)
         nodes[:, c] = identity_nodes[:, c] + residual
     return Lattice3(nodes.reshape(r, r, r, 3))
+
+
+def render_batch_reference(camera, raws, rng=None) -> np.ndarray:
+    """Rendering with a new array at every step: the in-place render's oracle."""
+    raws = _as_rows(raws, "raws")
+    v = raws @ camera.matrix.rows.T
+    if camera.gamut is not None:
+        v = camera.gamut.apply(v)
+        if camera.warp_scale > 0.0:
+            v = simulate._warp(np.clip(v, 0.0, 1.0), camera.warp_scale)
+    v = np.clip(v, 0.0, 1.0)
+    out = camera.tone(v)
+    if camera.noise_sigma > 0.0:
+        out = out + rng.normal(0.0, camera.noise_sigma, size=out.shape)
+    if camera.quantize:
+        out = np.round(np.clip(out, 0.0, 1.0) * 255.0) / 255.0
+    return np.clip(out, 0.0, 1.0)
 
 
 def disable_memo(monkeypatch) -> None:

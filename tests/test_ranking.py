@@ -42,6 +42,12 @@ class TestSampleSphere:
         with pytest.raises(ValueError):
             sample_sphere(5)
 
+    @pytest.mark.parametrize("n", [6.9, "8", True, 6.0])
+    def test_non_integer_count_rejected_by_name(self, n):
+        sample_sphere(6)  # a cached 6 must not answer for 6.0
+        with pytest.raises(ValueError, match=f"n must be an integer >= 6, got {n!r}"):
+            sample_sphere(n)
+
     def test_octahedral_fallback_gap(self):
         sphere = sample_sphere(6)
         gap = brute_force_max_nn_gap(sphere.points)
@@ -369,14 +375,16 @@ class TestTiedPoints:
         assert np.array_equal(tied, dense_tied)
 
     @settings(max_examples=150, deadline=None)
-    @given(stack=st.lists(half_space_sets(), min_size=1, max_size=8),
+    @given(stack=st.lists(half_space_sets(), min_size=1, max_size=8)
+           | half_space_sets().map(lambda hs: [hs, HalfSpaceSet(-hs.differences)]),
            n=st.sampled_from(SEARCH_SPHERE_COUNTS + (100_000,)),
            bound_entries=st.sampled_from([2 ** 19, 4096, 1]))
     def test_stack_matches_dense_scan(self, search_spheres, sphere100k, stack, n,
                                       bound_entries):
         # trials of mixed sizes searched together, m = 1 among them; small
         # bound budgets split the stack into chunks of one trial and the
-        # caps into pieces of one centre
+        # caps into pieces of one centre. A set followed by its negation
+        # floors the second trial on points that score near 0 under it
         sphere = sphere100k if n == 100_000 else search_spheres[n]
         diffs = [hs.differences for hs in stack]
         with pytest.MonkeyPatch.context() as patch:
@@ -434,18 +442,17 @@ class TestTiedPoints:
     @pytest.mark.parametrize("n", (6, 2000))
     def test_one_point_incumbent_matches_dense_scan(self, search_spheres, n,
                                                     monkeypatch):
-        # the floor comes from scoring one cap's points; a cap of one
-        # point must score as it does within the final pass's blocks
+        # the floor comes from scoring one cap's points on one side; a cap
+        # of one point must score as it does within the final pass's blocks
         sphere = search_spheres[n]
-        caps = sphere.caps
         calls = []
-        score = ranking._score_caps
+        score = ranking._scores
 
-        def spy(sample, dt, which):
-            calls.append(caps.offsets[which + 1] - caps.offsets[which])
-            return score(sample, dt, which)
+        def spy(points, dt, plus_end, minus_start):
+            calls.append(points.shape[1])
+            return score(points, dt, plus_end, minus_start)
 
-        monkeypatch.setattr(ranking, "_score_caps", spy)
+        monkeypatch.setattr(ranking, "_scores", spy)
         rng = np.random.default_rng(n)
         one_point = 0
         for _ in range(100):
@@ -455,8 +462,31 @@ class TestTiedPoints:
             dense_best, dense_tied = dense_tied_points(sphere, d)
             assert best == dense_best
             assert np.array_equal(tied, dense_tied)
-            one_point += calls[0][0] == 1
+            one_point += calls[0] == 1
         assert one_point >= 50
+
+    def test_later_trials_are_floored_on_earlier_ties(self, search_spheres, monkeypatch):
+        # every chunk after the first trial scores the distinct tied points
+        # of all trials before it, ascending, so that the upper-half ones
+        # come first and are read on their own side
+        sphere = search_spheres[20000]
+        floors = []
+        search_chunk = ranking._search_chunk
+
+        def spy(sample, unit, dt, sizes, floor_points):
+            floors.append((sizes.size, floor_points))
+            return search_chunk(sample, unit, dt, sizes, floor_points)
+
+        monkeypatch.setattr(ranking, "_search_chunk", spy)
+        monkeypatch.setattr(ranking, "_BOUND_ENTRIES", 2 ** 16)
+        rng = np.random.default_rng(3)
+        diffs = [rng.normal(size=(100, 3)) + [0.5, 0.3, 0.1] for _ in range(12)]
+        found = _search_trials(sphere, diffs)
+        sizes = [size for size, _ in floors]
+        assert sizes[0] == 1 and len(sizes) >= 3 and max(sizes) > 1
+        for k, done in enumerate(np.cumsum(sizes)[:-1], start=1):
+            earlier = np.unique(np.concatenate([tied for _, tied in found[:done]]))
+            assert np.array_equal(floors[k][1], earlier)
 
     def test_index_built_once_per_sample(self):
         sphere = sample_sphere(2000)
@@ -483,9 +513,9 @@ class TestCountTrue:
 
 
 class TestPruning:
-    # measured: 0.32% of the half-sphere per search at 140 pairs and
-    # 0.35% at 8000, the two floor caps' points included; a floor 33
-    # constraints low, as cap hit counts give, scores about 2%
+    # measured: 0.35% of the half-sphere per search at 140 pairs and
+    # 0.39% at 8000, the floor points (about 20 a trial) included; a
+    # floor 33 constraints low, as cap hit counts give, scores about 2%
     MAX_SCORED_SHARE = 0.007
 
     @pytest.mark.parametrize("pairs", [140, 8000])
@@ -503,7 +533,8 @@ class TestPruning:
             return search(sphere, diffs)
 
         def count_scored(points, dt, plus_end, minus_start):
-            scored.append(points.shape[0] * points.shape[1])
+            # floor points come as one (1, n, 3) stack for every trial
+            scored.append(dt.shape[0] * points.shape[1])
             return score(points, dt, plus_end, minus_start)
 
         monkeypatch.setattr(ranking, "_search_trials", count_search)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from support import render_batch_reference
 
 from rankcal.errors import ModelParseError
 from rankcal.model import ColorMatrix
 from rankcal.simulate import (
+    GAMUT_MODES,
+    TONE_FAMILIES,
     SyntheticCamera,
     ToneSpec,
     deserialize_camera,
@@ -72,6 +75,21 @@ class TestRender:
         camera = plain_camera(tone=ToneSpec("gamma", 1 / 2.2), quantize=True)
         out = render_batch(camera, np.random.default_rng(1).uniform(0, 1, (50, 3)))
         assert np.allclose(out * 255.0, np.round(out * 255.0), atol=1e-9)
+
+    @pytest.mark.parametrize("quantize", [False, True])
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("gamut_mode", GAMUT_MODES)
+    @pytest.mark.parametrize("family", TONE_FAMILIES)
+    def test_matches_reference_bit_for_bit(self, family, gamut_mode, noise, quantize):
+        camera = make_camera(seed=3, delta=0.3, tone=ToneSpec(family, 0.7),
+                             gamut_mode=gamut_mode, noise_sigma=noise, quantize=quantize,
+                             warp_scale=0.05)
+        raws = np.random.default_rng(8).uniform(-0.1, 1.1, (2000, 3))
+        before = raws.copy()
+        got = render_batch(camera, raws, np.random.default_rng(9))
+        want = render_batch_reference(camera, raws, np.random.default_rng(9))
+        assert got.tobytes() == want.tobytes()
+        assert raws.tobytes() == before.tobytes()
 
     def test_warp_stays_inside_cube(self):
         camera = make_camera(seed=5, delta=0.3, tone=ToneSpec("gamma", 1 / 2.2),
@@ -147,6 +165,30 @@ class TestMakeCorpus:
         corpus = make_corpus(plain_camera(), 140, rng_seed=0)
         spread = corpus.raw.max(axis=1) - corpus.raw.min(axis=1)
         assert (spread == 0.0).sum() >= 2
+
+    @pytest.mark.parametrize("args, match", [
+        ((2.5,), r"n_patches must be an integer >= 1, got 2\.5"),
+        ((True,), "n_patches must be an integer >= 1, got True"),
+        ((10, None, [1.0, -1.0]), r"exposures\[1\] must be finite and >= 0, got -1\.0"),
+        ((10, None, [float("nan")]), r"exposures\[0\] must be finite and >= 0, got nan"),
+        ((10, [np.ones(3), [1.0, -1.0, 1.0]]),
+         r"illuminants\[1\]\[1\] must be finite and > 0, got -1\.0"),
+        ((10, [[1.0, 1.0, 0.0]]), r"illuminants\[0\]\[2\] must be finite and > 0, got 0\.0"),
+    ], ids=["fractional_patches", "bool_patches", "negative_exposure", "nan_exposure",
+            "negative_gain", "zero_gain"])
+    def test_bad_argument_rejected_by_name(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            make_corpus(plain_camera(), *args)
+
+    def test_tags_follow_exposure_illuminant_patch_order(self):
+        corpus = make_corpus(plain_camera(camera_id="cam"), 3,
+                             illuminants=make_illuminants(2, 0),
+                             exposures=make_exposures(2), rng_seed=0)
+        blocks = [(e, i) for e in ("e0", "e1") for i in ("i0", "i1")]
+        assert corpus.camera == ("cam",) * 12
+        assert corpus.exposure == tuple(e for e, _ in blocks for _ in range(3))
+        assert corpus.illuminant == tuple(i for _, i in blocks for _ in range(3))
+        assert corpus.patch == ("p0", "p1", "p2") * 4
 
     def test_neutral_first_illuminant(self):
         illus = make_illuminants(4, seed=3)
