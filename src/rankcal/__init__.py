@@ -42,7 +42,6 @@ from .pipeline import (
 )
 from .qp import QuadProgram, QpSolution, solve_qp
 from .ranking import (
-    HalfSpaceSet,
     SphereSample,
     build_half_spaces,
     estimate_row,
@@ -56,7 +55,7 @@ from .simulate import (
     make_camera,
     make_corpus,
 )
-from .tonefit import FitConfig, fit_forward_tones, fit_inverse_tones, fit_monotone
+from .tonefit import fit_forward_tones, fit_inverse_tones, fit_monotone
 
 __version__ = "0.1.0"
 
@@ -70,8 +69,6 @@ __all__ = [
     "DegenerateGeometry",
     "DegenerateSpan",
     "EmptyCorpus",
-    "FitConfig",
-    "HalfSpaceSet",
     "Infeasible",
     "InsufficientData",
     "InsufficientVariety",

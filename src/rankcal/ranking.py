@@ -26,11 +26,12 @@ import numpy as np
 
 from .errors import DegenerateChannel, InsufficientData, NoAchromaticSample
 from .errors import CalibrationError
-from .model import SATURATION_FRACTION, ColorMatrix, PixelPairSet, _check_integer, _check_rows
+from .model import SATURATION_FRACTION, ColorMatrix, PixelPairSet, _check_integer
 
 DEFAULT_SPHERE_COUNT = 100_000
 DEFAULT_TRIALS = 25
-DEFAULT_MAX_COLORS = 50
+# Unique raw colours drawn per trial: C(50, 2) = 1225 constraints at most.
+MAX_COLORS = 50
 
 # Rendered-channel differences below two quantization levels are treated
 # as ties: one-level gaps are unreliable rank evidence.
@@ -143,31 +144,6 @@ class CapIndex:
         # shared by every search of the cached sample
         for value in vars(self).values():
             value.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class HalfSpaceSet:
-    """Oriented difference vectors d with the convention row @ d > 0."""
-
-    differences: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.differences, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3:
-            raise ValueError("differences must have shape (m, 3)")
-        if d.shape[0] == 0:
-            raise ValueError("half-space set must be non-empty")
-        norms = np.linalg.norm(d, axis=1)
-        if not np.isfinite(norms).all():
-            _check_rows(d, "differences", finite=True)
-        if np.any(norms < 1e-15):
-            raise ValueError("half-space set contains a zero vector")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "differences", d)
-
-    def __len__(self) -> int:
-        return self.differences.shape[0]
 
 
 def _hemisphere_spiral(count: int) -> np.ndarray:
@@ -307,18 +283,18 @@ def _pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def build_half_spaces(pairs: PixelPairSet, channel: int,
-                      max_colors: int = DEFAULT_MAX_COLORS,
-                      rng_seed: int = 0) -> HalfSpaceSet:
+def build_half_spaces(pairs: PixelPairSet, channel: int, *,
+                      rng_seed: int = 0) -> np.ndarray:
     """Oriented rank constraints for one channel from a random colour subset.
 
-    Up to ``max_colors`` unique raw colours are drawn (seeded); every pair
+    Up to MAX_COLORS unique raw colours are drawn (seeded); every pair
     whose rendered values differ by at least RANK_TIE_EPS contributes one
-    difference vector, oriented so the brighter rendered value comes first.
+    difference vector d, oriented so the brighter rendered value comes
+    first: the true row satisfies row @ d > 0. Returns the read-only
+    (m, 3) differences, m >= 1.
     """
     if channel not in (1, 2, 3):
         raise ValueError(f"channel must be 1..3, got {channel}")
-    _check_integer(max_colors, "max_colors", 2)  # a pair needs two colours
     _check_integer(rng_seed, "rng_seed", 0)
     eligible, raws, rendered = pairs._rank_pool
     if eligible < 2:
@@ -326,9 +302,9 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
             f"need at least 2 unsaturated entries, have {eligible}"
         )
     rend = rendered[:, channel - 1]
-    if raws.shape[0] > max_colors:
+    if raws.shape[0] > MAX_COLORS:
         rng = np.random.default_rng(rng_seed)
-        chosen = rng.choice(raws.shape[0], size=max_colors, replace=False)
+        chosen = rng.choice(raws.shape[0], size=MAX_COLORS, replace=False)
         raws = raws[chosen]
         rend = rend[chosen]
     ii, jj = _pair_indices(raws.shape[0])
@@ -342,7 +318,8 @@ def build_half_spaces(pairs: PixelPairSet, channel: int,
     # np.take gathers rows several times faster than fancy indexing
     diffs = np.take(raws, ii[keep], axis=0) - np.take(raws, jj[keep], axis=0)
     diffs *= sign[:, None]
-    return HalfSpaceSet(diffs)
+    diffs.setflags(write=False)
+    return diffs
 
 
 def _count_true(mask: np.ndarray) -> np.ndarray:
@@ -656,9 +633,7 @@ def _median_direction(tied: np.ndarray) -> np.ndarray:
 
 
 def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
-                 trials: int = DEFAULT_TRIALS,
-                 max_colors: int = DEFAULT_MAX_COLORS,
-                 rng_seed: int = 0) -> np.ndarray:
+                 trials: int = DEFAULT_TRIALS, *, rng_seed: int = 0) -> np.ndarray:
     """Estimate one matrix row direction (unit vector).
 
     Runs ``trials`` seeded colour subsets; in each, the sphere point(s)
@@ -668,9 +643,9 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
     on the full pair set wins.
     """
     _check_integer(trials, "trials", 1)
-    sets = [build_half_spaces(pairs, channel, max_colors, rng_seed + trial)
-            for trial in range(trials)]
-    found = _search_trials(sphere, [hs.differences for hs in sets])
+    diffs = [build_half_spaces(pairs, channel, rng_seed=rng_seed + trial)
+             for trial in range(trials)]
+    found = _search_trials(sphere, diffs)
     candidates = np.array([_median_direction(sphere.points[tied]) for _, tied in found])
     residuals = monotonicity_score(pairs, candidates, channel)
     return candidates[int(np.argmin(residuals))]

@@ -171,8 +171,7 @@ def make_camera(seed: int = 0, delta: float = 0.25,
 
 def make_illuminants(count: int, seed: int = 0) -> list[np.ndarray]:
     """Diagonal illuminant gains; the first is always neutral."""
-    if count < 1:
-        raise ValueError("need at least one illuminant")
+    _check_integer(count, "count", 1)
     out = [np.ones(3)]
     rng = np.random.default_rng(seed)
     for _ in range(count - 1):
@@ -183,8 +182,7 @@ def make_illuminants(count: int, seed: int = 0) -> list[np.ndarray]:
 
 def make_exposures(count: int) -> list[float]:
     """Half-stop exposure ladder centred on 1."""
-    if count < 1:
-        raise ValueError("need at least one exposure")
+    _check_integer(count, "count", 1)
     return [float(2.0 ** (0.5 * (i - (count - 1) / 2))) for i in range(count)]
 
 

@@ -12,13 +12,17 @@ grid (Lorentz, *Bernstein Polynomials*).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpan, InsufficientData
-from .model import ColorMatrix, PixelPairSet, ToneCurve, _check_finite, _check_integer
+from .model import ColorMatrix, PixelPairSet, ToneCurve
 from .qp import QuadProgram, solve_qp
+
+# Polynomial degree and curvature weight of every tone curve. The weight
+# must stay > 0, so that every tone program is strictly convex.
+TONE_DEGREE = 7
+TONE_SMOOTHNESS = 1e-5
 
 # Every Bernstein rise ends at >= -_QP_TOL (b = 0), so the coefficients
 # are non-decreasing to 1e-9 with room for rounding; at 1e-8 a fit
@@ -30,19 +34,6 @@ _MIN_SPAN = 0.2
 # the less they exclude: at the curve's own degree 7, gamma-1/2.2
 # recovery is 1.1e-3 RMS; degrees 12 to 24 all give 6.7e-4.
 _RISE_DEGREE = 16
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Tone-fit settings: polynomial degree and curvature weight (> 0, so
-    that every tone program is strictly convex)."""
-
-    degree: int = 7
-    smoothness: float = 1e-5
-
-    def __post_init__(self) -> None:
-        _check_integer(self.degree, "degree", 1)
-        _check_finite(self.smoothness, "smoothness", positive=True)
 
 
 def curvature_matrix(degree: int) -> np.ndarray:
@@ -72,12 +63,12 @@ def _rise_rows(degree: int) -> np.ndarray:
     return b[1:] - b[:-1]
 
 
-def fit_monotone(x, y, cfg: FitConfig = FitConfig(), direction: str = "forward",
-                 channel: int = 1) -> ToneCurve:
+def fit_monotone(x, y, direction: str = "forward", channel: int = 1) -> ToneCurve:
     """Fit one monotone tone curve to samples with x in [0, 1].
 
-    The curve is non-decreasing on all of [0, 1]. Raises InsufficientData with fewer than degree + 1 samples and
-    DegenerateSpan when the x values cover less than 0.2 of [0, 1].
+    The curve is non-decreasing on all of [0, 1]. Raises InsufficientData
+    with fewer than TONE_DEGREE + 1 samples and DegenerateSpan when the x
+    values cover less than 0.2 of [0, 1].
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -85,9 +76,9 @@ def fit_monotone(x, y, cfg: FitConfig = FitConfig(), direction: str = "forward",
         raise ValueError("x and y must have equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("samples must be finite")
-    if x.size < cfg.degree + 1:
+    if x.size < TONE_DEGREE + 1:
         raise InsufficientData(
-            f"need at least {cfg.degree + 1} samples, have {x.size}"
+            f"need at least {TONE_DEGREE + 1} samples, have {x.size}"
         )
     if x.min() < -1e-9 or x.max() > 1.0 + 1e-9:
         raise ValueError("x samples must lie in [0, 1]")
@@ -97,10 +88,10 @@ def fit_monotone(x, y, cfg: FitConfig = FitConfig(), direction: str = "forward",
         )
     x = np.clip(x, 0.0, 1.0)
 
-    v = _power_basis(x, cfg.degree)
-    q = 2.0 * (v.T @ v + cfg.smoothness * curvature_matrix(cfg.degree))
+    v = _power_basis(x, TONE_DEGREE)
+    q = 2.0 * (v.T @ v + TONE_SMOOTHNESS * curvature_matrix(TONE_DEGREE))
     c = -2.0 * (v.T @ y)
-    rises = _rise_rows(cfg.degree)
+    rises = _rise_rows(TONE_DEGREE)
     prob = QuadProgram(q=q, c=c, a=-rises, b=np.zeros(rises.shape[0]))
     coef = solve_qp(prob, _QP_TOL).x
     return ToneCurve(coef, direction, channel)
@@ -113,22 +104,20 @@ def _forward_samples(m: ColorMatrix, pairs: PixelPairSet, channel: int):
     return x, y
 
 
-def fit_forward_tones(m: ColorMatrix, pairs: PixelPairSet,
-                      cfg: FitConfig = FitConfig()):
+def fit_forward_tones(m: ColorMatrix, pairs: PixelPairSet):
     """Per-channel curves mapping colour-corrected raw to rendered."""
     return tuple(
-        fit_monotone(*_forward_samples(m, pairs, ch), cfg, "forward", ch)
+        fit_monotone(*_forward_samples(m, pairs, ch), "forward", ch)
         for ch in (1, 2, 3)
     )
 
 
-def fit_inverse_tones(m: ColorMatrix, pairs: PixelPairSet,
-                      cfg: FitConfig = FitConfig()):
+def fit_inverse_tones(m: ColorMatrix, pairs: PixelPairSet):
     """Per-channel curves mapping rendered back to colour-corrected raw."""
     pool = pairs.unsaturated()
     curves = []
     for ch in (1, 2, 3):
         x = pool.rendered[:, ch - 1]
         y = pool.raw @ m.rows[ch - 1]
-        curves.append(fit_monotone(x, y, cfg, "inverse", ch))
+        curves.append(fit_monotone(x, y, "inverse", ch))
     return tuple(curves)

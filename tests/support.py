@@ -75,11 +75,11 @@ def grid_max_nn_gap(points: np.ndarray, cell: float = 0.05) -> float:
 _SCORE_BLOCK = 4096
 
 
-def score_candidate(m, hs) -> int:
+def score_candidate(m, diffs) -> int:
     """Number of constraints a candidate row direction satisfies strictly:
     the per-point oracle of the dense scan."""
     m = np.asarray(m, dtype=float).reshape(3)
-    return int(np.count_nonzero(hs.differences @ m > 0.0))
+    return int(np.count_nonzero(diffs @ m > 0.0))
 
 
 def score_all(sphere, diffs: np.ndarray) -> np.ndarray:

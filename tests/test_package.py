@@ -11,7 +11,7 @@ import rankcal
 PUBLIC = [
     "AffineGamutMap", "CalibrationConfig", "CalibrationError", "ColorMatrix",
     "CorpusFormatError", "DegenerateChannel", "DegenerateGeometry", "DegenerateSpan",
-    "EmptyCorpus", "FitConfig", "HalfSpaceSet", "Infeasible", "InsufficientData",
+    "EmptyCorpus", "Infeasible", "InsufficientData",
     "InsufficientVariety", "Lattice3", "MaxIterations", "ModelMetadata", "ModelParseError",
     "NoAchromaticSample", "PipelineModel", "PixelPairSet", "QpSolution", "QuadProgram",
     "SingularMatrix", "SphereSample", "SubsetSpec", "SyntheticCamera", "ToneCurve",

@@ -1,5 +1,6 @@
 """Tests for end-to-end calibration and bidirectional application."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -29,7 +30,7 @@ from rankcal.pipeline import (
     map_backward,
     map_forward,
 )
-from rankcal.ranking import sample_sphere
+from rankcal.ranking import build_half_spaces, estimate_row, sample_sphere
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, render_batch
 
 
@@ -64,6 +65,13 @@ class TestCalibrate:
         keys = dict(meta.settings)
         assert keys["seed"] == "3"
         assert keys["sphere_count"] == "100000"
+        # the constants that were settings are still written, so model
+        # files keep their bytes
+        lines = serialize_model(gated_bundle["model"]).splitlines()
+        for line in ("meta.setting.max_colors = 50", "meta.setting.tone_degree = 7",
+                     "meta.setting.tone_smoothness = 1e-05",
+                     "meta.setting.lattice_resolution = 5"):
+            assert line in lines
 
     def test_too_few_pairs_rejected(self):
         camera = make_camera(seed=1, delta=0.1, tone=ToneSpec("gamma", 1 / 2.2))
@@ -93,8 +101,7 @@ class TestCalibrate:
         ("rng_seed", -1), ("rng_seed", 2.0), ("rng_seed", True),
         ("sphere_count", 5), ("sphere_count", 2000.5), ("sphere_count", True),
         ("sphere_count", 2001),
-        ("trials", 0), ("trials", 2.0), ("max_colors", 1),
-        ("lattice_resolution", 1), ("lattice_resolution", 2.5),
+        ("trials", 0), ("trials", 2.0),
         ("lattice_regularization", 0.0), ("lattice_regularization", -1e-3),
         ("lattice_regularization", float("nan")), ("lattice_regularization", float("inf")),
         ("lattice_regularization", "0.05"),
@@ -103,6 +110,22 @@ class TestCalibrate:
         with pytest.raises(ValueError, match=field):
             CalibrationConfig(**{field: value})
 
+    def test_settable_values(self):
+        assert [f.name for f in dataclasses.fields(CalibrationConfig)] == [
+            "rng_seed", "sphere_count", "trials", "lattice_regularization"]
+
+    @pytest.mark.parametrize("call", [
+        lambda pairs, sphere: build_half_spaces(pairs, 1, 50),
+        lambda pairs, sphere: estimate_row(pairs, 1, sphere, 25, 50),
+        lambda pairs, sphere: pipeline.estimate_matrix(pairs, sphere, 25, 50),
+    ], ids=["build_half_spaces", "estimate_row", "estimate_matrix"])
+    def test_seed_is_keyword_only(self, call):
+        # a call written for the removed max_colors argument must not run
+        # with 50 read as the seed
+        corpus = make_corpus(make_camera(seed=5), 60, rng_seed=6)
+        with pytest.raises(TypeError):
+            call(corpus, sample_sphere(2000))
+
     def test_estimate_matrix_rejects_non_integer_trials(self):
         corpus = make_corpus(make_camera(seed=5), 60, rng_seed=6)
         with pytest.raises(ValueError, match="trials must be an integer >= 1, got 2.5"):
@@ -110,7 +133,6 @@ class TestCalibrate:
 
     def test_config_accepts_numpy_integers(self):
         cfg = CalibrationConfig(sphere_count=np.int64(6), trials=np.int32(1),
-                                max_colors=2, lattice_resolution=2,
                                 lattice_regularization=np.float64(1e-9))
         assert cfg.settings_dict()["sphere_count"] == 6
 

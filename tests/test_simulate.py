@@ -203,6 +203,13 @@ def test_exposure_ladder_centred_on_one():
     assert np.allclose(np.diff(np.log2(exposures)), 0.5)
 
 
+@pytest.mark.parametrize("make", [make_illuminants, make_exposures])
+@pytest.mark.parametrize("count", [2.5, "3", True, 0, -1])
+def test_count_must_be_positive_integer(make, count):
+    with pytest.raises(ValueError, match=f"count must be an integer >= 1, got {count!r}"):
+        make(count)
+
+
 def test_camera_sidecar_roundtrip():
     for mode in ("none", "affine", "warped"):
         camera = make_camera(seed=6, delta=0.25, tone=ToneSpec("srgb"),

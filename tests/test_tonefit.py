@@ -14,26 +14,14 @@ from rankcal.errors import DegenerateSpan, InsufficientData
 from rankcal.model import ColorMatrix, PixelPairSet
 from rankcal.qp import QuadProgram, solve_qp
 from rankcal.tonefit import (
-    FitConfig,
+    TONE_DEGREE,
+    TONE_SMOOTHNESS,
     _rise_rows,
     curvature_matrix,
     fit_forward_tones,
     fit_inverse_tones,
     fit_monotone,
 )
-
-@pytest.mark.parametrize("field, value, message", [
-    ("degree", 7.0, "degree must be an integer >= 1"), ("degree", True, "degree must be an integer"),
-    ("degree", 0, "degree must be an integer >= 1"),
-    ("smoothness", float("nan"), "smoothness must be finite and > 0"),
-    ("smoothness", float("inf"), "smoothness must be finite"), ("smoothness", -1e-5, "smoothness"),
-    ("smoothness", 0.0, "smoothness must be finite and > 0"),
-    ("smoothness", "1e-5", "smoothness"), ("smoothness", False, "smoothness"),
-])
-def test_fit_config_rejects_bad_field_by_name(field, value, message):
-    with pytest.raises(ValueError, match=message):
-        FitConfig(**{field: value})
-
 
 DENSE = np.linspace(0.0, 1.0, 2001)
 WINDOW = (DENSE >= 0.05) & (DENSE <= 0.95)
@@ -76,34 +64,34 @@ class TestFitMonotone:
         rng = np.random.default_rng(3)
         x = np.sort(rng.uniform(0.0, 1.0, 120))
         y = np.clip(x ** 0.7 + rng.normal(0.0, 0.05, 120), 0.0, 1.0)
-        cfg = FitConfig()
-        curve = fit_monotone(x, y, cfg)
+        curve = fit_monotone(x, y)
 
-        v = np.vander(x, cfg.degree + 1, increasing=True)
-        s = curvature_matrix(cfg.degree)
+        v = np.vander(x, TONE_DEGREE + 1, increasing=True)
+        s = curvature_matrix(TONE_DEGREE)
 
         def objective(coef):
             r = v @ coef - y
-            return float(r @ r + cfg.smoothness * coef @ s @ coef)
+            return float(r @ r + TONE_SMOOTHNESS * coef @ s @ coef)
 
         ls = np.linalg.lstsq(v, y, rcond=None)[0]
         # the derivative grid the fit was once constrained on
         grid = np.linspace(0.0, 1.0, 257)
-        deriv = np.zeros((grid.size, cfg.degree + 1))
-        for j in range(1, cfg.degree + 1):
+        deriv = np.zeros((grid.size, TONE_DEGREE + 1))
+        for j in range(1, TONE_DEGREE + 1):
             deriv[:, j] = j * grid ** (j - 1)
         projected = solve_qp(
-            QuadProgram(q=2 * np.eye(cfg.degree + 1), c=-2 * ls,
+            QuadProgram(q=2 * np.eye(TONE_DEGREE + 1), c=-2 * ls,
                         a=-deriv, b=np.zeros(grid.size)),
             1e-8,
         ).x
         assert objective(curve.coefficients) <= objective(projected) + 1e-9
 
-    def test_large_smoothness_forces_affine(self):
+    def test_large_smoothness_forces_affine(self, monkeypatch):
         rng = np.random.default_rng(4)
         x = np.sort(rng.uniform(0.0, 1.0, 200))
         y = x ** (1 / 2.2)
-        curve = fit_monotone(x, y, FitConfig(smoothness=1e3))
+        monkeypatch.setattr(tonefit, "TONE_SMOOTHNESS", 1e3)
+        curve = fit_monotone(x, y)
         values = curve(DENSE)
         design = np.column_stack([np.ones_like(DENSE), DENSE])
         affine = design @ np.linalg.lstsq(design, values, rcond=None)[0]
