@@ -21,10 +21,16 @@ from .qp import QuadProgram, solve_qp
 _QP_TOL = 1e-8
 _CUBE_SLACK = 1e-6
 
-# Samples per block of the lattice fit: its normal equations are summed
-# over dense (block, r^3) designs, 16 MB each at resolution 5, so a fit's
-# memory does not grow with its sample count beyond the inputs.
+# Samples per block of the lattice fit: a block's corner pairs are summed
+# into the normal equations from arrays of 28 values a sample, 3.7 MB each,
+# so a fit's memory does not grow with its sample count beyond the inputs.
 _FIT_BLOCK = 16_384
+
+# The 8 corners of a lattice cell as per-axis steps from its lowest node,
+# in the order 000, 001, ..., 111.
+_CORNERS = tuple((di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1))
+# Corner pairs (a, b) with a < b: the Gram entries above the diagonal.
+_UPPER_PAIRS = np.triu_indices(8, 1)
 
 
 @dataclass(frozen=True)
@@ -90,48 +96,73 @@ def solve_affine_gamut(points) -> AffineGamutMap:
     return AffineGamutMap(t, o)
 
 
+def _cells(v: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's lattice cell: the flat index (n,) of its lowest node, and
+    the row's fraction (3, n) of the way across the cell on each axis.
+
+    Rows (n, 3) are clamped to the cube first; the cell's lowest node has
+    per-axis index in [0, r - 2], and node (i, j, k) has flat index
+    (i * r + j) * r + k. The cell's corners are ``_CORNERS``.
+    """
+    scaled = v.T.copy()
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled *= r - 1
+    base = np.minimum(scaled.astype(np.int64), r - 2)
+    scaled -= base
+    return (base[0] * r + base[1]) * r + base[2], scaled
+
+
+def _corner_offsets(r: int) -> np.ndarray:
+    """Flat-index offset of each of ``_CORNERS`` from the cell's lowest node."""
+    return np.array([(di * r + dj) * r + dk for di, dj, dk in _CORNERS])
+
+
+def _corner_weights(frac: np.ndarray) -> np.ndarray:
+    """Weights (8, n) of the ``_CORNERS`` of each row's cell, from the
+    fractions (3, n) of ``_cells``: the product (wi * wj) * wk of the
+    per-axis fractions or their complements."""
+    sides = (1.0 - frac, frac)
+    w = np.empty((8, frac.shape[1]))
+    for corner, (di, dj, dk) in enumerate(_CORNERS):
+        w[corner] = sides[di][0] * sides[dj][1] * sides[dk][2]
+    return w
+
+
 def trilinear_weights(v: np.ndarray, resolution: int):
     """Corner node indices and weights for points in [0, 1]^3.
 
-    Returns (flat_indices, weights), both (n, 8). Inputs are clamped to
-    the cube first; weights are non-negative and sum to one per point.
+    Returns (flat_indices, weights), both (n, 8), in ``_CORNERS`` order.
+    Inputs are clamped to the cube first; weights are non-negative and
+    sum to one per point.
     """
-    v = np.clip(_as_rows(v, "v"), 0.0, 1.0)
     r = int(resolution)
-    scaled = v * (r - 1)
-    base = np.minimum(scaled.astype(np.int64), r - 2)
-    frac = scaled - base
-
-    n = v.shape[0]
-    idx = np.empty((n, 8), dtype=np.int64)
-    w = np.empty((n, 8))
-    corner = 0
-    for di in (0, 1):
-        wi = frac[:, 0] if di else 1.0 - frac[:, 0]
-        for dj in (0, 1):
-            wj = frac[:, 1] if dj else 1.0 - frac[:, 1]
-            for dk in (0, 1):
-                wk = frac[:, 2] if dk else 1.0 - frac[:, 2]
-                idx[:, corner] = (
-                    (base[:, 0] + di) * r * r + (base[:, 1] + dj) * r + (base[:, 2] + dk)
-                )
-                w[:, corner] = wi * wj * wk
-                corner += 1
-    return idx, w
+    flat, frac = _cells(_as_rows(v, "v"), r)
+    return flat[:, None] + _corner_offsets(r), np.ascontiguousarray(_corner_weights(frac).T)
 
 
 def apply_lattice(lut: Lattice3, v):
     """Trilinear interpolation of the LUT at v (a 3-vector or (n, 3)).
 
     Points are clamped to the cube, so an infinite coordinate reads the
-    nearest face; a NaN raises ValueError naming its row.
+    nearest face; a NaN raises ValueError naming its row. The weighted
+    corner nodes are added one corner at a time, in ``_CORNERS`` order,
+    so no (n, 8) index, weight or gathered-node array is formed.
     """
     arr = np.asarray(v, dtype=float)
     single = arr.ndim == 1
-    _check_rows(_as_rows(arr, "v"), "v", finite=False)
-    idx, w = trilinear_weights(arr, lut.resolution)
-    flat = lut.nodes.reshape(-1, 3)
-    out = np.einsum("nc,ncd->nd", w, flat[idx])
+    rows = _as_rows(arr, "v")
+    _check_rows(rows, "v", finite=False)
+    r = lut.resolution
+    flat, frac = _cells(rows, r)
+    sides = (1.0 - frac, frac)
+    nodes = lut.nodes.reshape(-1, 3)
+    out = np.zeros((flat.size, 3))
+    for offset, (di, dj, dk) in zip(_corner_offsets(r).tolist(), _CORNERS):
+        if dk == 0:
+            wij = sides[di][0] * sides[dj][1]
+        term = nodes[flat + offset]
+        term *= (wij * sides[dk][2])[:, None]
+        out += term
     return out[0] if single else out
 
 
@@ -150,6 +181,66 @@ def _grid_laplacian(resolution: int) -> np.ndarray:
     return lap
 
 
+def _normal_equations(v: np.ndarray, y: np.ndarray, r: int):
+    """Gram matrix (r^3, r^3), right-hand sides (r^3, 3) and touched-node
+    mask of the trilinear design of inputs v against targets y.
+
+    Each sample adds its 8 corner weights to the right-hand sides and
+    their 64 pairwise products to the Gram matrix. ``np.bincount`` sums
+    them corner pair by corner pair, each in sample order, so the result
+    does not depend on how a BLAS splits its work. A corner with the
+    lower index in ``_CORNERS`` has the lower node index, so the pairs
+    a < b fill the upper triangle, which is mirrored.
+    """
+    n_nodes = r ** 3
+    flat, frac = _cells(v, r)
+    w = _corner_weights(frac)
+    offsets = _corner_offsets(r)
+    a, b = _UPPER_PAIRS
+    pairs = flat * (n_nodes + 1) + (offsets[a] * n_nodes + offsets[b])[:, None]
+    products = w[a]
+    products *= w[b]
+    upper = np.bincount(pairs.ravel(), weights=products.ravel(),
+                        minlength=n_nodes * n_nodes).reshape(n_nodes, n_nodes)
+    idx = flat + offsets[:, None]
+    diagonal = np.bincount(idx.ravel(), weights=(w * w).ravel(), minlength=n_nodes)
+    gram = upper + upper.T + np.diag(diagonal)
+    residual = (y - v).T
+    rhs = np.column_stack([
+        np.bincount(idx.ravel(), weights=(w * residual[c]).ravel(), minlength=n_nodes)
+        for c in range(3)
+    ])
+    touched = np.bincount(idx[w > 1e-12], minlength=n_nodes) > 0
+    return gram, rhs, touched
+
+
+def _solve_lattice(gram: np.ndarray, rhs: np.ndarray, touched: np.ndarray,
+                   r: int, regularization: float) -> Lattice3:
+    """Nodes from the normal equations: identity plus the solution of
+    (G + regularization (L + A)) x = rhs, with L the grid Laplacian and A
+    the anchor of the untouched nodes.
+
+    The system is symmetric positive definite, so it is factored by
+    Cholesky, L D L^T with L unit lower triangular, and solved by a
+    forward and a back substitution, column by column in numpy.
+    """
+    n_nodes = r ** 3
+    anchor = np.where(touched, 0.0, 1.0)
+    system = gram + regularization * (_grid_laplacian(r) + np.diag(anchor))
+    low = np.linalg.cholesky(system)
+    scale = np.diag(low).copy()
+    unit = low / scale
+    down = unit.T.copy()
+    x = rhs.copy()
+    for j in range(n_nodes - 1):
+        x[j + 1:] -= down[j, j + 1:, None] * x[j]
+    x /= (scale * scale)[:, None]
+    for j in range(n_nodes - 1, 0, -1):
+        x[:j] -= unit[j, :j, None] * x[j]
+    nodes = Lattice3.identity(r).nodes.reshape(n_nodes, 3) + x
+    return Lattice3(nodes.reshape(r, r, r, 3))
+
+
 def fit_lattice(inputs, targets, resolution: int = 5,
                 regularization: float = 1e-3) -> Lattice3:
     """Fit LUT nodes so trilinear interpolation matches the targets.
@@ -158,12 +249,11 @@ def fit_lattice(inputs, targets, resolution: int = 5,
     a graph-Laplacian term keeps the correction smooth across the
     lattice, and nodes untouched by any sample are anchored to the
     identity. Gamut correction is a small residual, so an unobserved
-    region simply passes colours through. Each output channel is one
-    closed-form linear solve; regularization > 0 makes it unique. The
-    normal equations are accumulated over blocks of _FIT_BLOCK samples,
-    so a fit of one block forms them in a single product. Inputs are
-    clamped to the cube; a NaN input, or a target that is not finite,
-    raises ValueError naming its row.
+    region simply passes colours through. The three output channels
+    share one closed-form linear solve; regularization > 0 makes it
+    unique. The normal equations are accumulated over blocks of
+    _FIT_BLOCK samples. Inputs are clamped to the cube; a NaN input, or
+    a target that is not finite, raises ValueError naming its row.
     """
     v = _as_rows(inputs, "inputs")
     y = _as_rows(targets, "targets")
@@ -179,29 +269,11 @@ def fit_lattice(inputs, targets, resolution: int = 5,
     r = int(resolution)
     if r != resolution or r < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-    n_nodes = r ** 3
 
-    gram = np.zeros((n_nodes, n_nodes))
-    rhs = np.zeros((n_nodes, 3))
-    touched = np.zeros(n_nodes, dtype=bool)
-    for start in range(0, v.shape[0], _FIT_BLOCK):
-        vb = v[start:start + _FIT_BLOCK]
-        yb = y[start:start + _FIT_BLOCK]
-        idx, w = trilinear_weights(vb, r)
-        design = np.zeros((vb.shape[0], n_nodes))
-        np.put_along_axis(design, idx, w, axis=1)
-        gram += design.T @ design
-        touched |= (design > 1e-12).any(axis=0)
-        for c in range(3):
-            rhs[:, c] += design.T @ (yb[:, c] - vb[:, c])
-
-    lap = _grid_laplacian(r)
-    anchor = np.where(touched, 0.0, 1.0)
-    system = gram + regularization * (lap + np.diag(anchor))
-
-    identity_nodes = Lattice3.identity(r).nodes.reshape(n_nodes, 3)
-    nodes = np.empty((n_nodes, 3))
-    for c in range(3):
-        residual = np.linalg.solve(system, rhs[:, c])
-        nodes[:, c] = identity_nodes[:, c] + residual
-    return Lattice3(nodes.reshape(r, r, r, 3))
+    gram, rhs, touched = _normal_equations(v[:_FIT_BLOCK], y[:_FIT_BLOCK], r)
+    for start in range(_FIT_BLOCK, v.shape[0], _FIT_BLOCK):
+        block = _normal_equations(v[start:start + _FIT_BLOCK], y[start:start + _FIT_BLOCK], r)
+        gram += block[0]
+        rhs += block[1]
+        touched |= block[2]
+    return _solve_lattice(gram, rhs, touched, r, regularization)

@@ -59,6 +59,19 @@ def _check_rows(rows: np.ndarray, name: str, finite: bool) -> None:
                          f"{rows[row]}")
 
 
+def _horner(coefficients: np.ndarray, t) -> np.ndarray:
+    """The polynomial with ascending ``coefficients`` at t, by Horner's rule.
+
+    These are the operations of ``np.polynomial.polynomial.polyval``, so
+    the values are the same bits, without importing ``numpy.polynomial``.
+    """
+    x = np.asarray(t, dtype=float)
+    value = coefficients[-1] + x * 0
+    for c in coefficients[-2::-1]:
+        value = c + value * x
+    return value
+
+
 def _check_integer(value, name: str, least: int) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is an integer >=
     least (not a bool)."""
@@ -285,11 +298,10 @@ class ToneCurve:
         return self.coefficients.size - 1
 
     def __call__(self, t) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coefficients)
+        return _horner(self.coefficients, t)
 
     def derivative(self, t) -> np.ndarray:
-        dcoef = self.coefficients[1:] * np.arange(1, self.coefficients.size)
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), dcoef)
+        return _horner(self.coefficients[1:] * np.arange(1, self.coefficients.size), t)
 
     @classmethod
     def linear(cls, direction: str, channel: int, degree: int = 7) -> "ToneCurve":

@@ -44,10 +44,10 @@ MIN_DISTINCT_RENDERED = 10
 LATTICE_RESOLUTION = 5
 _GAUGE_HEADROOM = 1.02
 
-# Rows mapped per block by map_forward and map_backward. The lattice
-# scratch of a block (8 corner indices, 8 weights and 8 gathered nodes
-# per row) is then about 26 MB. At 1M pixels, blocks of 8k to 64k rows
-# map equally fast and larger ones are slower.
+# Rows mapped per block by map_forward, map_backward and
+# simulate.render_batch. The scratch of a map's block (a few (n, 3) arrays
+# for the tone and lattice layers) is then about 11 MB. At 1M pixels,
+# blocks of 8k to 64k rows map equally fast and larger ones are slower.
 _MAP_BLOCK = 65_536
 
 
@@ -124,7 +124,9 @@ def _check_calibration_input(pairs: PixelPairSet) -> PixelPairSet:
             f"pairs, have {len(pool)}"
         )
     for ch in range(3):
-        distinct = np.unique(pool.rendered[:, ch]).size
+        # sorted, not np.unique, which imports numpy.ma
+        values = np.sort(pool.rendered[:, ch])
+        distinct = 1 + np.count_nonzero(values[1:] != values[:-1])
         if distinct < MIN_DISTINCT_RENDERED:
             raise InsufficientData(
                 f"channel {ch + 1} has {distinct} distinct rendered values; "
@@ -223,7 +225,7 @@ def _map_in_blocks(rows: np.ndarray, layers) -> np.ndarray:
     """Run ``layers`` over row blocks and clamp each result into one output.
 
     The rows are split into ceil(n / _MAP_BLOCK) near-equal blocks, so the
-    lattice scratch stays fixed per block whatever n is, and no block holds
+    layers' scratch stays fixed per block whatever n is, and no block holds
     a single row unless n == 1: numpy forms a one-row product with gemv,
     which rounds differently from the batched product.
     """

@@ -427,56 +427,73 @@ def _search_trials(sphere: SphereSample,
         unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
         dt = np.ascontiguousarray(padded.transpose(1, 0, 2), dtype=np.float32)
         if found:
-            floor_points = np.unique(np.concatenate([tied for _, tied in found]))
+            # sorted, not np.unique, which imports numpy.ma
+            points = np.sort(np.concatenate([tied for _, tied in found]))
+            floor_points = points[np.concatenate(([True], points[1:] != points[:-1]))]
         else:
-            floor_points = _best_cap_points(sphere, unit, sizes[:1])
+            floor_points = None
         found += _search_chunk(sphere, unit, dt, sizes[start:stop], floor_points)
     return found
 
 
-def _best_cap_points(sphere: SphereSample, unit: np.ndarray,
-                     sizes: np.ndarray) -> np.ndarray:
+def _best_cap_points(sphere: SphereSample, unit: np.ndarray, sizes: np.ndarray,
+                     group_plus: np.ndarray, group_minus: np.ndarray):
     """Sphere indices of the points of one trial's best-bounded cap in its
-    best-bounded group, on the cap's better side."""
+    best-bounded group, on the cap's better side, given the trial's group
+    bounds; and the bounds (plus, minus) of that group's caps, which come
+    first, first + 1, ... in the cap index, with first."""
     caps = sphere.caps
-    plus, minus = _upper_bounds(caps.group_centres, caps.group_radius, unit, sizes)
-    top = int(np.argmax(np.maximum(plus, minus)))
+    top = int(np.argmax(np.maximum(group_plus, group_minus)))
     near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
     plus, minus = _upper_bounds(caps.centres[near], caps.radius[near], unit, sizes)
     best = int(np.argmax(np.maximum(plus, minus)))
     side = 0 if plus[best, 0] >= minus[best, 0] else sphere.count // 2
-    return np.sort(_members(caps, near[best:best + 1])) + side
+    return np.sort(_members(caps, near[best:best + 1])) + side, (int(near[0]), plus, minus)
 
 
 def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
                   sizes: np.ndarray,
-                  floor_points: np.ndarray) -> list[tuple[int, np.ndarray]]:
+                  floor_points: np.ndarray | None) -> list[tuple[int, np.ndarray]]:
     """Branch-and-bound over the cap index for a chunk of trials.
 
     ``unit`` (3, t, p) and ``dt`` (t, 3, p) hold the trials' unit and
     raw differences as float32, padded with zeros: a zero product counts
     for no side, and zero columns leave the other products as the dense
     blocks form them. Each trial's floor is the best score of the
-    ascending sphere indices ``floor_points``. The caps of every group
-    that reaches a trial's floor are bounded, in one product for the
-    chunk, and the points of each (cap, side) whose group and cap bounds
-    still reach it are scored, on that side alone. The floor is a score
-    that some point reaches, so every tied point is among them.
+    ascending sphere indices ``floor_points``; a chunk of one trial with
+    no floor points is floored on ``_best_cap_points``, whose cap bounds
+    are then not formed again. The caps of every group that reaches a
+    trial's floor are bounded, in one product for the chunk, and the
+    points of each (cap, side) whose group and cap bounds still reach it
+    are scored, on that side alone. The floor is a score that some point
+    reaches, so every tied point is among them.
     """
     caps = sphere.caps
     half = sphere.count // 2
+    group_plus, group_minus = _upper_bounds(caps.group_centres, caps.group_radius,
+                                            unit, sizes)
+    if floor_points is None:
+        floor_points, (first, known_plus, known_minus) = _best_cap_points(
+            sphere, unit, sizes, group_plus, group_minus)
+    else:
+        first, known_plus = 0, np.empty((0, sizes.size), dtype=np.int64)
+        known_minus = known_plus
     upper = int(np.searchsorted(floor_points, half))
     points = sphere.points[floor_points % half].astype(np.float32)[None]
     floor = np.concatenate(_scores(points, dt, upper, upper), axis=1).max(axis=1)
 
     group_caps = np.diff(caps.group_offsets)
-    group_plus, group_minus = _upper_bounds(caps.group_centres, caps.group_radius,
-                                            unit, sizes)
     open_plus = np.repeat(group_plus >= floor, group_caps, axis=0)
     open_minus = np.repeat(group_minus >= floor, group_caps, axis=0)
     near = np.flatnonzero((open_plus | open_minus).any(axis=1))
-    cap_plus, cap_minus = _upper_bounds(caps.centres[near], caps.radius[near],
-                                        unit, sizes)
+    known = (near >= first) & (near < first + known_plus.shape[0])
+    fresh = near[~known]
+    cap_plus = np.empty((near.size, sizes.size), dtype=np.int64)
+    cap_minus = np.empty_like(cap_plus)
+    cap_plus[~known], cap_minus[~known] = _upper_bounds(caps.centres[fresh],
+                                                        caps.radius[fresh], unit, sizes)
+    cap_plus[known] = known_plus[near[known] - first]
+    cap_minus[known] = known_minus[near[known] - first]
     open_plus = open_plus[near] & (cap_plus >= floor)
     open_minus = open_minus[near] & (cap_minus >= floor)
 
@@ -624,7 +641,10 @@ def _monotone_residuals(raw: np.ndarray, y: np.ndarray,
 
 
 def _median_direction(tied: np.ndarray) -> np.ndarray:
-    med = np.median(tied, axis=0)
+    # the componentwise median as np.median forms it, which imports numpy.ma
+    ordered = np.sort(tied, axis=0)
+    half = ordered.shape[0] // 2
+    med = ordered[half] if ordered.shape[0] % 2 else (ordered[half - 1] + ordered[half]) / 2
     norm = np.linalg.norm(med)
     if norm < 1e-12:
         # antipodal tie cluster; fall back to the first point

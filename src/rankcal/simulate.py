@@ -19,6 +19,7 @@ from .gamut import AffineGamutMap, solve_affine_gamut
 from .model import (ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer,
                     saturation_flags)
 from .modelfile import _fmt, _Reader
+from .pipeline import _map_in_blocks
 
 TONE_FAMILIES = ("gamma", "srgb", "filmic")
 GAMUT_MODES = ("none", "affine", "warped")
@@ -97,26 +98,36 @@ def _warp(v: np.ndarray, scale: float) -> np.ndarray:
 
 def render_batch(camera: SyntheticCamera, raws: np.ndarray,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Render raw rows (n, 3), or one (3,) row, to rendered rows in [0, 1]^3."""
+    """Render raw rows (n, 3), or one (3,) row, to rendered rows in [0, 1]^3.
+
+    Rows are rendered in the blocks that ``map_forward`` maps, so the
+    scratch of every step stays fixed per block whatever n is. Noise is
+    drawn block after block, which is the same draw as one for all rows.
+    """
     raws = _as_rows(raws, "raws")
-    v = raws @ camera.matrix.rows.T
-    if camera.gamut is not None:
-        v = camera.gamut.apply(v)
-        if camera.warp_scale > 0.0:
-            v = _warp(np.clip(v, 0.0, 1.0), camera.warp_scale)
-    # v and out are built here, never the caller's rows, so each step
-    # after the first product works in place
-    out = camera.tone(np.clip(v, 0.0, 1.0, out=v))
-    if camera.noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("rendering with noise requires an explicit rng")
-        out += rng.normal(0.0, camera.noise_sigma, size=out.shape)
-    if camera.quantize:
-        np.clip(out, 0.0, 1.0, out=out)
-        out *= 255.0
-        np.round(out, out=out)
-        out /= 255.0
-    return np.clip(out, 0.0, 1.0, out=out)
+    if camera.noise_sigma > 0.0 and rng is None:
+        raise ValueError("rendering with noise requires an explicit rng")
+    rows_t = camera.matrix.rows.T
+
+    def layers(block):
+        v = block @ rows_t
+        if camera.gamut is not None:
+            v = camera.gamut.apply(v)
+            if camera.warp_scale > 0.0:
+                v = _warp(np.clip(v, 0.0, 1.0), camera.warp_scale)
+        # v and out are built here, never the caller's rows, so each step
+        # after the first product works in place
+        out = camera.tone(np.clip(v, 0.0, 1.0, out=v))
+        if camera.noise_sigma > 0.0:
+            out += rng.normal(0.0, camera.noise_sigma, size=out.shape)
+        if camera.quantize:
+            np.clip(out, 0.0, 1.0, out=out)
+            out *= 255.0
+            np.round(out, out=out)
+            out /= 255.0
+        return out
+
+    return _map_in_blocks(raws, layers)
 
 
 def make_camera(seed: int = 0, delta: float = 0.25,

@@ -2,7 +2,8 @@
 reference implementations the optimised code is checked against (the
 per-point constraint count, the dense sphere scan, the array-based
 isotonic fit, the one-candidate monotone residual, the unblocked maps,
-the unblocked lattice fit, calibration without memoised inputs and the
+the gathered lattice interpolation, the unblocked and the dense lattice
+fits, the unblocked render, calibration without memoised inputs and the
 row-at-a-time corpus parser)."""
 
 import csv
@@ -16,7 +17,7 @@ import numpy as np
 from rankcal import pipeline, ranking, simulate
 from rankcal.dataset import CSV_COLUMNS
 from rankcal.errors import CorpusFormatError, EmptyCorpus
-from rankcal.gamut import _grid_laplacian, apply_lattice, trilinear_weights
+from rankcal.gamut import _grid_laplacian, _solve_lattice, apply_lattice, trilinear_weights
 from rankcal.model import Lattice3, PixelPairSet, _as_rows, saturation_flags
 
 
@@ -188,9 +189,40 @@ def map_backward_unblocked(model, rendered) -> np.ndarray:
     return np.clip(apply_lattice(model.backward_lut, back), 0.0, 1.0)
 
 
+def apply_lattice_einsum(lut, v) -> np.ndarray:
+    """Trilinear interpolation by gathering every row's (8, 3) corner nodes
+    and summing them with ``einsum``: the corner-by-corner kernel's oracle."""
+    idx, w = trilinear_weights(v, lut.resolution)
+    return np.einsum("nc,ncd->nd", w, lut.nodes.reshape(-1, 3)[idx])
+
+
 def fit_lattice_unblocked(inputs, targets, resolution: int = 5,
                           regularization: float = 1e-3) -> Lattice3:
-    """Lattice fit from one dense (n, r^3) design: the blocked fit's oracle."""
+    """Lattice fit whose normal equations are summed by one ``np.bincount``
+    over every sample's 64 corner pairs: the blocked fit's oracle."""
+    v = np.clip(np.asarray(inputs, dtype=float).reshape(-1, 3), 0.0, 1.0)
+    y = _as_rows(targets, "targets")
+    r = int(resolution)
+    n_nodes = r ** 3
+
+    # corners (8, n), summed corner pair by corner pair in sample order
+    idx, w = (a.T for a in trilinear_weights(v, r))
+    pairs = (idx[:, None, :] * n_nodes + idx[None, :, :]).ravel()
+    gram = np.bincount(pairs, weights=(w[:, None, :] * w[None, :, :]).ravel(),
+                       minlength=n_nodes * n_nodes).reshape(n_nodes, n_nodes)
+    rhs = np.column_stack([
+        np.bincount(idx.ravel(), weights=(w * (y[:, c] - v[:, c])).ravel(), minlength=n_nodes)
+        for c in range(3)
+    ])
+    touched = np.zeros(n_nodes, dtype=bool)
+    touched[idx[w > 1e-12]] = True
+    return _solve_lattice(gram, rhs, touched, r, regularization)
+
+
+def fit_lattice_dense(inputs, targets, resolution: int = 5,
+                      regularization: float = 1e-3) -> Lattice3:
+    """Lattice fit from one dense (n, r^3) design and ``np.linalg.solve``:
+    an oracle of the normal equations and of their Cholesky solve."""
     v = np.clip(np.asarray(inputs, dtype=float).reshape(-1, 3), 0.0, 1.0)
     y = _as_rows(targets, "targets")
     r = int(resolution)
@@ -215,7 +247,8 @@ def fit_lattice_unblocked(inputs, targets, resolution: int = 5,
 
 
 def render_batch_reference(camera, raws, rng=None) -> np.ndarray:
-    """Rendering with a new array at every step: the in-place render's oracle."""
+    """Rendering of all rows at once, with a new array at every step: the
+    blocked, in-place render's oracle."""
     raws = _as_rows(raws, "raws")
     v = raws @ camera.matrix.rows.T
     if camera.gamut is not None:

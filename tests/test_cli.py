@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rankcal
 
 from rankcal.cli import main
 from rankcal.dataset import CSV_COLUMNS, load_corpus, save_corpus
 from rankcal.model import ColorMatrix, Lattice3, PipelineModel, PixelPairSet, ToneCurve
 from rankcal.modelfile import deserialize_model, serialize_model
-from rankcal.simulate import deserialize_camera
+from rankcal.simulate import ToneSpec, deserialize_camera, make_camera, make_corpus
 
 FAST = ["--sphere-count", "20000", "--trials", "4"]
 
@@ -315,3 +321,53 @@ def test_end_to_end_reports_sane_rmse(tmp_path):
                 "--direction", "forward", "--report", report]) == 0
     rmse_line = [l for l in report.read_text().split("\n") if l.startswith("rmse:")][0]
     assert float(rmse_line.split(":")[1]) <= 3.0
+
+
+# The acceptance gate's criterion-2, -9 and -10 calibrations, each model
+# then applied both ways to its corpus.
+_THREAD_RUNS = [
+    ("c2", "c2.csv", "all", ["--seed", "3"]),
+    ("c9-140", "image.csv", "uniform:140", ["--seed", "2"]),
+    ("c9-8000", "image.csv", "uniform:8000", ["--seed", "2"]),
+    ("c10", "c10.csv", "uniform:120", ["--seed", "4", "--sphere-count", "20000",
+                                       "--trials", "4"]),
+]
+
+
+def _run_at_threads(tmp_path, threads: int) -> dict:
+    """sha256 of every model and apply output of _THREAD_RUNS, from one
+    child process whose BLAS runs ``threads`` threads."""
+    out = tmp_path / f"threads{threads}"
+    out.mkdir()
+    commands = []
+    for name, corpus, subset, options in _THREAD_RUNS:
+        model = out / f"{name}.txt"
+        commands.append(["calibrate", "--data", tmp_path / corpus, "--subset", subset,
+                         "--out", model, *options])
+        for direction in ("forward", "backward"):
+            commands.append(["apply", "--model", model, "--direction", direction,
+                             "--in", tmp_path / corpus, "--out", out / f"{name}-{direction}.csv"])
+    script = ("import sys\nfrom rankcal.cli import main\n"
+              f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
+              "    assert main(argv) == 0, argv\n")
+    src = str(Path(rankcal.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_models_and_outputs_do_not_depend_on_blas_threads(tmp_path):
+    camera = make_camera(seed=11, delta=0.25, tone=ToneSpec("gamma", 1 / 2.2),
+                         gamut_mode="affine")
+    save_corpus(make_corpus(camera, 140, rng_seed=5), tmp_path / "c2.csv")
+    assert run(["simulate", "--out", tmp_path / "image.csv", "--patches", 8100,
+                "--seed", 17, "--quantize"]) == 0
+    assert run(["simulate", "--out", tmp_path / "c10.csv", "--patches", 140,
+                "--seed", 9, "--noise", 0.004, "--quantize"]) == 0
+    one = _run_at_threads(tmp_path, 1)
+    two = _run_at_threads(tmp_path, 2)
+    assert len(one) == 3 * len(_THREAD_RUNS)
+    assert one == two

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import fit_lattice_unblocked
+from support import apply_lattice_einsum, fit_lattice_dense, fit_lattice_unblocked
 
 from rankcal import gamut
 from rankcal.errors import DegenerateGeometry
@@ -148,6 +148,19 @@ class TestApplyLattice:
             assert gap <= 1e-6
 
 
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_matches_gathered_einsum_bit_for_bit(self, r):
+        rng = np.random.default_rng(r)
+        lut = Lattice3(rng.normal(size=(r, r, r, 3)))
+        v = rng.uniform(-0.2, 1.2, size=(20_000, 3))
+        # rows on lattice planes, on the upper face and clamped from +-inf
+        v[:500] = rng.integers(0, r, size=(500, 3)) / (r - 1)
+        v[500:510] = [np.inf, -np.inf, 0.5]
+        v[510:520, 1] = -np.inf
+        v[520:530, 2] = np.inf
+        got = apply_lattice(lut, v)
+        assert got.tobytes() == apply_lattice_einsum(lut, v).tobytes()
+
     def test_nan_row_named_and_infinities_clamped(self):
         lut = Lattice3.identity(5)
         with pytest.raises(ValueError, match=r"v row 0 is NaN"):
@@ -228,14 +241,30 @@ class TestFitLattice:
         blocked = fit_lattice(v, y, resolution=5, regularization=1e-3)
         reference = fit_lattice_unblocked(v, y, resolution=5, regularization=1e-3)
         if exact:
-            # one block forms the normal equations as the dense design did
+            # one block sums the normal equations as one bincount does
             assert np.array_equal(blocked.nodes, reference.nodes)
         else:
             assert np.abs(blocked.nodes - reference.nodes).max() <= 1e-12
 
+    @pytest.mark.parametrize("n, resolution, regularization", [
+        (1, 5, 1e-3), (140, 5, 0.05), (2000, 5, 1e-3), (2000, 3, 1e-6),
+        (gamut._FIT_BLOCK + 1, 5, 1e-3),
+    ])
+    def test_matches_dense_design_solve(self, n, resolution, regularization):
+        # the dense design and np.linalg.solve round differently from the
+        # bincount sums and the Cholesky solve: by at most 5.7e-15 in these
+        # cases, under a bound of 1e-13
+        rng = np.random.default_rng(n)
+        v = rng.uniform(0.0, 1.0, size=(n, 3)) * [1.0, 1.0, 0.6]
+        y = np.clip(v + 0.05 * np.sin(2 * np.pi * v) + 0.01 * rng.normal(size=v.shape),
+                    0.0, 1.0)
+        got = fit_lattice(v, y, resolution, regularization)
+        reference = fit_lattice_dense(v, y, resolution, regularization)
+        assert np.abs(got.nodes - reference.nodes).max() <= 1e-13
+
     def test_traced_memory_bounded_per_sample(self):
-        # the parent's dense design took 1 kB a sample; what remains is
-        # the clipped copy of the inputs (24 bytes a sample)
+        # a dense design would take 1 kB a sample; what remains is the
+        # clipped copy of the inputs (24 bytes a sample)
         B = gamut._FIT_BLOCK
         rng = np.random.default_rng(3)
         peaks = []

@@ -64,3 +64,31 @@ def test_command_line_imports_only_stdlib_numpy_and_rankcal(tmp_path):
     # "import org.python.core"; a module that cannot be found was not loaded
     foreign = {name for name in foreign if importlib.util.find_spec(name) is not None}
     assert not foreign, sorted(foreign)
+
+
+_NEW_NUMPY_MODULES = """
+import sys
+import rankcal
+from rankcal.simulate import make_camera, make_corpus
+
+# the corpus is drawn with numpy.random, which calibrate also uses
+pairs = make_corpus(make_camera(seed=1, gamut_mode="warped", quantize=True), 140, rng_seed=2)
+before = set(sys.modules)
+model = rankcal.calibrate(pairs, rankcal.CalibrationConfig(sphere_count=2000, trials=2))
+rankcal.map_forward(model, pairs.raw)
+rankcal.map_backward(model, pairs.rendered)
+rankcal.serialize_model(model)
+print(" ".join(sorted(m for m in set(sys.modules) - before if m.startswith("numpy"))))
+"""
+
+
+def test_calibration_imports_no_numpy_submodule(tmp_path):
+    # np.unique and np.median import numpy.ma, and polyval numpy.polynomial,
+    # on the first call: a cost that every one-shot calibration paid
+    src = str(Path(rankcal.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _NEW_NUMPY_MODULES], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == []

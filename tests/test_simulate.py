@@ -1,8 +1,12 @@
 """Tests for the synthetic camera and corpus generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from support import render_batch_reference
+
+from rankcal import pipeline
 
 from rankcal.errors import ModelParseError
 from rankcal.model import ColorMatrix
@@ -19,6 +23,8 @@ from rankcal.simulate import (
     render_batch,
     serialize_camera,
 )
+
+B = pipeline._MAP_BLOCK
 
 
 def plain_camera(**kwargs):
@@ -90,6 +96,36 @@ class TestRender:
         want = render_batch_reference(camera, raws, np.random.default_rng(9))
         assert got.tobytes() == want.tobytes()
         assert raws.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 1])
+    def test_blocks_match_reference_bit_for_bit(self, n):
+        # noise is drawn block after block, as one draw for every row would be
+        raws = np.random.default_rng(n).uniform(-0.1, 1.1, (n, 3))
+        for seed, family in ((4, "filmic"), (5, "srgb")):
+            camera = make_camera(seed=seed, delta=0.3, tone=ToneSpec(family),
+                                 gamut_mode="warped", noise_sigma=2.0 / 255.0,
+                                 quantize=True, warp_scale=0.05)
+            got = render_batch(camera, raws, np.random.default_rng(seed))
+            want = render_batch_reference(camera, raws, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+    def test_traced_memory_bounded_per_row(self):
+        # between 4B and 8B rows only the (n, 3) float64 output may grow
+        # (24 bytes a row); rendering every row at once would add the
+        # temporaries of each step, 72 bytes a row or more
+        camera = make_camera(seed=6, tone=ToneSpec("srgb"), gamut_mode="warped",
+                             noise_sigma=0.01, quantize=True)
+        peaks = []
+        for n in (4 * B, 8 * B):
+            raws = np.full((n, 3), 0.5)
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                render_batch(camera, raws, rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (4 * B) <= 32
 
     def test_warp_stays_inside_cube(self):
         camera = make_camera(seed=5, delta=0.3, tone=ToneSpec("gamma", 1 / 2.2),
