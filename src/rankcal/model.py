@@ -79,6 +79,13 @@ def _check_integer(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_channel(value, name: str = "channel") -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is the integer 1,
+    2 or 3 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= 3:
+        raise ValueError(f"{name} must be 1..3 as an integer, got {value!r}")
+
+
 def _check_finite(value, name: str, positive: bool) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a finite real
     > 0, or >= 0 when not ``positive``."""
@@ -279,8 +286,7 @@ class ToneCurve:
             raise ValueError("ToneCurve coefficients must be finite")
         if self.direction not in ("forward", "inverse"):
             raise ValueError(f"unknown tone direction {self.direction!r}")
-        if self.channel not in (1, 2, 3):
-            raise ValueError(f"tone channel must be 1..3, got {self.channel}")
+        _check_channel(self.channel, "tone channel")
         coef = coef.copy()
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DegenerateChannel, InsufficientData, NoAchromaticSample
 from .errors import CalibrationError
-from .model import SATURATION_FRACTION, ColorMatrix, PixelPairSet, _check_integer
+from .model import (SATURATION_FRACTION, ColorMatrix, PixelPairSet, _check_channel,
+                    _check_integer)
 
 DEFAULT_SPHERE_COUNT = 100_000
 DEFAULT_TRIALS = 25
@@ -53,9 +54,11 @@ _BOUND_ENTRIES = 2 ** 19
 _LANE_WORDS = 255
 
 # Candidate x pair elements scored together by ``monotonicity_score``:
-# its (k, n) work arrays stay near 8 MB each, about what one candidate
-# over 2**20 pairs needs.
-_RESIDUAL_POINTS = 2 ** 20
+# each of its (k, n) float64 work arrays stays near 256 KiB, so a batch's
+# arrays fit together in a core's 2 MiB L2 cache. On 8000 pairs, 2**14
+# was slower, 2**16 no faster at twice the memory, and 2**20 (8 MiB an
+# array) a third slower.
+_RESIDUAL_POINTS = 2 ** 15
 
 # Caps of the row search: points are grouped around this many Fibonacci
 # spiral centres over the upper hemisphere. 256 caps prune too little and
@@ -293,8 +296,7 @@ def build_half_spaces(pairs: PixelPairSet, channel: int, *,
     first: the true row satisfies row @ d > 0. Returns the read-only
     (m, 3) differences, m >= 1.
     """
-    if channel not in (1, 2, 3):
-        raise ValueError(f"channel must be 1..3, got {channel}")
+    _check_channel(channel)
     _check_integer(rng_seed, "rng_seed", 0)
     eligible, raws, rendered = pairs._rank_pool
     if eligible < 2:
@@ -556,9 +558,13 @@ def monotonicity_score(pairs: PixelPairSet, m: np.ndarray,
     function must map them to one value), so the residual includes their
     spread.
     """
-    if channel not in (1, 2, 3):
-        raise ValueError(f"channel must be 1..3, got {channel}")
-    rows = np.asarray(m, dtype=float)
+    _check_channel(channel)
+    try:
+        if np.iscomplexobj(m):
+            raise TypeError
+        rows = np.asarray(m, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"m must be an array of real numbers, got {m!r}") from None
     if rows.shape != (3,) and (rows.ndim != 2 or rows.shape[1] != 3 or len(rows) == 0):
         raise ValueError(f"m must have shape (3,) or (k, 3) with k >= 1, got {rows.shape}")
     stack = rows.reshape(-1, 3)
@@ -593,7 +599,9 @@ def _monotone_residuals(raw: np.ndarray, y: np.ndarray,
     done; one whose round would merge fewer than 1/8 of its blocks, as
     when one outlier cascades through the rest, is finished on the
     ``isotonic_fit`` stack, which bounds the rounds. Both decisions are
-    made per candidate, so a row gets the same bits in any batch.
+    made per candidate, so a row gets the same bits in any batch. When
+    no two of a batch's projections are equal, the usual case, the tie
+    re-order and pooling are skipped: each pair starts as its own block.
     """
     k = rows.shape[0]
     x = np.stack([raw @ row for row in rows])
@@ -602,19 +610,25 @@ def _monotone_residuals(raw: np.ndarray, y: np.ndarray,
     xs = np.take_along_axis(x, order, axis=1)
     first = np.ones((k, n), dtype=bool)
     first[:, 1:] = np.diff(xs, axis=1) > 0.0
-    if not first.all():
+    if first.all():
+        # no ties, the usual case: every pair is a block of one, whose sum
+        # is the bits a singleton reduceat returns
+        ys = y[order]
+        sums = ys.ravel()
+        counts = np.ones(k * n, dtype=np.int64)
+        owner = np.repeat(np.arange(k), n)
+    else:
         # the unstable sort, several times faster, may permute a run of
         # equal x; ordering each run by pair index gives the order of
         # np.argsort(x, axis=1, kind="stable"), so tie sums add as before
         key = np.cumsum(first, axis=1) * n + order
         key.sort(axis=1)
-        order = key % n
-    ys = y[order]
-    # pool exact ties in x: group sums and sizes, never across candidates
-    starts = np.flatnonzero(first)
-    sums = np.add.reduceat(ys.ravel(), starts)
-    counts = np.diff(np.append(starts, k * n))
-    owner = starts // n
+        ys = y[key % n]
+        # pool exact ties in x: group sums and sizes, never across candidates
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(ys.ravel(), starts)
+        counts = np.diff(np.append(starts, k * n))
+        owner = starts // n
     fit = np.empty((k, n))
     while owner.size:
         means = sums / counts

@@ -145,6 +145,14 @@ class TestToneCurve:
         with pytest.raises(ValueError):
             ToneCurve(coef, "forward", 4)
 
+    @pytest.mark.parametrize("channel", [1.0, True, "1", 0, 4])
+    def test_non_channel_rejected_by_name(self, channel):
+        coef = np.zeros(8)
+        coef[1] = 1.0
+        with pytest.raises(ValueError, match=f"tone channel must be 1..3 as an integer, got {channel!r}"):
+            ToneCurve(coef, "forward", channel)
+        assert ToneCurve(coef, "forward", np.int64(2)).channel == 2
+
 
 class TestLattice3:
     def test_identity_nodes_are_grid_positions(self):

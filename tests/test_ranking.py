@@ -1,5 +1,7 @@
 """Tests for sphere sampling, half-space scoring, and row estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,33 @@ class TestBuildHalfSpaces:
         raw = np.array(rows, dtype=float)
         _, want = np.unique(raw, axis=0, return_index=True)
         assert np.array_equal(ranking._first_of_each_row(raw), np.sort(want))
+
+
+CHANNEL_ENTRIES = {
+    "build_half_spaces": lambda pairs, channel: build_half_spaces(pairs, channel),
+    "monotonicity_score": lambda pairs, channel: monotonicity_score(
+        pairs, np.array([0.5, 0.3, 0.2]), channel),
+    "estimate_row": lambda pairs, channel: estimate_row(
+        pairs, channel, sample_sphere(2000), trials=2),
+}
+
+
+class TestChannelCheck:
+    @pytest.mark.parametrize("entry", sorted(CHANNEL_ENTRIES))
+    @pytest.mark.parametrize("channel", [1.0, True, "1", 0, 4])
+    def test_non_channel_rejected_by_name(self, entry, channel):
+        rng = np.random.default_rng(5)
+        pairs = synthetic_channel_pairs(rng, 40, np.array([0.6, 0.3, 0.1]))
+        with pytest.raises(ValueError, match=f"channel must be 1..3 as an integer, got {channel!r}"):
+            CHANNEL_ENTRIES[entry](pairs, channel)
+
+    @pytest.mark.parametrize("entry", sorted(CHANNEL_ENTRIES))
+    def test_numpy_integer_accepted(self, entry):
+        rng = np.random.default_rng(5)
+        pairs = synthetic_channel_pairs(rng, 40, np.array([0.6, 0.3, 0.1]))
+        want = CHANNEL_ENTRIES[entry](pairs, 2)
+        got = CHANNEL_ENTRIES[entry](pairs, np.int64(2))
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestScoreCandidate:
@@ -810,10 +839,67 @@ class TestStackedMonotonicityScore:
         (np.ones((2, 4)), r"got \(2, 4\)"),
         (np.ones((3, 1)), r"got \(3, 1\)"),
         (np.ones((1, 2, 3)), r"got \(1, 2, 3\)"),
+        ([1j, 0.0, 0.0], r"m must be an array of real numbers, got \[1j, 0.0, 0.0\]"),
+        ("abc", "m must be an array of real numbers, got 'abc'"),
     ])
     def test_rejects_bad_rows_at_entry(self, m, match):
         with pytest.raises(ValueError, match=match):
             monotonicity_score(cascade_pairs(60), m, 1)
+
+
+class TestSplitBatches:
+    """25 candidates over 2,000 unsaturated pairs: the default batch holds
+    16 of them, so the stack is scored in two batches."""
+
+    @staticmethod
+    def corpus(tied):
+        rng = np.random.default_rng(31 if tied else 30)
+        raw = rng.uniform(0.0, 0.9, size=(2400, 3))
+        rows = rng.normal(size=(25, 3))
+        if tied:
+            # dyadic raws and small integer rows give exactly equal projections
+            raw = np.round(raw * 8.0) / 8.0
+            rows = rng.integers(-2, 3, size=(25, 3)).astype(float)
+            rows[~rows.any(axis=1), 0] = 1.0
+        rendered = np.round(np.clip(raw @ np.array([0.6, 0.3, 0.1]), 0.0, 1.0) ** 0.45
+                            * 255.0) / 255.0
+        rendered = np.column_stack([rendered, rendered[::-1], rendered])
+        saturated = np.arange(2400) % 6 == 0
+        pairs = PixelPairSet.from_arrays(raw, rendered, saturated=saturated)
+        return pairs, rows
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_same_bits_in_any_batch(self, tied):
+        pairs, rows = self.corpus(tied)
+        pool = pairs.unsaturated()
+        assert len(pool) == 2000
+        assert ranking._RESIDUAL_POINTS // len(pool) < len(rows)
+        distinct = [len(np.unique(pool.raw @ row)) for row in rows]
+        assert (max(distinct) < len(pool)) if tied else (min(distinct) == len(pool))
+        got = monotonicity_score(pairs, rows, 2)
+        assert got.tolist() == [monotonicity_score(pairs, row, 2) for row in rows]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking, "_RESIDUAL_POINTS", 2 ** 20)
+            assert got.tolist() == monotonicity_score(pairs, rows, 2).tolist()
+        want = np.array([monotonicity_score_reference(pairs, row, 2) for row in rows])
+        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
+
+    def test_traced_memory_bounded(self):
+        # 25 candidates over 6,000 pairs: batches of 5 keep each (k, n)
+        # work array near 256 KiB, where one batch of all 25 would hold 13 MB
+        rng = np.random.default_rng(32)
+        raw = rng.uniform(0.0, 0.9, size=(6000, 3))
+        rendered = np.round(raw ** 0.45 * 255.0) / 255.0
+        pairs = PixelPairSet.from_arrays(raw, rendered)
+        pairs.unsaturated()
+        rows = rng.normal(size=(25, 3))
+        tracemalloc.start()
+        try:
+            monotonicity_score(pairs, rows, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class TestEstimateRow:
