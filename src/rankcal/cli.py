@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--illuminants", type=int, default=1)
     p_sim.add_argument("--exposures", type=int, default=1)
     p_sim.add_argument("--gamma", type=float, default=1.0 / 2.2,
-                       help="exponent of the gamma tone family")
+                       help="exponent of the gamma tone family; must be finite and "
+                            "> 0 for every family, as the truth sidecar records it")
     p_sim.add_argument("--tone", choices=("gamma", "srgb", "filmic"),
                        default="gamma")
     p_sim.add_argument("--gamut", choices=("none", "affine", "warped"),

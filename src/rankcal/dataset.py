@@ -334,9 +334,9 @@ def rmse(predictions, truth, domain: str = "rendered255") -> float:
         if not np.all(np.isfinite(rows)):
             raise ValueError(f"{name} has non-finite values")
     if pred.shape != ref.shape:
-        raise ValueError(f"length mismatch: {pred.shape} vs {ref.shape}")
+        raise ValueError(f"predictions and truth differ in shape: {pred.shape} vs {ref.shape}")
     if pred.shape[0] == 0:
-        raise ValueError("rmse needs at least one sample")
+        raise ValueError("predictions and truth must hold at least one row")
     if domain == "rendered255":
         scale = 255.0
     elif domain == "raw01":

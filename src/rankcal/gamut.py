@@ -128,18 +128,6 @@ def _corner_weights(frac: np.ndarray) -> np.ndarray:
     return w
 
 
-def trilinear_weights(v: np.ndarray, resolution: int):
-    """Corner node indices and weights for points in [0, 1]^3.
-
-    Returns (flat_indices, weights), both (n, 8), in ``_CORNERS`` order.
-    Inputs are clamped to the cube first; weights are non-negative and
-    sum to one per point.
-    """
-    r = int(resolution)
-    flat, frac = _cells(_as_rows(v, "v"), r)
-    return flat[:, None] + _corner_offsets(r), np.ascontiguousarray(_corner_weights(frac).T)
-
-
 def apply_lattice(lut: Lattice3, v):
     """Trilinear interpolation of the LUT at v (a 3-vector or (n, 3)).
 
@@ -148,7 +136,7 @@ def apply_lattice(lut: Lattice3, v):
     corner nodes are added one corner at a time, in ``_CORNERS`` order,
     so no (n, 8) index, weight or gathered-node array is formed.
     """
-    arr = np.asarray(v, dtype=float)
+    arr = np.asarray(v)
     single = arr.ndim == 1
     rows = _as_rows(arr, "v")
     _check_rows(rows, "v", finite=False)

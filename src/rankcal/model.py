@@ -35,8 +35,20 @@ SATURATION_FRACTION = 0.995
 
 
 def _as_rows(values, name: str) -> np.ndarray:
-    """``values`` as float colour rows (n, 3); a single (3,) row becomes (1, 3)."""
-    rows = np.asarray(values, dtype=float)
+    """``values`` as float colour rows (n, 3); a single (3,) row becomes (1, 3).
+
+    Anything but an array of real numbers raises ValueError naming ``name``:
+    a complex value would otherwise lose its imaginary part with a warning.
+    A float64 array is taken as it is, without a pass over its values.
+    """
+    try:
+        rows = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must be an array of real numbers, got a ragged "
+                         f"nesting") from None
+    if rows.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be an array of real numbers, got dtype {rows.dtype}")
+    rows = rows.astype(float, copy=False)
     if rows.shape == (3,):
         return rows.reshape(1, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
@@ -135,16 +147,17 @@ class PixelPairSet:
     saturated: np.ndarray
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.raw, dtype=float)
-        rendered = np.asarray(self.rendered, dtype=float)
-        if raw.ndim != 2 or raw.shape[1] != 3 or rendered.shape != raw.shape:
-            raise ValueError("raw and rendered must both have shape (n, 3)")
+        raw = _as_rows(self.raw, "raw")
+        rendered = _as_rows(self.rendered, "rendered")
+        if rendered.shape != raw.shape:
+            raise ValueError(f"raw and rendered must have the same shape, got {raw.shape} "
+                             f"and {rendered.shape}")
         n = raw.shape[0]
         sat = np.asarray(self.saturated, dtype=bool)
         if sat.shape != (n,):
             raise ValueError("saturated must have shape (n,)")
-        if not (np.all(np.isfinite(raw)) and np.all(np.isfinite(rendered))):
-            raise ValueError("pixel values must be finite")
+        _check_rows(raw, "raw", finite=True)
+        _check_rows(rendered, "rendered", finite=True)
         if rendered.size and (rendered.min() < 0.0 or rendered.max() > 1.0):
             raise ValueError("rendered values must lie in [0, 1]")
         if raw.size and raw.min() < 0.0:
@@ -223,13 +236,13 @@ class PixelPairSet:
     def from_arrays(cls, raw, rendered, saturated=None, camera="cam0",
                     illuminant="i0", exposure="e0") -> "PixelPairSet":
         """Build a set from bare arrays with uniform tags (mainly for tests)."""
-        raw = np.asarray(raw, dtype=float)
+        raw = _as_rows(raw, "raw")
         n = raw.shape[0]
         if saturated is None:
             saturated = np.zeros(n, dtype=bool)
         return cls(
             raw=raw,
-            rendered=np.asarray(rendered, dtype=float),
+            rendered=rendered,
             camera=(camera,) * n,
             illuminant=(illuminant,) * n,
             exposure=(exposure,) * n,
@@ -311,6 +324,7 @@ class ToneCurve:
 
     @classmethod
     def linear(cls, direction: str, channel: int, degree: int = 7) -> "ToneCurve":
+        _check_integer(degree, "degree", 1)
         coef = np.zeros(degree + 1)
         coef[1] = 1.0
         return cls(coef, direction, channel)
@@ -345,6 +359,7 @@ class Lattice3:
 
     @classmethod
     def identity(cls, resolution: int = 5) -> "Lattice3":
+        _check_integer(resolution, "resolution", 2)
         axis = np.linspace(0.0, 1.0, resolution)
         rr, gg, bb = np.meshgrid(axis, axis, axis, indexing="ij")
         return cls(np.stack([rr, gg, bb], axis=-1))

@@ -125,6 +125,8 @@ def deserialize_model(text: str) -> PipelineModel:
         raise ModelParseError(f"unknown model version {version!r}")
     camera = reader.take("meta.camera")
     samples = reader.take_int("meta.samples")
+    if samples < 0:
+        raise ModelParseError(f"meta.samples must be >= 0, got {samples}")
     settings = []
     while True:
         key = reader.peek_key()

@@ -40,8 +40,8 @@ class ToneSpec:
     def __post_init__(self) -> None:
         if self.family not in TONE_FAMILIES:
             raise ValueError(f"unknown tone family {self.family!r}")
-        if self.family == "gamma" and not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        # checked for every family, as the camera sidecar records it for each
+        _check_finite(self.gamma, "gamma", positive=True)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -81,6 +81,10 @@ class SyntheticCamera:
         _check_finite(self.noise_sigma, "noise_sigma", positive=False)
         if self.warp_scale > 0.0 and self.gamut is None:
             raise ValueError("a warped camera needs a fitted gamut map")
+        # the camera sidecar holds one value per line and reads back an integer seed
+        _check_integer(self.seed, "seed", 0)
+        if "\r" in str(self.camera_id) or "\n" in str(self.camera_id):
+            raise ValueError(f"camera_id {self.camera_id!r} holds a line break")
 
     def effective_matrix(self) -> np.ndarray:
         """Row directions recoverable from rank evidence: T @ M."""
@@ -145,10 +149,11 @@ def make_camera(seed: int = 0, delta: float = 0.25,
     modes, (T, o) is fitted over a seeded reference cloud of corrected
     colours, exactly the affine formulation the calibration assumes.
     """
+    _check_integer(seed, "seed", 0)
     if not 0.0 <= delta <= 0.4:
         raise ValueError("delta must be in [0, 0.4]")
     if gamut_mode not in GAMUT_MODES:
-        raise ValueError(f"unknown gamut mode {gamut_mode!r}")
+        raise ValueError(f"unknown gamut_mode {gamut_mode!r}")
     rng = np.random.default_rng(seed)
     rows = np.eye(3)
     off = rng.uniform(-delta, delta, size=(3, 3))
@@ -226,20 +231,28 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
                 rng_seed: int = 0) -> PixelPairSet:
     """Labelled raw/rendered pairs over patches x illuminants x exposures.
 
-    ``n_patches`` must be an integer >= 1, each exposure finite and >= 0
-    (0 renders black, flagged as saturated), and each illuminant gain
-    finite and > 0.
+    ``n_patches`` must be an integer >= 1 and ``rng_seed`` one >= 0.
+    There must be at least one illuminant, each three finite gains > 0,
+    and at least one exposure, each a finite real >= 0 (0 renders black,
+    flagged as saturated).
     """
     _check_integer(n_patches, "n_patches", 1)
-    illuminants = [np.ones(3)] if illuminants is None else [
-        np.asarray(d, dtype=float).reshape(3) for d in illuminants
-    ]
+    _check_integer(rng_seed, "rng_seed", 0)
+    illuminants = [np.ones(3)] if illuminants is None else list(illuminants)
+    exposures = [1.0] if exposures is None else list(exposures)
+    for name, values in (("illuminants", illuminants), ("exposures", exposures)):
+        if not values:
+            raise ValueError(f"{name} must not be empty")
     for i, d in enumerate(illuminants):
-        for c, gain in enumerate(d.tolist()):
+        gains = _as_rows(d, f"illuminants[{i}]")
+        if gains.shape != (1, 3):
+            raise ValueError(f"illuminants[{i}] must hold 3 gains, got shape {gains.shape}")
+        for c, gain in enumerate(gains[0].tolist()):
             _check_finite(gain, f"illuminants[{i}][{c}]", positive=True)
-    exposures = [1.0] if exposures is None else [float(e) for e in exposures]
+        illuminants[i] = gains[0]
     for i, exposure in enumerate(exposures):
         _check_finite(exposure, f"exposures[{i}]", positive=False)
+    exposures = [float(e) for e in exposures]
     rng = np.random.default_rng(rng_seed)
     refl = _reflectances(n_patches, rng)
 

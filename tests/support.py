@@ -2,9 +2,10 @@
 reference implementations the optimised code is checked against (the
 per-point constraint count, the dense sphere scan, the array-based
 isotonic fit, the one-candidate monotone residual, the unblocked maps,
-the gathered lattice interpolation, the unblocked and the dense lattice
-fits, the unblocked render, calibration without memoised inputs and the
-row-at-a-time corpus parser)."""
+the trilinear corner weights and the gathered lattice interpolation built
+on them, the unblocked and the dense lattice fits, the unblocked render,
+calibration without memoised inputs and the row-at-a-time corpus
+parser)."""
 
 import csv
 import io
@@ -17,7 +18,8 @@ import numpy as np
 from rankcal import pipeline, ranking, simulate
 from rankcal.dataset import CSV_COLUMNS
 from rankcal.errors import CorpusFormatError, EmptyCorpus
-from rankcal.gamut import _grid_laplacian, _solve_lattice, apply_lattice, trilinear_weights
+from rankcal.gamut import (_cells, _corner_offsets, _corner_weights, _grid_laplacian,
+                           _solve_lattice, apply_lattice)
 from rankcal.model import Lattice3, PixelPairSet, _as_rows, saturation_flags
 
 
@@ -187,6 +189,18 @@ def map_backward_unblocked(model, rendered) -> np.ndarray:
     ])
     back = np.clip(linearized @ model.matrix.inverse().T, 0.0, 1.0)
     return np.clip(apply_lattice(model.backward_lut, back), 0.0, 1.0)
+
+
+def trilinear_weights(v: np.ndarray, resolution: int):
+    """Corner node indices and weights for points in [0, 1]^3.
+
+    Returns (flat_indices, weights), both (n, 8), in ``_CORNERS`` order.
+    Inputs are clamped to the cube first; weights are non-negative and
+    sum to one per point.
+    """
+    r = int(resolution)
+    flat, frac = _cells(_as_rows(v, "v"), r)
+    return flat[:, None] + _corner_offsets(r), np.ascontiguousarray(_corner_weights(frac).T)
 
 
 def apply_lattice_einsum(lut, v) -> np.ndarray:

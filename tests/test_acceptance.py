@@ -13,10 +13,10 @@ import os
 
 import numpy as np
 
-from support import angle_degrees, grid_max_nn_gap
+from support import angle_degrees, grid_max_nn_gap, trilinear_weights
 
 from rankcal.cli import main as cli_main
-from rankcal.gamut import apply_lattice, fit_lattice, trilinear_weights
+from rankcal.gamut import apply_lattice, fit_lattice
 from rankcal.model import Lattice3, parameter_count
 from rankcal.qp import QuadProgram, solve_qp
 from rankcal.tonefit import fit_monotone

@@ -1,0 +1,390 @@
+"""The entry contract of the public API.
+
+Every public function and class either returns a valid result or raises
+a ``ValueError`` or a ``CalibrationError`` whose message names the cause:
+the argument at fault, or the part of it (a row, an index, a file line,
+a model-file key). The sweep below walks ``rankcal.__all__`` and tries
+non-finite, empty, wrongly shaped and out-of-range arguments on each
+name. A name or an argument the sweep leaves out is listed in
+``NOT_COVERED`` with the reason.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+import rankcal
+from rankcal import (
+    CalibrationConfig,
+    CalibrationError,
+    InsufficientData,
+    PipelineModel,
+    PixelPairSet,
+    SubsetSpec,
+    SyntheticCamera,
+    ToneSpec,
+    calibrate,
+    deserialize_model,
+    load_corpus,
+    make_camera,
+    make_corpus,
+    map_backward,
+    map_forward,
+    rmse,
+    save_corpus,
+    select_subset,
+    serialize_model,
+)
+from rankcal import errors
+from rankcal.model import ColorMatrix, saturation_flags
+from rankcal.simulate import render_batch
+
+NAN, INF = float("nan"), float("inf")
+
+HEADER = "camera,illuminant,exposure,patch,raw_r,raw_g,raw_b,jpeg_r,jpeg_g,jpeg_b,white_level\n"
+
+
+def pairs(n=40, **changes):
+    """n unflagged pairs of a smooth grey-preserving rendering."""
+    rng = np.random.default_rng(n)
+    raw = rng.uniform(0.02, 0.9, size=(n, 3))
+    fields = dict(raw=raw, rendered=raw ** 0.45, camera=("c",) * n, illuminant=("i0",) * n,
+                  exposure=("e0",) * n, patch=tuple(f"p{i}" for i in range(n)),
+                  saturated=np.zeros(n, dtype=bool))
+    fields.update(changes)
+    return PixelPairSet(**fields)
+
+
+def with_value(rows, row, column, value):
+    rows = np.array(rows, dtype=float)
+    rows[row, column] = value
+    return rows
+
+
+def plain_camera(**kwargs):
+    return make_camera(seed=1, gamut_mode="none", **kwargs)
+
+
+def model_text(key, value):
+    """The identity model's file with ``key`` set to ``value``."""
+    lines = serialize_model(PipelineModel.identity()).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+    lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+def corpus_file(name, text):
+    """Write ``text`` to ``name`` in the working directory (the test's own
+    temporary directory) and return the name."""
+    with open(name, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return name
+
+
+ROWS = np.full((4, 3), 0.5)
+GREYS = np.linspace(0.1, 0.9, 4)[:, None] * np.ones((1, 3))
+
+# name -> [(label, call, the text the message must hold)]
+CASES = {
+    "calibrate": [
+        ("no_pairs", lambda: calibrate(pairs(0)), "pairs"),
+        ("too_few_pairs", lambda: calibrate(pairs(29)), "pairs"),
+        ("flat_channel", lambda: calibrate(
+            pairs(40, rendered=with_value(pairs(40).rendered, slice(None), 1, 0.5))),
+         "channel 2"),
+    ],
+    "CalibrationConfig": [
+        ("negative_seed", lambda: CalibrationConfig(rng_seed=-1), "rng_seed"),
+        ("fractional_seed", lambda: CalibrationConfig(rng_seed=1.5), "rng_seed"),
+        ("bool_seed", lambda: CalibrationConfig(rng_seed=True), "rng_seed"),
+        ("small_sphere", lambda: CalibrationConfig(sphere_count=4), "sphere_count"),
+        ("odd_sphere", lambda: CalibrationConfig(sphere_count=2001), "sphere_count"),
+        ("nan_sphere", lambda: CalibrationConfig(sphere_count=NAN), "sphere_count"),
+        ("no_trials", lambda: CalibrationConfig(trials=0), "trials"),
+        ("nan_regularization", lambda: CalibrationConfig(lattice_regularization=NAN),
+         "lattice_regularization"),
+        ("infinite_regularization", lambda: CalibrationConfig(lattice_regularization=INF),
+         "lattice_regularization"),
+        ("zero_regularization", lambda: CalibrationConfig(lattice_regularization=0.0),
+         "lattice_regularization"),
+        ("text_regularization", lambda: CalibrationConfig(lattice_regularization="x"),
+         "lattice_regularization"),
+    ],
+    "map_forward": [
+        ("nan_row", lambda: map_forward(PipelineModel.identity(), with_value(ROWS, 2, 0, NAN)),
+         "raw row 2"),
+        ("infinite_row", lambda: map_forward(PipelineModel.identity(),
+                                             with_value(ROWS, 1, 2, -INF)), "raw row 1"),
+        ("two_columns", lambda: map_forward(PipelineModel.identity(), np.zeros((4, 2))), "raw"),
+        ("empty_vector", lambda: map_forward(PipelineModel.identity(), []), "raw"),
+        ("complex", lambda: map_forward(PipelineModel.identity(), ROWS + 1j), "raw"),
+        ("text", lambda: map_forward(PipelineModel.identity(), "abc"), "raw"),
+        ("ragged", lambda: map_forward(PipelineModel.identity(), [[0.1, 0.2, 0.3], [0.1]]),
+         "raw"),
+    ],
+    "map_backward": [
+        ("nan_row", lambda: map_backward(PipelineModel.identity(), with_value(ROWS, 3, 1, NAN)),
+         "rendered row 3"),
+        ("infinite_row", lambda: map_backward(PipelineModel.identity(),
+                                              with_value(ROWS, 0, 0, INF)), "rendered row 0"),
+        ("four_columns", lambda: map_backward(PipelineModel.identity(), np.zeros((2, 4))),
+         "rendered"),
+        ("complex", lambda: map_backward(PipelineModel.identity(), ROWS * 1j), "rendered"),
+        ("text", lambda: map_backward(PipelineModel.identity(), "abc"), "rendered"),
+    ],
+    "deserialize_model": [
+        ("empty", lambda: deserialize_model(""), "model.version"),
+        ("negative_samples", lambda: deserialize_model(model_text("meta.samples", -5)),
+         "meta.samples"),
+        ("zero_degree", lambda: deserialize_model(model_text("tone.degree", 0)), "tone.degree"),
+        ("nan_matrix", lambda: deserialize_model(model_text("matrix.r2.c3", "nan")),
+         "matrix.r2.c3"),
+        ("infinite_node", lambda: deserialize_model(
+            model_text("lut.forward.node.0.0.0.r", "inf")), "lut.forward.node.0.0.0.r"),
+        ("one_node_lattice", lambda: deserialize_model(
+            model_text("lut.backward.resolution", 1)), "lut.backward.resolution"),
+        ("huge_lattice", lambda: deserialize_model(
+            model_text("lut.forward.resolution", 10 ** 6)), "lut.forward.resolution"),
+    ],
+    "load_corpus": [
+        ("empty_file", lambda: load_corpus(corpus_file("empty.csv", "")), "empty.csv"),
+        ("no_rows", lambda: load_corpus(corpus_file("header.csv", HEADER)), "header.csv"),
+        ("nan_value", lambda: load_corpus(corpus_file(
+            "nan.csv", HEADER + "c,i,e,p,nan,1,1,1,1,1,1\n")), "nan.csv: line 2"),
+        ("short_row", lambda: load_corpus(corpus_file(
+            "short.csv", HEADER + "c,i,e,p,1,1,1\n")), "short.csv: line 2"),
+        ("jpeg_over_255", lambda: load_corpus(corpus_file(
+            "jpeg.csv", HEADER + "c,i,e,p,1,1,1,1,256,1,1\n")), "jpeg.csv: line 2"),
+        ("zero_white", lambda: load_corpus(corpus_file(
+            "white.csv", HEADER + "c,i,e,p,1,1,1,1,1,1,0\n")), "white.csv: line 2"),
+    ],
+    "save_corpus": [
+        ("comma_tag", lambda: save_corpus(pairs(3, patch=("p0", "a,b", "p2")), "out.csv"),
+         "patch tag 'a,b'"),
+        ("comment_camera", lambda: save_corpus(pairs(3, camera=("c", "#c", "c")), "out.csv"),
+         "camera tag '#c'"),
+    ],
+    "select_subset": [
+        ("empty_corpus", lambda: select_subset(pairs(0), SubsetSpec("uniform", k=1)), "corpus"),
+        ("k_over_corpus", lambda: select_subset(pairs(5), SubsetSpec("uniform", k=6)), "corpus"),
+        ("exposures_over_corpus", lambda: select_subset(
+            pairs(5), SubsetSpec("exposures_illuminants", n_exposures=2, n_illuminants=1)),
+         "exposures"),
+    ],
+    "SubsetSpec": [
+        ("unknown_kind", lambda: SubsetSpec("every"), "kind"),
+        ("zero_k", lambda: SubsetSpec("uniform", k=0), "k must"),
+        ("fractional_k", lambda: SubsetSpec("uniform", k=1.5), "k must"),
+        ("no_exposures", lambda: SubsetSpec("exposures_illuminants", n_exposures=0,
+                                            n_illuminants=1), "n_exposures"),
+        ("negative_seed", lambda: SubsetSpec("uniform", k=1, rng_seed=-1), "rng_seed"),
+    ],
+    "rmse": [
+        ("nan_prediction", lambda: rmse(with_value(ROWS, 0, 0, NAN), ROWS), "predictions"),
+        ("infinite_truth", lambda: rmse(ROWS, with_value(ROWS, 0, 0, INF)), "truth"),
+        ("empty", lambda: rmse(np.zeros((0, 3)), np.zeros((0, 3))), "predictions"),
+        ("length_mismatch", lambda: rmse(ROWS, ROWS[:2]), "predictions"),
+        ("two_columns", lambda: rmse(np.zeros((2, 2)), np.zeros((2, 2))), "predictions"),
+        ("complex", lambda: rmse(ROWS + 1j, ROWS), "predictions"),
+        ("text", lambda: rmse("abc", ROWS), "predictions"),
+        ("complex_truth", lambda: rmse(ROWS, ROWS - 1j), "truth"),
+        ("unknown_domain", lambda: rmse(ROWS, ROWS, "percent"), "domain"),
+    ],
+    "make_camera": [
+        ("fractional_seed", lambda: make_camera(seed=1.5), "seed"),
+        ("negative_seed", lambda: make_camera(seed=-1), "seed"),
+        ("text_seed", lambda: make_camera(seed="x"), "seed"),
+        ("nan_delta", lambda: make_camera(delta=NAN), "delta"),
+        ("large_delta", lambda: make_camera(delta=0.5), "delta"),
+        ("unknown_gamut_mode", lambda: make_camera(gamut_mode="bent"), "gamut_mode"),
+        ("nan_noise", lambda: make_camera(gamut_mode="none", noise_sigma=NAN), "noise_sigma"),
+        ("negative_noise", lambda: make_camera(gamut_mode="none", noise_sigma=-1.0),
+         "noise_sigma"),
+        ("infinite_warp", lambda: make_camera(gamut_mode="warped", warp_scale=INF),
+         "warp_scale"),
+        ("line_break_id", lambda: make_camera(gamut_mode="none", camera_id="a\nb"),
+         "camera_id"),
+    ],
+    "make_corpus": [
+        ("no_patches", lambda: make_corpus(plain_camera(), 0), "n_patches"),
+        ("fractional_patches", lambda: make_corpus(plain_camera(), 2.5), "n_patches"),
+        ("two_gains", lambda: make_corpus(plain_camera(), 5, illuminants=[[1, 1]]),
+         "illuminants[0]"),
+        ("text_gain", lambda: make_corpus(plain_camera(), 5, illuminants=[np.ones(3), "abc"]),
+         "illuminants[1]"),
+        ("complex_gain", lambda: make_corpus(plain_camera(), 5, illuminants=[[1, 1j, 1]]),
+         "illuminants[0]"),
+        ("nan_gain", lambda: make_corpus(plain_camera(), 5, illuminants=[[1, 1, NAN]]),
+         "illuminants[0][2]"),
+        ("no_illuminants", lambda: make_corpus(plain_camera(), 5, illuminants=[]),
+         "illuminants"),
+        ("text_exposure", lambda: make_corpus(plain_camera(), 5, exposures=["a"]),
+         "exposures[0]"),
+        ("infinite_exposure", lambda: make_corpus(plain_camera(), 5, exposures=[1.0, INF]),
+         "exposures[1]"),
+        ("exposure_list", lambda: make_corpus(plain_camera(), 5, exposures=[[1.0, 2.0]]),
+         "exposures[0]"),
+        ("no_exposures", lambda: make_corpus(plain_camera(), 5, exposures=[]), "exposures"),
+        ("negative_seed", lambda: make_corpus(plain_camera(), 5, rng_seed=-1), "rng_seed"),
+        ("fractional_seed", lambda: make_corpus(plain_camera(), 5, rng_seed=0.5), "rng_seed"),
+    ],
+    "ToneSpec": [
+        ("unknown_family", lambda: ToneSpec("log"), "family"),
+        ("infinite_gamma", lambda: ToneSpec("gamma", INF), "gamma"),
+        ("nan_gamma", lambda: ToneSpec("gamma", NAN), "gamma"),
+        ("zero_gamma", lambda: ToneSpec("gamma", 0.0), "gamma"),
+        ("text_gamma", lambda: ToneSpec("gamma", "x"), "gamma"),
+        ("srgb_negative_gamma", lambda: ToneSpec("srgb", -1.0), "gamma"),
+        ("filmic_nan_gamma", lambda: ToneSpec("filmic", NAN), "gamma"),
+    ],
+    "SyntheticCamera": [
+        ("text_seed", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(), seed="x"),
+         "seed"),
+        ("negative_seed", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(), seed=-1),
+         "seed"),
+        ("fractional_seed", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
+                                                    seed=1.5), "seed"),
+        ("singular_matrix", lambda: SyntheticCamera(
+            ColorMatrix([[1, 0, 0], [1, 0, 0], [0, 0, 1]]), ToneSpec()), "matrix"),
+        ("negative_warp", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
+                                                  warp_scale=-0.1), "warp_scale"),
+        ("warp_without_gamut", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
+                                                       warp_scale=0.1), "gamut"),
+        ("infinite_noise", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
+                                                   noise_sigma=INF), "noise_sigma"),
+        ("line_break_id", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
+                                                  camera_id="a\rb"), "camera_id"),
+    ],
+    "PixelPairSet": [
+        ("nan_raw", lambda: pairs(4, raw=with_value(GREYS, 1, 1, NAN)), "raw"),
+        ("infinite_rendered", lambda: pairs(4, rendered=with_value(GREYS, 0, 2, INF)),
+         "rendered"),
+        ("raw_two_columns", lambda: pairs(4, raw=np.zeros((4, 2))), "raw"),
+        ("complex_raw", lambda: pairs(4, raw=GREYS + 0j), "raw"),
+        ("text_rendered", lambda: pairs(1, rendered=[["a", "b", "c"]]), "rendered"),
+        ("rendered_over_1", lambda: pairs(4, rendered=with_value(GREYS, 0, 0, 1.5)),
+         "rendered"),
+        ("negative_raw", lambda: pairs(4, raw=with_value(GREYS, 3, 0, -0.1)), "raw"),
+        ("raw_over_1_unflagged", lambda: pairs(4, raw=with_value(GREYS, 3, 0, 1.1)), "raw"),
+        ("short_saturated", lambda: pairs(4, saturated=np.zeros(3, dtype=bool)), "saturated"),
+        ("short_tags", lambda: pairs(4, patch=("p0",)), "patch"),
+        ("subset_outside", lambda: pairs(4).subset([4]), "subset index"),
+        ("subset_floats", lambda: pairs(4).subset([0.5]), "subset indices"),
+        ("subset_short_mask", lambda: pairs(4).subset([True]), "subset mask"),
+        ("from_scalar", lambda: PixelPairSet.from_arrays(5.0, 0.5), "raw"),
+        ("from_complex", lambda: PixelPairSet.from_arrays(GREYS * 1j, GREYS), "raw"),
+    ],
+    "PipelineModel": [
+        ("zero_degree", lambda: PipelineModel.identity(degree=0), "degree"),
+        ("fractional_degree", lambda: PipelineModel.identity(degree=1.5), "degree"),
+        ("one_node", lambda: PipelineModel.identity(resolution=1), "resolution"),
+        ("negative_resolution", lambda: PipelineModel.identity(resolution=-3), "resolution"),
+        ("fractional_resolution", lambda: PipelineModel.identity(resolution=2.5),
+         "resolution"),
+        ("two_tone_curves", lambda: PipelineModel(
+            **{**vars(PipelineModel.identity()),
+               "forward_tones": PipelineModel.identity().forward_tones[:2]}),
+         "forward tone curves"),
+        ("mixed_degrees", lambda: PipelineModel(
+            **{**vars(PipelineModel.identity()),
+               "inverse_tones": PipelineModel.identity(degree=3).inverse_tones}), "degree"),
+    ],
+}
+
+NOT_COVERED = {
+    "serialize_model": "its one argument is a PipelineModel, which checks itself when built",
+    "parameter_count": "its one argument is a PipelineModel, which checks itself when built",
+    "backward_parameter_count": "its one argument is a PipelineModel, which checks itself "
+                                "when built",
+    "calibrate(cfg.sphere_count)": "a huge even count is valid, and is not tried: its sphere "
+                                   "would take gigabytes",
+    "calibrate(progress)": "a callback: what it raises is passed on",
+    "load_corpus(path)": "a path that cannot be read raises OSError",
+    "save_corpus(path)": "a path that cannot be written raises OSError",
+    **{name: "an exception class: it carries any message"
+       for name, value in vars(errors).items()
+       if isinstance(value, type) and issubclass(value, CalibrationError)},
+}
+
+SWEEP = [pytest.param(call, cause, id=f"{name}-{label}")
+         for name, cases in CASES.items() for label, call, cause in cases]
+
+
+def test_sweep_covers_every_public_name():
+    excused = {key for key in NOT_COVERED if "(" not in key}
+    assert set(CASES).isdisjoint(excused)
+    assert set(CASES) | excused == set(rankcal.__all__)
+    assert {key.split("(")[0] for key in NOT_COVERED} <= set(rankcal.__all__)
+
+
+@pytest.mark.parametrize("call, cause", SWEEP)
+def test_bad_argument_raises_named_error(call, cause, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        # a bad value is refused, not converted with a warning
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, CalibrationError)) as info:
+            call()
+    assert cause in str(info.value)
+
+
+CORPUS_KINDS = ("camera", "grey", "planar", "reversed", "random", "tiny", "few_levels",
+                "swapped")
+
+
+def adversarial_pairs(kind: str, n: int, levels: int, seed: int) -> PixelPairSet:
+    """An n-pair corpus of ``kind``, drawn from a quantized camera's
+    corpus: the corpus itself, or its raws made all grey or coplanar, its
+    renderings reversed, random, cut to ``levels`` values or with their
+    channels swapped; "tiny" keeps fewer pairs than calibration needs."""
+    camera = make_camera(seed=seed, gamut_mode="none", quantize=True)
+    corpus = make_corpus(camera, n % 29 + 1 if kind == "tiny" else n, rng_seed=seed)
+    raw, rendered = corpus.raw, corpus.rendered
+    rng = np.random.default_rng(seed)
+    if kind == "grey":
+        raw = np.repeat(raw.mean(axis=1, keepdims=True), 3, axis=1)
+    elif kind == "planar":
+        raw = np.column_stack([raw[:, :2], 0.5 * (raw[:, 0] + raw[:, 1])])
+    if kind in ("grey", "planar"):
+        rendered = render_batch(camera, raw)
+    elif kind == "reversed":
+        rendered = 1.0 - rendered
+    elif kind == "random":
+        rendered = np.round(rng.uniform(0.0, 1.0, size=raw.shape) * 255.0) / 255.0
+    elif kind == "few_levels":
+        rendered = np.round(rendered * (levels - 1)) / (levels - 1)
+    elif kind == "swapped":
+        rendered = np.roll(rendered, 1 + seed % 2, axis=1)
+    return PixelPairSet.from_arrays(raw, rendered, saturation_flags(raw, rendered * 255.0),
+                                    camera="sim")
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(CORPUS_KINDS), n=st.integers(30, 160), levels=st.integers(2, 14),
+       seed=st.integers(0, 2 ** 16))
+@example(kind="camera", n=140, levels=2, seed=1)
+@example(kind="grey", n=60, levels=2, seed=2)
+@example(kind="planar", n=60, levels=2, seed=3)
+@example(kind="reversed", n=60, levels=2, seed=4)
+@example(kind="random", n=60, levels=2, seed=5)
+@example(kind="tiny", n=60, levels=2, seed=6)
+@example(kind="few_levels", n=60, levels=9, seed=7)
+@example(kind="swapped", n=60, levels=2, seed=8)
+def test_calibrate_ends_in_named_error_or_valid_model(kind, n, levels, seed):
+    corpus = adversarial_pairs(kind, n, levels, seed)
+    try:
+        model = calibrate(corpus, CalibrationConfig(rng_seed=seed, sphere_count=2000, trials=2))
+    except CalibrationError as exc:
+        event(f"{kind}: {type(exc).__name__}")
+        # a stage's error is prefixed with its name; the input check's
+        # names the pairs or the channel it found wanting
+        assert str(exc).startswith("stage '") or isinstance(exc, InsufficientData), exc
+        return
+    event(f"{kind}: model")
+    text = serialize_model(model)
+    assert serialize_model(deserialize_model(text)) == text
+    for mapped in (map_forward(model, corpus.raw), map_backward(model, corpus.rendered)):
+        assert np.isfinite(mapped).all() and mapped.min() >= 0.0 and mapped.max() <= 1.0

@@ -5,16 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from support import apply_lattice_einsum, fit_lattice_dense, fit_lattice_unblocked
+from support import (apply_lattice_einsum, fit_lattice_dense, fit_lattice_unblocked,
+                     trilinear_weights)
 
 from rankcal import gamut
 from rankcal.errors import DegenerateGeometry
-from rankcal.gamut import (
-    apply_lattice,
-    fit_lattice,
-    solve_affine_gamut,
-    trilinear_weights,
-)
+from rankcal.gamut import apply_lattice, fit_lattice, solve_affine_gamut
 from rankcal.model import Lattice3
 
 

@@ -9,26 +9,40 @@ from pathlib import Path
 import rankcal
 
 PUBLIC = [
-    "AffineGamutMap", "CalibrationConfig", "CalibrationError", "ColorMatrix",
-    "CorpusFormatError", "DegenerateChannel", "DegenerateGeometry", "DegenerateSpan",
-    "EmptyCorpus", "Infeasible", "InsufficientData",
-    "InsufficientVariety", "Lattice3", "MaxIterations", "ModelMetadata", "ModelParseError",
-    "NoAchromaticSample", "PipelineModel", "PixelPairSet", "QpSolution", "QuadProgram",
-    "SingularMatrix", "SphereSample", "SubsetSpec", "SyntheticCamera", "ToneCurve",
-    "ToneSpec", "apply_lattice", "backward_parameter_count", "build_half_spaces",
-    "calibrate", "deserialize_model", "estimate_matrix", "estimate_row",
-    "fit_forward_tones", "fit_inverse_tones", "fit_lattice", "fit_monotone", "load_corpus",
-    "make_camera", "make_corpus", "map_backward", "map_forward", "monotonicity_score",
-    "parameter_count", "rescale_achromatic", "rmse", "sample_sphere", "save_corpus",
-    "select_subset", "serialize_model", "solve_affine_gamut", "solve_qp",
+    "CalibrationConfig", "CalibrationError", "CorpusFormatError", "DegenerateChannel",
+    "DegenerateGeometry", "DegenerateSpan", "EmptyCorpus", "Infeasible", "InsufficientData",
+    "InsufficientVariety", "MaxIterations", "ModelParseError", "NoAchromaticSample",
+    "PipelineModel", "PixelPairSet", "SingularMatrix", "SubsetSpec", "SyntheticCamera",
+    "ToneSpec", "backward_parameter_count", "calibrate", "deserialize_model", "load_corpus",
+    "make_camera", "make_corpus", "map_backward", "map_forward", "parameter_count", "rmse",
+    "save_corpus", "select_subset", "serialize_model",
 ]
+
+# stage internals that left the package root, by the module that defines them
+MOVED = {
+    "rankcal.ranking": ["build_half_spaces", "estimate_row", "monotonicity_score",
+                        "sample_sphere", "SphereSample", "rescale_achromatic"],
+    "rankcal.pipeline": ["estimate_matrix"],
+    "rankcal.tonefit": ["fit_monotone", "fit_forward_tones", "fit_inverse_tones"],
+    "rankcal.gamut": ["fit_lattice", "apply_lattice", "solve_affine_gamut", "AffineGamutMap"],
+    "rankcal.qp": ["solve_qp", "QuadProgram", "QpSolution"],
+    "rankcal.model": ["ColorMatrix", "ToneCurve", "Lattice3", "ModelMetadata"],
+}
 
 
 def test_public_names_are_pinned_and_resolve():
     assert rankcal.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(rankcal, name) is not None, name
-    assert rankcal.estimate_matrix.__module__ == "rankcal.pipeline"
+
+
+def test_moved_names_live_in_their_module_only():
+    assert sum(map(len, MOVED.values())) == 21
+    for module, names in MOVED.items():
+        found = importlib.import_module(module)
+        for name in names:
+            assert getattr(found, name).__module__ == module, name
+            assert not hasattr(rankcal, name), name
 
 
 def _imported(args, cwd) -> set[str]:
