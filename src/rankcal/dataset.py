@@ -5,10 +5,11 @@ The on-disk corpus is a small CSV, one pixel pair per row:
     camera,illuminant,exposure,patch,raw_r,raw_g,raw_b,jpeg_r,jpeg_g,jpeg_b,white_level
 
 Raw columns are divided by the row's white level and jpeg columns by 255
-at load, so everything downstream works on [0, 1]. Rows whose jpeg values
-touch 0 or 255, or whose raw values reach 99.5% of the white level, are
-flagged saturated; they stay in the set for evaluation but are excluded
-from estimation. Lines starting with '#' are comments.
+at load, so everything downstream works on [0, 1]. PixelPairSet flags the
+normalized rows that some stage clipped (jpeg values at 0 or 255, raw
+values at 99.5% of the white level or above) as saturated; they stay in
+the set for evaluation but are excluded from estimation. Lines starting
+with '#' are comments.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from .model import PixelPairSet, _as_rows, _check_integer, saturation_flags
+from .model import PixelPairSet, _as_rows, _check_integer
 
 CSV_COLUMNS = (
     "camera", "illuminant", "exposure", "patch",
@@ -122,8 +123,6 @@ def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
     # strings and the tag dictionaries are freed before the arrays below
     table, tags = _read_table(fh, origin, rows)
     raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
-    # raw values above the white level only occur on rows the saturation
-    # rule already flags, so the PixelPairSet invariant holds by construction
     return PixelPairSet(
         raw=raw / white[:, None],
         rendered=jpeg / 255.0,
@@ -131,7 +130,6 @@ def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
         illuminant=tags[1],
         exposure=tags[2],
         patch=tags[3],
-        saturated=saturation_flags(raw, jpeg, white),
     )
 
 

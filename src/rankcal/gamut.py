@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
-from .model import Lattice3, _as_rows, _check_rows
+from .model import Lattice3, _as_rows, _check_finite, _check_integer, _check_rows
 from .qp import QuadProgram, solve_qp
 
 _QP_TOL = 1e-8
@@ -252,11 +252,9 @@ def fit_lattice(inputs, targets, resolution: int = 5,
         raise ValueError("need at least one sample")
     if v.shape != y.shape:
         raise ValueError("inputs and targets must have equal length")
-    if regularization <= 0:
-        raise ValueError("regularization must be positive")
+    _check_finite(regularization, "regularization", positive=True)
+    _check_integer(resolution, "resolution", 2)
     r = int(resolution)
-    if r != resolution or r < 2:
-        raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
 
     gram, rhs, touched = _normal_equations(v[:_FIT_BLOCK], y[:_FIT_BLOCK], r)
     for start in range(_FIT_BLOCK, v.shape[0], _FIT_BLOCK):

@@ -29,8 +29,8 @@ TONE_ROUNDTRIP_TOL = 0.05
 TONE_ROUNDTRIP_SLOPE_MIN = 0.05
 
 # Raw components at or above this fraction of the white level are
-# clipped: their rows are flagged saturated, and no component at or above
-# it is used as rank evidence.
+# clipped: their rows are flagged saturated (see PixelPairSet), and no
+# rendered component at or above it is used as rank evidence.
 SATURATION_FRACTION = 0.995
 
 
@@ -107,15 +107,6 @@ def _check_finite(value, name: str, positive: bool) -> None:
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
-def saturation_flags(raw: np.ndarray, rendered255: np.ndarray, white=1.0) -> np.ndarray:
-    """Rows with a raw component at or above SATURATION_FRACTION of the
-    white level (a scalar or one per row), or a rendered component at 0
-    or 255 in 8-bit units."""
-    white = np.asarray(white, dtype=float).reshape(-1, 1)
-    return ((raw >= SATURATION_FRACTION * white).any(axis=1)
-            | (rendered255 == 0.0).any(axis=1) | (rendered255 == 255.0).any(axis=1))
-
-
 def _as_float_array(values, shape, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
@@ -132,10 +123,12 @@ class PixelPairSet:
     """Corresponding raw and rendered samples, the calibration input.
 
     ``raw`` and ``rendered`` are (n, 3) arrays of normalized intensities.
-    Rendered components must lie in [0, 1]; raw components are
-    non-negative and may exceed 1 only on entries flagged ``saturated``.
-    Saturated entries are retained for evaluation but excluded from all
-    estimation steps.
+    Rendered components must lie in [0, 1] and raw components must be
+    non-negative. ``saturated`` is derived from the values, the one place
+    the rule lives: a row is flagged when a raw component is at or above
+    SATURATION_FRACTION or a rendered component is exactly 0 or 1, where
+    some stage clipped it. Saturated entries are retained for evaluation
+    but excluded from all estimation steps.
     """
 
     raw: np.ndarray
@@ -144,7 +137,7 @@ class PixelPairSet:
     illuminant: tuple[str, ...]
     exposure: tuple[str, ...]
     patch: tuple[str, ...]
-    saturated: np.ndarray
+    saturated: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         raw = _as_rows(self.raw, "raw")
@@ -153,17 +146,12 @@ class PixelPairSet:
             raise ValueError(f"raw and rendered must have the same shape, got {raw.shape} "
                              f"and {rendered.shape}")
         n = raw.shape[0]
-        sat = np.asarray(self.saturated, dtype=bool)
-        if sat.shape != (n,):
-            raise ValueError("saturated must have shape (n,)")
         _check_rows(raw, "raw", finite=True)
         _check_rows(rendered, "rendered", finite=True)
         if rendered.size and (rendered.min() < 0.0 or rendered.max() > 1.0):
             raise ValueError("rendered values must lie in [0, 1]")
         if raw.size and raw.min() < 0.0:
             raise ValueError("raw values must be non-negative")
-        if np.any((raw > 1.0).any(axis=1) & ~sat):
-            raise ValueError("raw values above 1 are only allowed on saturated entries")
         for name in ("camera", "illuminant", "exposure", "patch"):
             tags = tuple(str(t) for t in getattr(self, name))
             if len(tags) != n:
@@ -171,7 +159,8 @@ class PixelPairSet:
             object.__setattr__(self, name, tags)
         raw = raw.copy()
         rendered = rendered.copy()
-        sat = sat.copy()
+        sat = ((raw >= SATURATION_FRACTION).any(axis=1)
+               | (rendered == 0.0).any(axis=1) | (rendered == 1.0).any(axis=1))
         for a in (raw, rendered, sat):
             a.setflags(write=False)
         object.__setattr__(self, "raw", raw)
@@ -208,7 +197,6 @@ class PixelPairSet:
             illuminant=tuple(self.illuminant[i] for i in positions),
             exposure=tuple(self.exposure[i] for i in positions),
             patch=tuple(self.patch[i] for i in positions),
-            saturated=self.saturated[idx],
         )
 
     def unsaturated(self) -> "PixelPairSet":
@@ -233,13 +221,11 @@ class PixelPairSet:
         return _constraint_pool(self)
 
     @classmethod
-    def from_arrays(cls, raw, rendered, saturated=None, camera="cam0",
-                    illuminant="i0", exposure="e0") -> "PixelPairSet":
+    def from_arrays(cls, raw, rendered, *, camera="cam0", illuminant="i0",
+                    exposure="e0") -> "PixelPairSet":
         """Build a set from bare arrays with uniform tags (mainly for tests)."""
         raw = _as_rows(raw, "raw")
         n = raw.shape[0]
-        if saturated is None:
-            saturated = np.zeros(n, dtype=bool)
         return cls(
             raw=raw,
             rendered=rendered,
@@ -247,7 +233,6 @@ class PixelPairSet:
             illuminant=(illuminant,) * n,
             exposure=(exposure,) * n,
             patch=tuple(f"p{i}" for i in range(n)),
-            saturated=np.asarray(saturated, dtype=bool),
         )
 
 

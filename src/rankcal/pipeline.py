@@ -153,8 +153,15 @@ def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
     Stages: matrix row estimation, achromatic rescaling, forward tone
     curves, forward lattice, inverse tone curves, backward lattice.
     Deterministic for a fixed seed. ``progress(stage, seconds)`` is
-    called after each stage when provided.
+    called after each stage when provided. Arguments of the wrong type
+    raise ValueError naming the argument before any stage runs.
     """
+    if not isinstance(pairs, PixelPairSet):
+        raise ValueError(f"pairs must be a PixelPairSet, got {type(pairs).__name__}")
+    if not isinstance(cfg, CalibrationConfig):
+        raise ValueError(f"cfg must be a CalibrationConfig, got {type(cfg).__name__}")
+    if progress is not None and not callable(progress):
+        raise ValueError(f"progress must be None or callable, got {progress!r}")
     pool = _check_calibration_input(pairs)
 
     with _Stage("matrix", progress):

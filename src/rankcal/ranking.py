@@ -244,16 +244,13 @@ def _build_caps(scored: np.ndarray) -> CapIndex:
 def _constraint_pool(pairs: PixelPairSet) -> tuple[int, np.ndarray, np.ndarray]:
     """Rank evidence of a pair set, which no trial changes.
 
-    Rows are eligible when unflagged and unclipped. Returns how many are,
-    and the raw and rendered rows of the first eligible occurrence of each
-    distinct raw row, in order. A set keeps its pool as
+    Rows are eligible when unflagged and no rendered component is at or
+    above SATURATION_FRACTION, too near the clip to rank. Returns how many
+    are, and the raw and rendered rows of the first eligible occurrence of
+    each distinct raw row, in order. A set keeps its pool as
     ``PixelPairSet._rank_pool``, so a calibration builds it once.
     """
-    ok = (
-        ~pairs.saturated
-        & (pairs.raw < SATURATION_FRACTION).all(axis=1)
-        & (pairs.rendered < SATURATION_FRACTION).all(axis=1)
-    )
+    ok = ~pairs.saturated & (pairs.rendered < SATURATION_FRACTION).all(axis=1)
     raw = pairs.raw[ok]
     first = _first_of_each_row(raw)
     raws = raw[first]
@@ -370,17 +367,17 @@ def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
     return plus, minus
 
 
-def _scores(points: np.ndarray, dt: np.ndarray, plus_end: int,
-            minus_start: int) -> tuple[np.ndarray, np.ndarray]:
+def _scores(points: np.ndarray, dt: np.ndarray,
+            split: int) -> tuple[np.ndarray, np.ndarray]:
     """Constraint counts of float32 points (t, n, 3), trial by trial.
 
     Trial i's points are scored against its differences ``dt[i]`` (3, p);
     points of shape (1, n, 3) are shared by every trial.
-    Returns the counts (t, plus_end) of the points ``[:, :plus_end]``
-    themselves and (t, n - minus_start) of the negations of the points
-    ``[:, minus_start:]``: a product counts for a point when positive and
-    for its negation when negative. Products are formed in blocks of
-    _SCORE_BLOCK points, shared out among the trials.
+    Returns the counts (t, split) of the points ``[:, :split]`` themselves
+    and (t, n - split) of the negations of the points ``[:, split:]``: a
+    product counts for a point when positive and for its negation when
+    negative. Products are formed in blocks of _SCORE_BLOCK points, shared
+    out among the trials.
     """
     trials, n = dt.shape[0], points.shape[1]
     block = max(2, _SCORE_BLOCK // trials)
@@ -389,17 +386,17 @@ def _scores(points: np.ndarray, dt: np.ndarray, plus_end: int,
         # differently from a matrix product, as a one-column product
         # does; a repeated row keeps every product a matrix product
         points = np.concatenate([points, points[:, -1:]], axis=1)
-    plus = np.empty((trials, plus_end), dtype=np.int64)
-    minus = np.empty((trials, n - minus_start), dtype=np.int64)
+    plus = np.empty((trials, split), dtype=np.int64)
+    minus = np.empty((trials, n - split), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
         prod = points[:, start:start + block] @ dt
-        if start < plus_end:
-            end = min(stop, plus_end)
+        if start < split:
+            end = min(stop, split)
             plus[:, start:end] = _count_true(prod[:, :end - start] > 0.0)
-        if stop > minus_start:
-            begin = max(start, minus_start)
-            minus[:, begin - minus_start:stop - minus_start] = _count_true(
+        if stop > split:
+            begin = max(start, split)
+            minus[:, begin - split:stop - split] = _count_true(
                 prod[:, begin - start:stop - start] < 0.0)
     return plus, minus
 
@@ -439,18 +436,17 @@ def _search_trials(sphere: SphereSample,
 
 
 def _best_cap_points(sphere: SphereSample, unit: np.ndarray, sizes: np.ndarray,
-                     group_plus: np.ndarray, group_minus: np.ndarray):
+                     group_plus: np.ndarray, group_minus: np.ndarray) -> np.ndarray:
     """Sphere indices of the points of one trial's best-bounded cap in its
     best-bounded group, on the cap's better side, given the trial's group
-    bounds; and the bounds (plus, minus) of that group's caps, which come
-    first, first + 1, ... in the cap index, with first."""
+    bounds."""
     caps = sphere.caps
     top = int(np.argmax(np.maximum(group_plus, group_minus)))
     near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
     plus, minus = _upper_bounds(caps.centres[near], caps.radius[near], unit, sizes)
     best = int(np.argmax(np.maximum(plus, minus)))
     side = 0 if plus[best, 0] >= minus[best, 0] else sphere.count // 2
-    return np.sort(_members(caps, near[best:best + 1])) + side, (int(near[0]), plus, minus)
+    return np.sort(_members(caps, near[best:best + 1])) + side
 
 
 def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
@@ -462,40 +458,28 @@ def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
     raw differences as float32, padded with zeros: a zero product counts
     for no side, and zero columns leave the other products as the dense
     blocks form them. Each trial's floor is the best score of the
-    ascending sphere indices ``floor_points``; a chunk of one trial with
-    no floor points is floored on ``_best_cap_points``, whose cap bounds
-    are then not formed again. The caps of every group that reaches a
-    trial's floor are bounded, in one product for the chunk, and the
-    points of each (cap, side) whose group and cap bounds still reach it
-    are scored, on that side alone. The floor is a score that some point
-    reaches, so every tied point is among them.
+    ascending sphere indices ``floor_points``, or of ``_best_cap_points``
+    for a chunk of one trial with none. The caps of every group that
+    reaches a trial's floor are bounded, in one product for the chunk, and
+    the points of each (cap, side) whose group and cap bounds still reach
+    it are scored, on that side alone. The floor is a score that some
+    point reaches, so every tied point is among them.
     """
     caps = sphere.caps
     half = sphere.count // 2
     group_plus, group_minus = _upper_bounds(caps.group_centres, caps.group_radius,
                                             unit, sizes)
     if floor_points is None:
-        floor_points, (first, known_plus, known_minus) = _best_cap_points(
-            sphere, unit, sizes, group_plus, group_minus)
-    else:
-        first, known_plus = 0, np.empty((0, sizes.size), dtype=np.int64)
-        known_minus = known_plus
+        floor_points = _best_cap_points(sphere, unit, sizes, group_plus, group_minus)
     upper = int(np.searchsorted(floor_points, half))
     points = sphere.points[floor_points % half].astype(np.float32)[None]
-    floor = np.concatenate(_scores(points, dt, upper, upper), axis=1).max(axis=1)
+    floor = np.concatenate(_scores(points, dt, upper), axis=1).max(axis=1)
 
     group_caps = np.diff(caps.group_offsets)
     open_plus = np.repeat(group_plus >= floor, group_caps, axis=0)
     open_minus = np.repeat(group_minus >= floor, group_caps, axis=0)
     near = np.flatnonzero((open_plus | open_minus).any(axis=1))
-    known = (near >= first) & (near < first + known_plus.shape[0])
-    fresh = near[~known]
-    cap_plus = np.empty((near.size, sizes.size), dtype=np.int64)
-    cap_minus = np.empty_like(cap_plus)
-    cap_plus[~known], cap_minus[~known] = _upper_bounds(caps.centres[fresh],
-                                                        caps.radius[fresh], unit, sizes)
-    cap_plus[known] = known_plus[near[known] - first]
-    cap_minus[known] = known_minus[near[known] - first]
+    cap_plus, cap_minus = _upper_bounds(caps.centres[near], caps.radius[near], unit, sizes)
     open_plus = open_plus[near] & (cap_plus >= floor)
     open_minus = open_minus[near] & (cap_minus >= floor)
 
@@ -505,7 +489,7 @@ def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
         rows = _members(caps, np.concatenate([plus, near[open_minus[:, i]]]))
         split = int(caps.offsets[plus + 1].sum() - caps.offsets[plus].sum())
         plus_scores, minus_scores = _scores(
-            sphere.points[rows].astype(np.float32)[None], dt[i:i + 1], split, split)
+            sphere.points[rows].astype(np.float32)[None], dt[i:i + 1], split)
         rows[split:] += half
         scores = np.concatenate([plus_scores[0], minus_scores[0]])
         best = int(scores.max())

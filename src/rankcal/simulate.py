@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
-from .model import (ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer,
-                    saturation_flags)
+from .model import ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer
 from .modelfile import _fmt, _Reader
 from .pipeline import _map_in_blocks
 
@@ -276,7 +275,6 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
         exposure=tuple(chain.from_iterable(
             repeat(f"e{ei}", n_patches * lights) for ei in range(len(exposures)))),
         patch=tuple(f"p{pi}" for pi in range(n_patches)) * (lights * len(exposures)),
-        saturated=saturation_flags(raw, rendered * 255.0),
     )
 
 

@@ -20,7 +20,7 @@ from rankcal.dataset import CSV_COLUMNS
 from rankcal.errors import CorpusFormatError, EmptyCorpus
 from rankcal.gamut import (_cells, _corner_offsets, _corner_weights, _grid_laplacian,
                            _solve_lattice, apply_lattice)
-from rankcal.model import Lattice3, PixelPairSet, _as_rows, saturation_flags
+from rankcal.model import Lattice3, PixelPairSet, _as_rows
 
 
 def chord_to_degrees(chord: float) -> float:
@@ -381,6 +381,5 @@ def loads_corpus_reference(text: str, origin: str = "<string>"):
             raise CorpusFormatError(f"{origin}: line {reader.line_num}: {exc}") from None
         raise
     raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
-    pairs = PixelPairSet(raw / white[:, None], jpeg / 255.0, *tags,
-                         saturation_flags(raw, jpeg, white))
+    pairs = PixelPairSet(raw / white[:, None], jpeg / 255.0, *tags)
     return pairs, texts[0], white

@@ -39,7 +39,7 @@ from rankcal import (
     serialize_model,
 )
 from rankcal import errors
-from rankcal.model import ColorMatrix, saturation_flags
+from rankcal.model import ColorMatrix
 from rankcal.simulate import render_batch
 
 NAN, INF = float("nan"), float("inf")
@@ -52,8 +52,7 @@ def pairs(n=40, **changes):
     rng = np.random.default_rng(n)
     raw = rng.uniform(0.02, 0.9, size=(n, 3))
     fields = dict(raw=raw, rendered=raw ** 0.45, camera=("c",) * n, illuminant=("i0",) * n,
-                  exposure=("e0",) * n, patch=tuple(f"p{i}" for i in range(n)),
-                  saturated=np.zeros(n, dtype=bool))
+                  exposure=("e0",) * n, patch=tuple(f"p{i}" for i in range(n)))
     fields.update(changes)
     return PixelPairSet(**fields)
 
@@ -95,6 +94,12 @@ CASES = {
         ("flat_channel", lambda: calibrate(
             pairs(40, rendered=with_value(pairs(40).rendered, slice(None), 1, 0.5))),
          "channel 2"),
+        ("text_pairs", lambda: calibrate("x"), "pairs must be a PixelPairSet, got str"),
+        ("text_cfg", lambda: calibrate(pairs(), "x"),
+         "cfg must be a CalibrationConfig, got str"),
+        ("dict_cfg", lambda: calibrate(pairs(), {"sphere_count": 2000}), "cfg"),
+        ("number_progress", lambda: calibrate(pairs(), progress=5),
+         "progress must be None or callable, got 5"),
     ],
     "CalibrationConfig": [
         ("negative_seed", lambda: CalibrationConfig(rng_seed=-1), "rng_seed"),
@@ -268,8 +273,6 @@ CASES = {
         ("rendered_over_1", lambda: pairs(4, rendered=with_value(GREYS, 0, 0, 1.5)),
          "rendered"),
         ("negative_raw", lambda: pairs(4, raw=with_value(GREYS, 3, 0, -0.1)), "raw"),
-        ("raw_over_1_unflagged", lambda: pairs(4, raw=with_value(GREYS, 3, 0, 1.1)), "raw"),
-        ("short_saturated", lambda: pairs(4, saturated=np.zeros(3, dtype=bool)), "saturated"),
         ("short_tags", lambda: pairs(4, patch=("p0",)), "patch"),
         ("subset_outside", lambda: pairs(4).subset([4]), "subset index"),
         ("subset_floats", lambda: pairs(4).subset([0.5]), "subset indices"),
@@ -301,7 +304,7 @@ NOT_COVERED = {
                                 "when built",
     "calibrate(cfg.sphere_count)": "a huge even count is valid, and is not tried: its sphere "
                                    "would take gigabytes",
-    "calibrate(progress)": "a callback: what it raises is passed on",
+    "calibrate(progress)": "what a callable callback raises when called is passed on",
     "load_corpus(path)": "a path that cannot be read raises OSError",
     "save_corpus(path)": "a path that cannot be written raises OSError",
     **{name: "an exception class: it carries any message"
@@ -358,8 +361,7 @@ def adversarial_pairs(kind: str, n: int, levels: int, seed: int) -> PixelPairSet
         rendered = np.round(rendered * (levels - 1)) / (levels - 1)
     elif kind == "swapped":
         rendered = np.roll(rendered, 1 + seed % 2, axis=1)
-    return PixelPairSet.from_arrays(raw, rendered, saturation_flags(raw, rendered * 255.0),
-                                    camera="sim")
+    return PixelPairSet.from_arrays(raw, rendered, camera="sim")
 
 
 @settings(max_examples=100, deadline=None)

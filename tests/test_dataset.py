@@ -26,7 +26,7 @@ from rankcal.dataset import (
     select_subset,
 )
 from rankcal.errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from rankcal.model import PixelPairSet, saturation_flags
+from rankcal.model import PixelPairSet
 from rankcal.modelfile import _fmt
 from rankcal.simulate import ToneSpec, make_camera, make_corpus, make_exposures, make_illuminants
 
@@ -66,6 +66,20 @@ class TestLoadCorpus:
     def test_raw_near_white_level_flagged(self):
         text = HEADER + "\ncam,i0,e0,p0,996,200,300,50,100,150,1000\n"
         assert loads_corpus(text).saturated.all()
+
+    def test_12_bit_white_level_flags_normalized_raw(self):
+        # 4075 / 4095 = 0.99512 reaches the flagging fraction, 4074 / 4095
+        # = 0.99487 does not; a raw value above the white level is flagged
+        text = "\n".join([
+            HEADER,
+            "cam,i0,e0,p0,4075,200,300,50,100,150,4095",
+            "cam,i0,e0,p1,4074,200,300,50,100,150,4095",
+            "cam,i0,e0,p2,10,5000,300,50,100,150,4095",
+        ]) + "\n"
+        corpus = loads_corpus(text)
+        assert corpus.saturated.tolist() == [True, False, True]
+        assert corpus.raw[1, 0] == 4074 / 4095 and corpus.raw[2, 1] > 1.0
+        assert len(corpus.unsaturated()) == 1
 
     def test_comments_and_blank_lines_skipped(self):
         text = "\n".join([
@@ -389,17 +403,16 @@ def writable(pairs) -> bool:
 @st.composite
 def pair_sets(draw):
     """Sets in the corpus domain: raw values any floats (those from the
-    flagging limit up to 2 flagged), rendered values 8-bit levels, and
-    saturation flags set as loading sets them."""
+    flagging limit up to 2 flagged by the set) and rendered values 8-bit
+    levels."""
     n = draw(st.integers(1, 12))
     raw = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=3 * n, max_size=3 * n)))
     raw = raw.reshape(n, 3)
     levels = np.array(draw(st.lists(st.integers(0, 255), min_size=3 * n, max_size=3 * n)))
     levels = levels.reshape(n, 3)
-    saturated = (raw >= 0.995).any(axis=1) | ((levels == 0) | (levels == 255)).any(axis=1)
     tag = st.text(draw(TAG_ALPHABETS), max_size=6)
     tags = [tuple(draw(st.lists(tag, min_size=n, max_size=n))) for _ in range(4)]
-    return PixelPairSet(raw, levels / 255.0, *tags, saturated)
+    return PixelPairSet(raw, levels / 255.0, *tags)
 
 
 class TestSaveCorpus:
@@ -460,8 +473,7 @@ def image_pairs() -> PixelPairSet:
     raw = rng.uniform(0.0, 1.0, (900, 3))
     levels = rng.integers(0, 256, (900, 3)).astype(float)
     return PixelPairSet(raw, levels / 255.0, ("cam101",) * 900, ("i0",) * 900,
-                        ("e0",) * 900, tuple(f"p{i}" for i in range(900)),
-                        saturation_flags(raw, levels))
+                        ("e0",) * 900, tuple(f"p{i}" for i in range(900)))
 
 
 def multi_pairs() -> PixelPairSet:
@@ -477,8 +489,7 @@ def multi_pairs() -> PixelPairSet:
     patches = tuple(f"p{i % 100}" for i in range(n))
     return PixelPairSet(raw, rendered, ("cam202",) * n,
                         tuple(f"i{(i // 100) % 3}" for i in range(n)),
-                        tuple(f"e{i // 300}" for i in range(n)), patches,
-                        saturation_flags(raw, rendered * 255.0))
+                        tuple(f"e{i // 300}" for i in range(n)), patches)
 
 
 class TestGoldenBytes:

@@ -1,5 +1,6 @@
 """Tests for the affine gamut solver and the lattice LUT."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -301,7 +302,14 @@ class TestFitLattice:
         with pytest.raises(ValueError, match=match):
             fit_lattice(data["inputs"], data["targets"])
 
-    @pytest.mark.parametrize("resolution", [1, 0, -2, 2.5])
+    @pytest.mark.parametrize("resolution", [1, 0, -2, 2.5, True, "5", np.nan])
     def test_rejects_resolution_below_two_or_fractional(self, resolution):
         with pytest.raises(ValueError, match="resolution must be an integer >= 2"):
             fit_lattice(np.full((4, 3), 0.5), np.full((4, 3), 0.5), resolution)
+
+    @pytest.mark.parametrize("regularization", [0.0, -1e-3, np.nan, np.inf, "x", True, None])
+    def test_rejects_regularization_not_finite_and_positive(self, regularization):
+        with pytest.raises(ValueError,
+                           match=r"regularization must be finite and > 0, got "
+                                 + re.escape(repr(regularization))):
+            fit_lattice(np.full((4, 3), 0.5), np.full((4, 3), 0.5), 5, regularization)

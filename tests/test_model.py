@@ -4,9 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankcal import make_camera, make_corpus
 from rankcal.errors import SingularMatrix
 from rankcal.model import (
+    SATURATION_FRACTION,
     ColorMatrix,
     Lattice3,
     ModelMetadata,
@@ -36,25 +40,24 @@ class TestPixelPairSet:
         with pytest.raises(ValueError):
             PixelPairSet.from_arrays([[-0.1, 0.1, 0.1]], [[0.2, 0.2, 0.2]])
 
-    def test_raw_above_one_needs_saturation_flag(self):
-        with pytest.raises(ValueError):
-            PixelPairSet.from_arrays([[1.4, 0.1, 0.1]], [[0.2, 0.2, 0.2]])
-        pairs = PixelPairSet.from_arrays(
-            [[1.4, 0.1, 0.1]], [[0.2, 0.2, 0.2]], saturated=[True]
-        )
-        assert pairs.saturated[0]
+    def test_raw_above_one_is_flagged(self):
+        pairs = PixelPairSet.from_arrays([[1.4, 0.1, 0.1]], [[0.2, 0.2, 0.2]])
+        assert pairs.saturated.tolist() == [True]
 
     def test_unsaturated_filters_flagged_entries(self):
-        raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        raw = np.array([[0.1, 0.2, 0.3], [1.0, 0.5, 0.6], [0.7, 0.8, 0.9]])
         rendered = raw.copy()
-        pairs = PixelPairSet.from_arrays(raw, rendered, saturated=[False, True, False])
+        rendered[1] = 0.5
+        pairs = PixelPairSet.from_arrays(raw, rendered)
+        assert pairs.saturated.tolist() == [False, True, False]
         kept = pairs.unsaturated()
         assert len(kept) == 2
         assert kept.patch == ("p0", "p2")
 
     def test_unsaturated_is_built_once(self):
-        raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
-        pairs = PixelPairSet.from_arrays(raw, raw, saturated=[False, True, False])
+        raw = np.array([[0.1, 0.2, 0.3], [1.0, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        pairs = PixelPairSet.from_arrays(raw, raw)
+        assert pairs.saturated.tolist() == [False, True, False]
         kept = pairs.unsaturated()
         assert pairs.unsaturated() is kept
         assert kept.unsaturated() is kept
@@ -98,6 +101,50 @@ class TestPixelPairSet:
         pairs = PixelPairSet.from_arrays([[0.1, 0.2, 0.3]], [[0.2, 0.3, 0.4]])
         with pytest.raises(ValueError):
             pairs.raw[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            pairs.saturated[0] = True
+
+    def test_saturated_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            PixelPairSet([[0.1, 0.2, 0.3]], [[0.2, 0.3, 0.4]], ("c",), ("i",), ("e",),
+                         ("p",), saturated=[True])
+        with pytest.raises(TypeError):
+            PixelPairSet.from_arrays([[0.1, 0.2, 0.3]], [[0.2, 0.3, 0.4]], [True])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_flags_follow_the_rule_in_sets_and_subsets(self, data, n):
+        edges = st.sampled_from([0.0, 1.0, SATURATION_FRACTION,
+                                 np.nextafter(SATURATION_FRACTION, 0.0)])
+        raw = np.array(data.draw(st.lists(edges | st.floats(0.0, 4.0),
+                                          min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+        rendered = np.array(data.draw(st.lists(edges | st.floats(0.0, 1.0),
+                                               min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+
+        def rule(raw, rendered):
+            return [any(r >= SATURATION_FRACTION for r in raw_row)
+                    or any(v in (0.0, 1.0) for v in rendered_row)
+                    for raw_row, rendered_row in zip(raw.tolist(), rendered.tolist())]
+
+        pairs = PixelPairSet.from_arrays(raw, rendered)
+        assert pairs.saturated.dtype == bool
+        assert pairs.saturated.tolist() == rule(raw, rendered)
+        index = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([]))
+        part = pairs.subset(np.array(index, dtype=np.intp))
+        assert part.saturated.tolist() == rule(raw[index], rendered[index])
+        assert part.unsaturated().saturated.tolist() == [False] * len(part.unsaturated())
+
+    def test_bare_arrays_of_a_simulated_corpus_flag_as_it_does(self):
+        # from_arrays once left every row unflagged, so raws clipped at 1
+        # and black renders reached the rank and tone fits
+        flagged = 0
+        for seed in range(20):
+            camera = make_camera(seed=seed, gamut_mode="none", quantize=True)
+            corpus = make_corpus(camera, 140, rng_seed=seed)
+            bare = PixelPairSet.from_arrays(corpus.raw, corpus.rendered)
+            assert bare.saturated.tolist() == corpus.saturated.tolist()
+            flagged += corpus.saturated.any()
+        assert flagged >= 10
 
 
 class TestColorMatrix:

@@ -125,6 +125,14 @@ class TestSampleSphere:
         assert sample_sphere.cache_info().currsize <= 2
 
 
+def clipped(raw, flags):
+    """``raw`` with its first component at 1.0 on the rows where ``flags``
+    is set, the value of a clipped raw: a set flags those rows saturated."""
+    raw = np.array(raw, dtype=float)
+    raw[flags, 0] = 1.0
+    return raw
+
+
 def synthetic_channel_pairs(rng, n, row, tone=lambda v: v ** (1 / 2.2)):
     """Pairs whose rendered channel 1 is a monotone map of row @ raw."""
     raw = rng.uniform(0.02, 0.95, size=(n, 3))
@@ -183,10 +191,9 @@ class TestBuildHalfSpaces:
     def test_saturated_entries_excluded(self):
         rng = np.random.default_rng(2)
         pairs = synthetic_channel_pairs(rng, 40, np.array([0.6, 0.3, 0.1]))
-        flagged = PixelPairSet.from_arrays(
-            pairs.raw, pairs.rendered,
-            saturated=np.arange(40) < 20,
-        )
+        flagged = PixelPairSet.from_arrays(clipped(pairs.raw, np.arange(40) < 20),
+                                           pairs.rendered)
+        assert flagged.saturated.sum() == 20
         diffs = build_half_spaces(flagged, 1, rng_seed=0)
         assert len(diffs) <= 20 * 19 // 2
 
@@ -211,10 +218,10 @@ class TestBuildHalfSpaces:
         base = synthetic_channel_pairs(rng, 300, np.array([0.5, 0.4, 0.1]))
         raw = np.vstack([base.raw, base.raw[:40]])  # repeated colours
         rendered = np.vstack([base.rendered, base.rendered[:40]])
-        flags = rng.uniform(size=raw.shape[0]) < 0.1
+        raw = clipped(raw, rng.uniform(size=raw.shape[0]) < 0.1)
 
         def pairs():
-            return PixelPairSet.from_arrays(raw, rendered, saturated=flags)
+            return PixelPairSet.from_arrays(raw, rendered)
 
         warm = pairs()
         build_half_spaces(warm, 2, rng_seed=99)
@@ -232,9 +239,8 @@ class TestBuildHalfSpaces:
         pairs = synthetic_channel_pairs(rng, 200, np.array([0.5, 0.4, 0.1]))
         # repeated raw rows render differently, so the pool must keep the first
         flagged = PixelPairSet.from_arrays(
-            np.vstack([pairs.raw, pairs.raw]),
-            np.vstack([pairs.rendered, 0.9 * pairs.rendered]),
-            saturated=rng.uniform(size=400) < 0.2)
+            clipped(np.vstack([pairs.raw, pairs.raw]), rng.uniform(size=400) < 0.2),
+            np.vstack([pairs.rendered, 0.9 * pairs.rendered]))
         eligible, raws, rendered = flagged._rank_pool
         assert flagged._rank_pool[1] is raws
         ok = ~flagged.saturated
@@ -458,9 +464,9 @@ class TestTiedPoints:
         calls = []
         score = ranking._scores
 
-        def spy(points, dt, plus_end, minus_start):
+        def spy(points, dt, split):
             calls.append(points.shape[1])
-            return score(points, dt, plus_end, minus_start)
+            return score(points, dt, split)
 
         monkeypatch.setattr(ranking, "_scores", spy)
         rng = np.random.default_rng(n)
@@ -542,10 +548,10 @@ class TestPruning:
             searched.append((len(diffs), sphere.caps.order.size))
             return search(sphere, diffs)
 
-        def count_scored(points, dt, plus_end, minus_start):
+        def count_scored(points, dt, split):
             # floor points come as one (1, n, 3) stack for every trial
             scored.append(dt.shape[0] * points.shape[1])
-            return score(points, dt, plus_end, minus_start)
+            return score(points, dt, split)
 
         monkeypatch.setattr(ranking, "_search_trials", count_search)
         monkeypatch.setattr(ranking, "_scores", count_scored)
@@ -731,20 +737,22 @@ class TestMonotonicityScore:
     @pytest.mark.parametrize("flagged", [False, True])
     def test_same_bytes_on_fresh_and_memoised_sets(self, flagged):
         rng = np.random.default_rng(4)
-        raw = rng.uniform(0.0, 1.0, size=(500, 3))
+        # below the flagging limit, so that only the clipped rows are flagged
+        raw = rng.uniform(0.0, 0.99, size=(500, 3))
         rendered = rng.uniform(0.1, 0.9, size=(500, 3))
-        saturated = rng.uniform(size=500) < (0.2 if flagged else 0.0)
+        raw = clipped(raw, rng.uniform(size=500) < (0.2 if flagged else 0.0))
 
         def pairs():
-            return PixelPairSet.from_arrays(raw, rendered, saturated=saturated)
+            return PixelPairSet.from_arrays(raw, rendered)
 
         warm = pairs()
         warm.unsaturated()
+        assert warm.saturated.any() == flagged
         for channel in (1, 2, 3):
             for m in rng.normal(size=(5, 3)):
                 want = monotonicity_score(pairs(), m, channel)
                 assert monotonicity_score(warm, m, channel) == want
-                keep = ~saturated
+                keep = ~warm.saturated
                 assert monotonicity_score(
                     PixelPairSet.from_arrays(raw[keep], rendered[keep]), m, channel) == want
 
@@ -787,8 +795,11 @@ class TestStackedMonotonicityScore:
             rendered = np.round(rendered * levels) / levels
         flags = rng.uniform(size=n) < 0.3 if saturated else np.zeros(n, dtype=bool)
         flags[0] = False
-        pairs = PixelPairSet.from_arrays(raw, rendered, saturated=flags)
-        points = {"one": 1, "pair": 2 * int((~flags).sum()), "all": 2 ** 20}[batch]
+        # a raw 1 and a rendered 0 are flagged too; row 0 stays unflagged,
+        # so the pool is never empty
+        raw[0] = rendered[0] = 0.5
+        pairs = PixelPairSet.from_arrays(clipped(raw, flags), rendered)
+        points = {"one": 1, "pair": 2 * int((~pairs.saturated).sum()), "all": 2 ** 20}[batch]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ranking, "_RESIDUAL_POINTS", points)
             got = monotonicity_score(pairs, rows, channel)
@@ -859,13 +870,14 @@ class TestSplitBatches:
         if tied:
             # dyadic raws and small integer rows give exactly equal projections
             raw = np.round(raw * 8.0) / 8.0
+            # a black raw renders black, which the set flags
+            raw[~raw.any(axis=1)] = 0.125
             rows = rng.integers(-2, 3, size=(25, 3)).astype(float)
             rows[~rows.any(axis=1), 0] = 1.0
         rendered = np.round(np.clip(raw @ np.array([0.6, 0.3, 0.1]), 0.0, 1.0) ** 0.45
                             * 255.0) / 255.0
         rendered = np.column_stack([rendered, rendered[::-1], rendered])
-        saturated = np.arange(2400) % 6 == 0
-        pairs = PixelPairSet.from_arrays(raw, rendered, saturated=saturated)
+        pairs = PixelPairSet.from_arrays(clipped(raw, np.arange(2400) % 6 == 0), rendered)
         return pairs, rows
 
     @pytest.mark.parametrize("tied", [False, True])
