@@ -24,7 +24,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from .model import PixelPairSet, _as_rows, _check_integer
+from .model import PixelPairSet, _as_rows, _check_integer, _check_type
 
 CSV_COLUMNS = (
     "camera", "illuminant", "exposure", "patch",
@@ -110,6 +110,8 @@ def load_corpus(path, rows: list | None = None) -> PixelPairSet:
     rows is appended to it, in file order: each row's fields joined by
     commas, and the rows' white levels as an array.
     """
+    if rows is not None:
+        _check_type(rows, list, "rows")
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return _parse_corpus(fh, str(path), rows)
 
@@ -275,6 +277,7 @@ def save_corpus(pairs: PixelPairSet, path) -> None:
     with '#' after any leading whitespace, raises ValueError before
     anything is written.
     """
+    _check_type(pairs, PixelPairSet, "pairs")
     for name in CSV_COLUMNS[:4]:
         distinct = set(getattr(pairs, name))
         comment = name == "camera" and _COMMENT_TAG.search("\n".join(distinct))
@@ -293,6 +296,8 @@ def save_corpus(pairs: PixelPairSet, path) -> None:
 
 def select_subset(corpus: PixelPairSet, spec: SubsetSpec) -> PixelPairSet:
     """Draw a seeded training subset; see SubsetSpec."""
+    _check_type(corpus, PixelPairSet, "corpus")
+    _check_type(spec, SubsetSpec, "spec")
     if len(corpus) == 0:
         raise EmptyCorpus("cannot subset an empty corpus")
     rng = np.random.default_rng(spec.rng_seed)

@@ -33,7 +33,7 @@ _CORNERS = tuple((di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)
 _UPPER_PAIRS = np.triu_indices(8, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineGamutMap:
     """v -> T v + o, feasible on the points it was fitted to."""
 

@@ -91,6 +91,12 @@ def _check_integer(value, name: str, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_type(value, cls: type, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_channel(value, name: str = "channel") -> None:
     """Raise ValueError naming ``name`` unless ``value`` is the integer 1,
     2 or 3 (not a bool)."""
@@ -118,7 +124,7 @@ def _as_float_array(values, shape, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PixelPairSet:
     """Corresponding raw and rendered samples, the calibration input.
 
@@ -236,7 +242,7 @@ class PixelPairSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColorMatrix:
     """The 3x3 colour-correction matrix; rows are estimated independently."""
 
@@ -264,7 +270,7 @@ class ColorMatrix:
         return np.linalg.inv(self.rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToneCurve:
     """A monotone polynomial tone curve on [0, 1] in the power basis.
 
@@ -315,7 +321,7 @@ class ToneCurve:
         return cls(coef, direction, channel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice3:
     """A cubic LUT over [0, 1]^3 evaluated by trilinear interpolation.
 
@@ -374,7 +380,7 @@ class ModelMetadata:
         return cls(camera=camera, samples=samples, settings=pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineModel:
     """The full recovered pipeline, applicable in both directions."""
 
@@ -434,6 +440,7 @@ class PipelineModel:
 
 def parameter_count(model: PipelineModel) -> int:
     """Number of scalars in the forward model: matrix + tones + forward LUT."""
+    _check_type(model, PipelineModel, "model")
     tone = sum(c.coefficients.size for c in model.forward_tones)
     lut = model.forward_lut.resolution ** 3 * 3
     return 9 + tone + lut
@@ -441,6 +448,7 @@ def parameter_count(model: PipelineModel) -> int:
 
 def backward_parameter_count(model: PipelineModel) -> int:
     """Scalars specific to the backward direction (the matrix is shared)."""
+    _check_type(model, PipelineModel, "model")
     tone = sum(c.coefficients.size for c in model.inverse_tones)
     lut = model.backward_lut.resolution ** 3 * 3
     return tone + lut

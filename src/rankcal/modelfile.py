@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ModelParseError, SingularMatrix
-from .model import ColorMatrix, Lattice3, ModelMetadata, PipelineModel, ToneCurve
+from .model import ColorMatrix, Lattice3, ModelMetadata, PipelineModel, ToneCurve, _check_type
 
 FORMAT_VERSION = "1"
 _CHANNEL_NAMES = ("r", "g", "b")
@@ -23,6 +23,7 @@ def _fmt(value: float) -> str:
 
 def serialize_model(model: PipelineModel) -> str:
     """Render a model as the canonical keyed text document."""
+    _check_type(model, PipelineModel, "model")
     lines: list[str] = [f"model.version = {FORMAT_VERSION}"]
     meta = model.metadata
     lines.append(f"meta.camera = {meta.camera}")
@@ -119,6 +120,7 @@ class _Reader:
 
 def deserialize_model(text: str) -> PipelineModel:
     """Parse the keyed text document back into a validated model."""
+    _check_type(text, str, "text")
     reader = _Reader(text)
     version = reader.take("model.version")
     if version != FORMAT_VERSION:

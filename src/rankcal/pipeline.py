@@ -25,12 +25,14 @@ from .model import (
     _check_finite,
     _check_integer,
     _check_rows,
+    _check_type,
 )
 from .ranking import (
     DEFAULT_SPHERE_COUNT,
     DEFAULT_TRIALS,
     MAX_COLORS,
     SphereSample,
+    _check_sphere_count,
     estimate_row,
     rescale_achromatic,
     sample_sphere,
@@ -72,10 +74,9 @@ class CalibrationConfig:
     lattice_regularization: float = 0.05
 
     def __post_init__(self) -> None:
-        for name, least in (("rng_seed", 0), ("sphere_count", 6), ("trials", 1)):
-            _check_integer(getattr(self, name), name, least)
-        if self.sphere_count % 2:
-            raise ValueError(f"sphere_count must be even, got {self.sphere_count!r}")
+        _check_integer(self.rng_seed, "rng_seed", 0)
+        _check_sphere_count(self.sphere_count, "sphere_count")
+        _check_integer(self.trials, "trials", 1)
         _check_finite(self.lattice_regularization, "lattice_regularization",
                       positive=True)
 
@@ -156,10 +157,8 @@ def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
     called after each stage when provided. Arguments of the wrong type
     raise ValueError naming the argument before any stage runs.
     """
-    if not isinstance(pairs, PixelPairSet):
-        raise ValueError(f"pairs must be a PixelPairSet, got {type(pairs).__name__}")
-    if not isinstance(cfg, CalibrationConfig):
-        raise ValueError(f"cfg must be a CalibrationConfig, got {type(cfg).__name__}")
+    _check_type(pairs, PixelPairSet, "pairs")
+    _check_type(cfg, CalibrationConfig, "cfg")
     if progress is not None and not callable(progress):
         raise ValueError(f"progress must be None or callable, got {progress!r}")
     pool = _check_calibration_input(pairs)
@@ -248,6 +247,7 @@ def map_forward(model: PipelineModel, raws: np.ndarray) -> np.ndarray:
 
     Raises ValueError naming the first row with a NaN or infinite value.
     """
+    _check_type(model, PipelineModel, "model")
     raws = _as_rows(raws, "raw")
     _check_rows(raws, "raw", finite=True)
     rows_t = model.matrix.rows.T
@@ -266,6 +266,7 @@ def map_backward(model: PipelineModel, rendered: np.ndarray) -> np.ndarray:
     curves. Raises ValueError naming the first row with a NaN or infinite
     value.
     """
+    _check_type(model, PipelineModel, "model")
     rendered = _as_rows(rendered, "rendered")
     _check_rows(rendered, "rendered", finite=True)
     inverse_t = model.matrix.inverse().T

@@ -30,7 +30,7 @@ _SYMMETRY_TOL = 1e-10
 _DEPENDENT = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadProgram:
     """Data of one program: 0.5 x'Qx + c'x s.t. Ax <= b, Q positive definite."""
 
@@ -87,7 +87,7 @@ class QuadProgram:
         return float(0.5 * x @ self.q @ x + self.c @ x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpSolution:
     """Solver output: the point, its multipliers, and KKT diagnostics."""
 

@@ -10,7 +10,7 @@ scan would. Each trial's floor is the best score of a few points: those
 its row's earlier trials tied on, or for the first trial its best cap.
 Each bound pass is one product for a chunk of trials, each side of the
 antipodal sample is bounded on its own, and only the points of the (cap,
-side) pairs whose bounds reach the floor are scored, on that side alone.
+side) pairs whose bounds reach the floor are scored.
 That is about 0.35% of the half-sphere on the benchmark's constraint
 sets. Repeated trials over random colour subsets are arbitrated by how
 monotone the induced raw-to-rendered relation is.
@@ -19,7 +19,7 @@ monotone the induced raw-to-rendered relation is.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DegenerateChannel, InsufficientData, NoAchromaticSample
 from .errors import CalibrationError
 from .model import (SATURATION_FRACTION, ColorMatrix, PixelPairSet, _check_channel,
-                    _check_integer)
+                    _check_integer, _check_type)
 
 DEFAULT_SPHERE_COUNT = 100_000
 DEFAULT_TRIALS = 25
@@ -83,38 +83,25 @@ _LABEL_REACH = 0.1
 _CAP_MARGIN = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereSample:
-    """Unit direction candidates covering the whole sphere, in antipodal
-    pairs: the second half of the points is exactly the negation of the
-    first, so scoring needs only half the dot products, reading each
-    one's sign both ways.
+    """Unit direction candidates covering the whole sphere, built from
+    their even ``count`` >= 6 as ``sample_sphere`` describes: the last
+    half of the points negates the first, so the cap index covers the
+    first half and each cap bound reads one product both ways.
     """
 
-    points: np.ndarray
-    # read by perfbench's sample_sphere counter; ROADMAP item 2 drops both
+    count: int
+    points: np.ndarray = field(init=False)
+    # read by perfbench's sample_sphere counter; ROADMAP item 1 drops both
     antipodal: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-            raise ValueError(f"sphere points must have shape (n, 3) with n >= 1, "
-                             f"got {pts.shape}")
-        # written so that a NaN or infinite point fails it
-        bad = np.flatnonzero(~(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= 1e-12))
-        if bad.size:
-            raise ValueError(f"sphere point {bad[0]} = {pts[bad[0]]} is not a finite "
-                             f"unit vector")
-        n = pts.shape[0]
-        if n % 2 or not np.array_equal(pts[n // 2:], -pts[:n // 2]):
-            raise ValueError(f"sphere points must be antipodal: the last half of the "
-                             f"{n} points must negate the first half")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
+        _check_sphere_count(self.count, "count")
+        upper = np.eye(3) if self.count == 6 else _hemisphere_spiral(self.count // 2)
+        points = np.vstack([upper, -upper])
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
 
     @functools.cached_property
     def caps(self) -> CapIndex:
@@ -122,7 +109,7 @@ class SphereSample:
         return _build_caps(self.points[:self.count // 2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapIndex:
     """Scored sphere points grouped into caps, and caps into groups.
 
@@ -159,6 +146,13 @@ def _hemisphere_spiral(count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
+def _check_sphere_count(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an even integer >= 6."""
+    _check_integer(value, name, 6)
+    if value % 2:
+        raise ValueError(f"{name} must be even, got {value!r}")
+
+
 # typed, so that a cached 6 does not answer for 6.0 before the check
 @functools.lru_cache(maxsize=2, typed=True)
 def sample_sphere(n: int) -> SphereSample:
@@ -166,21 +160,17 @@ def sample_sphere(n: int) -> SphereSample:
 
     n must be an even integer: a Fibonacci spiral of n / 2 points over
     the open upper hemisphere is followed by its negation, so every
-    direction appears with its negation and scoring can share dot
+    direction appears with its negation and the cap bounds can share
     products between the two. At n = 100000 the largest
     nearest-neighbour gap is about 0.65 degrees. n = 6 is the
     axis-aligned octahedron.
 
     The sample is immutable and depends on n alone, so the process keeps
-    the last two it built, each with its cap index once searched: at
-    n = 100000 that is about 3 MB.
+    the last two ``SphereSample(n)`` it built, each with its cap index once
+    searched: at n = 100000 that is about 3 MB.
     """
-    _check_integer(n, "n", 6)
-    if n % 2:
-        raise ValueError(f"sphere sample needs an even count of at least 6 points, "
-                         f"got {n}")
-    upper = np.eye(3) if n == 6 else _hemisphere_spiral(n // 2)
-    return SphereSample(np.vstack([upper, -upper]))
+    _check_sphere_count(n, "n")
+    return SphereSample(n)
 
 
 def _largest_angles(points: np.ndarray, centres: np.ndarray,
@@ -367,17 +357,13 @@ def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
     return plus, minus
 
 
-def _scores(points: np.ndarray, dt: np.ndarray,
-            split: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint counts of float32 points (t, n, 3), trial by trial.
+def _scores(points: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Constraint counts (t, n) of float32 points (t, n, 3), trial by trial.
 
-    Trial i's points are scored against its differences ``dt[i]`` (3, p);
-    points of shape (1, n, 3) are shared by every trial.
-    Returns the counts (t, split) of the points ``[:, :split]`` themselves
-    and (t, n - split) of the negations of the points ``[:, split:]``: a
-    product counts for a point when positive and for its negation when
-    negative. Products are formed in blocks of _SCORE_BLOCK points, shared
-    out among the trials.
+    Trial i's points are scored against its differences ``dt[i]`` (3, p):
+    a point's count is how many of its products are positive. Points of
+    shape (1, n, 3) are shared by every trial. Products are formed in
+    blocks of _SCORE_BLOCK points, shared out among the trials.
     """
     trials, n = dt.shape[0], points.shape[1]
     block = max(2, _SCORE_BLOCK // trials)
@@ -386,19 +372,11 @@ def _scores(points: np.ndarray, dt: np.ndarray,
         # differently from a matrix product, as a one-column product
         # does; a repeated row keeps every product a matrix product
         points = np.concatenate([points, points[:, -1:]], axis=1)
-    plus = np.empty((trials, split), dtype=np.int64)
-    minus = np.empty((trials, n - split), dtype=np.int64)
+    counts = np.empty((trials, points.shape[1]), dtype=np.int64)
     for start in range(0, n, block):
-        stop = min(start + block, n)
         prod = points[:, start:start + block] @ dt
-        if start < split:
-            end = min(stop, split)
-            plus[:, start:end] = _count_true(prod[:, :end - start] > 0.0)
-        if stop > split:
-            begin = max(start, split)
-            minus[:, begin - split:stop - split] = _count_true(
-                prod[:, begin - start:stop - start] < 0.0)
-    return plus, minus
+        counts[:, start:start + block] = _count_true(prod > 0.0)
+    return counts[:, :n]
 
 
 def _search_trials(sphere: SphereSample,
@@ -462,18 +440,15 @@ def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
     for a chunk of one trial with none. The caps of every group that
     reaches a trial's floor are bounded, in one product for the chunk, and
     the points of each (cap, side) whose group and cap bounds still reach
-    it are scored, on that side alone. The floor is a score that some
-    point reaches, so every tied point is among them.
+    it are scored, a minus side by its members' negations. The floor is a
+    score that some point reaches, so every tied point is among them.
     """
     caps = sphere.caps
-    half = sphere.count // 2
     group_plus, group_minus = _upper_bounds(caps.group_centres, caps.group_radius,
                                             unit, sizes)
     if floor_points is None:
         floor_points = _best_cap_points(sphere, unit, sizes, group_plus, group_minus)
-    upper = int(np.searchsorted(floor_points, half))
-    points = sphere.points[floor_points % half].astype(np.float32)[None]
-    floor = np.concatenate(_scores(points, dt, upper), axis=1).max(axis=1)
+    floor = _scores(sphere.points[floor_points].astype(np.float32)[None], dt).max(axis=1)
 
     group_caps = np.diff(caps.group_offsets)
     open_plus = np.repeat(group_plus >= floor, group_caps, axis=0)
@@ -485,13 +460,9 @@ def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
 
     found = []
     for i in range(sizes.size):
-        plus = near[open_plus[:, i]]
-        rows = _members(caps, np.concatenate([plus, near[open_minus[:, i]]]))
-        split = int(caps.offsets[plus + 1].sum() - caps.offsets[plus].sum())
-        plus_scores, minus_scores = _scores(
-            sphere.points[rows].astype(np.float32)[None], dt[i:i + 1], split)
-        rows[split:] += half
-        scores = np.concatenate([plus_scores[0], minus_scores[0]])
+        rows = np.concatenate([_members(caps, near[open_plus[:, i]]),
+                               _members(caps, near[open_minus[:, i]]) + sphere.count // 2])
+        scores = _scores(sphere.points[rows].astype(np.float32)[None], dt[i:i + 1])[0]
         best = int(scores.max())
         found.append((best, np.sort(rows[scores == best])))
     return found
@@ -660,6 +631,7 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
     candidate whose induced mapping has the lowest monotone-fit residual
     on the full pair set wins.
     """
+    _check_type(sphere, SphereSample, "sphere")
     _check_integer(trials, "trials", 1)
     diffs = [build_half_spaces(pairs, channel, rng_seed=rng_seed + trial)
              for trial in range(trials)]

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
-from .model import ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer
+from .model import (ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer,
+                    _check_type)
 from .modelfile import _fmt, _Reader
 from .pipeline import _map_in_blocks
 
@@ -57,7 +58,7 @@ class ToneSpec:
         return (x * (2.51 * x + 0.03)) / (x * (2.43 * x + 0.59) + 0.14) / _FILMIC_NORM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticCamera:
     """Ground-truth rendering pipeline for simulation."""
 
@@ -235,6 +236,7 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
     and at least one exposure, each a finite real >= 0 (0 renders black,
     flagged as saturated).
     """
+    _check_type(camera, SyntheticCamera, "camera")
     _check_integer(n_patches, "n_patches", 1)
     _check_integer(rng_seed, "rng_seed", 0)
     illuminants = [np.ones(3)] if illuminants is None else list(illuminants)

@@ -88,29 +88,20 @@ def score_candidate(m, diffs) -> int:
 def score_all(sphere, diffs: np.ndarray) -> np.ndarray:
     """Constraint counts for every sphere point: the dense-scan oracle.
 
-    Products are formed in float32 in blocks of 4096 points and read by
-    sign. For an antipodal sample the negated half reuses the same
+    Products are formed in float32 in blocks of 4096 points of the first
+    half and read by sign: the negated half, the second, reuses the same
     products with the opposite sign test.
     """
-    points = sphere.points
-    n = points.shape[0]
+    half = sphere.count // 2
+    p32 = sphere.points[:half].astype(np.float32)
     dt = np.ascontiguousarray(diffs.T, dtype=np.float32)
-    if sphere.antipodal:
-        half = n // 2
-        p32 = points[:half].astype(np.float32)
-        pos = np.empty(half, dtype=np.int64)
-        neg = np.empty(half, dtype=np.int64)
-        for s in range(0, half, _SCORE_BLOCK):
-            prod = p32[s:s + _SCORE_BLOCK] @ dt
-            pos[s:s + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
-            neg[s:s + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
-        return np.concatenate([pos, neg])
-    p32 = points.astype(np.float32)
-    out = np.empty(n, dtype=np.int64)
-    for s in range(0, n, _SCORE_BLOCK):
+    pos = np.empty(half, dtype=np.int64)
+    neg = np.empty(half, dtype=np.int64)
+    for s in range(0, half, _SCORE_BLOCK):
         prod = p32[s:s + _SCORE_BLOCK] @ dt
-        out[s:s + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
-    return out
+        pos[s:s + prod.shape[0]] = np.count_nonzero(prod > 0.0, axis=1)
+        neg[s:s + prod.shape[0]] = np.count_nonzero(prod < 0.0, axis=1)
+    return np.concatenate([pos, neg])
 
 
 def dense_tied_points(sphere, diffs: np.ndarray):

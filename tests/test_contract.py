@@ -9,6 +9,7 @@ name. A name or an argument the sweep leaves out is listed in
 ``NOT_COVERED`` with the reason.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from rankcal import (
     SubsetSpec,
     SyntheticCamera,
     ToneSpec,
+    backward_parameter_count,
     calibrate,
     deserialize_model,
     load_corpus,
@@ -33,13 +35,14 @@ from rankcal import (
     make_corpus,
     map_backward,
     map_forward,
+    parameter_count,
     rmse,
     save_corpus,
     select_subset,
     serialize_model,
 )
 from rankcal import errors
-from rankcal.model import ColorMatrix
+from rankcal.model import ColorMatrix, Lattice3, ToneCurve
 from rankcal.simulate import render_batch
 
 NAN, INF = float("nan"), float("inf")
@@ -129,6 +132,7 @@ CASES = {
         ("text", lambda: map_forward(PipelineModel.identity(), "abc"), "raw"),
         ("ragged", lambda: map_forward(PipelineModel.identity(), [[0.1, 0.2, 0.3], [0.1]]),
          "raw"),
+        ("text_model", lambda: map_forward("m", ROWS), "model must be a PipelineModel, got str"),
     ],
     "map_backward": [
         ("nan_row", lambda: map_backward(PipelineModel.identity(), with_value(ROWS, 3, 1, NAN)),
@@ -139,6 +143,17 @@ CASES = {
          "rendered"),
         ("complex", lambda: map_backward(PipelineModel.identity(), ROWS * 1j), "rendered"),
         ("text", lambda: map_backward(PipelineModel.identity(), "abc"), "rendered"),
+        ("text_model", lambda: map_backward("m", ROWS), "model must be a PipelineModel, got str"),
+    ],
+    "serialize_model": [
+        ("no_model", lambda: serialize_model(None), "model must be a PipelineModel, got NoneType"),
+    ],
+    "parameter_count": [
+        ("no_model", lambda: parameter_count(None), "model must be a PipelineModel, got NoneType"),
+    ],
+    "backward_parameter_count": [
+        ("no_model", lambda: backward_parameter_count(None),
+         "model must be a PipelineModel, got NoneType"),
     ],
     "deserialize_model": [
         ("empty", lambda: deserialize_model(""), "model.version"),
@@ -153,6 +168,8 @@ CASES = {
             model_text("lut.backward.resolution", 1)), "lut.backward.resolution"),
         ("huge_lattice", lambda: deserialize_model(
             model_text("lut.forward.resolution", 10 ** 6)), "lut.forward.resolution"),
+        ("bytes", lambda: deserialize_model(b"model.version = 1\n"),
+         "text must be a str, got bytes"),
     ],
     "load_corpus": [
         ("empty_file", lambda: load_corpus(corpus_file("empty.csv", "")), "empty.csv"),
@@ -165,12 +182,17 @@ CASES = {
             "jpeg.csv", HEADER + "c,i,e,p,1,1,1,1,256,1,1\n")), "jpeg.csv: line 2"),
         ("zero_white", lambda: load_corpus(corpus_file(
             "white.csv", HEADER + "c,i,e,p,1,1,1,1,1,1,0\n")), "white.csv: line 2"),
+        ("number_rows", lambda: load_corpus(corpus_file(
+            "ok.csv", HEADER + "c,i,e,p,1,1,1,1,1,1,1\n"), rows=5),
+         "rows must be a list, got int"),
     ],
     "save_corpus": [
         ("comma_tag", lambda: save_corpus(pairs(3, patch=("p0", "a,b", "p2")), "out.csv"),
          "patch tag 'a,b'"),
         ("comment_camera", lambda: save_corpus(pairs(3, camera=("c", "#c", "c")), "out.csv"),
          "camera tag '#c'"),
+        ("text_pairs", lambda: save_corpus("x", "out.csv"),
+         "pairs must be a PixelPairSet, got str"),
     ],
     "select_subset": [
         ("empty_corpus", lambda: select_subset(pairs(0), SubsetSpec("uniform", k=1)), "corpus"),
@@ -178,6 +200,10 @@ CASES = {
         ("exposures_over_corpus", lambda: select_subset(
             pairs(5), SubsetSpec("exposures_illuminants", n_exposures=2, n_illuminants=1)),
          "exposures"),
+        ("text_spec", lambda: select_subset(pairs(5), "uniform:5"),
+         "spec must be a SubsetSpec, got str"),
+        ("list_corpus", lambda: select_subset([1, 2], SubsetSpec("uniform", k=1)),
+         "corpus must be a PixelPairSet, got list"),
     ],
     "SubsetSpec": [
         ("unknown_kind", lambda: SubsetSpec("every"), "kind"),
@@ -235,6 +261,8 @@ CASES = {
         ("no_exposures", lambda: make_corpus(plain_camera(), 5, exposures=[]), "exposures"),
         ("negative_seed", lambda: make_corpus(plain_camera(), 5, rng_seed=-1), "rng_seed"),
         ("fractional_seed", lambda: make_corpus(plain_camera(), 5, rng_seed=0.5), "rng_seed"),
+        ("text_camera", lambda: make_corpus("cam", 5),
+         "camera must be a SyntheticCamera, got str"),
     ],
     "ToneSpec": [
         ("unknown_family", lambda: ToneSpec("log"), "family"),
@@ -298,10 +326,6 @@ CASES = {
 }
 
 NOT_COVERED = {
-    "serialize_model": "its one argument is a PipelineModel, which checks itself when built",
-    "parameter_count": "its one argument is a PipelineModel, which checks itself when built",
-    "backward_parameter_count": "its one argument is a PipelineModel, which checks itself "
-                                "when built",
     "calibrate(cfg.sphere_count)": "a huge even count is valid, and is not tried: its sphere "
                                    "would take gigabytes",
     "calibrate(progress)": "what a callable callback raises when called is passed on",
@@ -332,6 +356,41 @@ def test_bad_argument_raises_named_error(call, cause, tmp_path, monkeypatch):
         with pytest.raises((ValueError, CalibrationError)) as info:
             call()
     assert cause in str(info.value)
+
+
+# builders of two equal instances of each value type; those that hold an
+# array compare and hash by identity, the others by value
+VALUE_TYPES = {
+    "CalibrationConfig": (lambda: CalibrationConfig(sphere_count=2000), True),
+    "SubsetSpec": (lambda: SubsetSpec("uniform", k=5), True),
+    "ToneSpec": (lambda: ToneSpec("srgb"), True),
+    "PipelineModel": (PipelineModel.identity, False),
+    "PixelPairSet": (pairs, False),
+    "SyntheticCamera": (plain_camera, False),
+    "ColorMatrix": (ColorMatrix.identity, False),
+    "ToneCurve": (lambda: ToneCurve.linear("forward", 1), False),
+    "Lattice3": (Lattice3.identity, False),
+}
+
+
+def test_every_root_value_type_is_compared():
+    assert {name for name in rankcal.__all__
+            if dataclasses.is_dataclass(getattr(rankcal, name))} <= set(VALUE_TYPES)
+
+
+@pytest.mark.parametrize("build, by_value", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_equality_and_hash_never_raise(build, by_value):
+    a, b = build(), build()
+    assert a == a and not a != a
+    assert hash(a) == hash(a)
+    assert (a == b) is by_value
+    assert len({a, b}) == (1 if by_value else 2)
+
+
+def test_pair_set_equals_only_itself():
+    corpus = pairs()
+    assert corpus != corpus.subset(np.arange(len(corpus)))
+    assert corpus in {corpus}
 
 
 CORPUS_KINDS = ("camera", "grey", "planar", "reversed", "random", "tiny", "few_levels",

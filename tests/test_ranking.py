@@ -1,5 +1,6 @@
 """Tests for sphere sampling, half-space scoring, and row estimation."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -78,20 +79,28 @@ class TestSampleSphere:
         for n in (6, 1000, 4002):
             points = sample_sphere(n).points
             assert np.array_equal(points[n // 2:], -points[:n // 2])
-        with pytest.raises(ValueError, match="even count .* got 4001"):
+        with pytest.raises(ValueError, match="n must be even, got 4001"):
             sample_sphere(4001)
 
-    @pytest.mark.parametrize("points, match", [
-        (np.vstack([np.eye(3), -np.eye(3)[::-1]]), "antipodal: .* 6 points"),
-        (np.vstack([np.eye(3), -np.eye(3), [[0.0, 0.0, 1.0]]]), "antipodal: .* 7 points"),
-        (np.array([[np.nan, 0.0, 0.0], [-np.nan, 0.0, 0.0]]), "point 0 .* not a finite"),
-        (np.array([[1.0, 0.0, 0.0], [-np.inf, 0.0, 0.0]]), "point 1 .* not a finite"),
-        (np.array([[2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]), "point 0 .* unit vector"),
-        (np.empty((0, 3)), r"shape \(n, 3\) with n >= 1, got \(0, 3\)"),
-    ], ids=["not_negated", "odd", "nan", "infinite", "not_unit", "empty"])
-    def test_hand_built_sample_must_be_antipodal_unit_and_finite(self, points, match):
+    @pytest.mark.parametrize("count, match", [
+        (5, "count must be an integer >= 6, got 5"),
+        (4001, "count must be even, got 4001"),
+        (6.0, "count must be an integer >= 6, got 6.0"),
+        (True, "count must be an integer >= 6, got True"),
+        ("8", "count must be an integer >= 6, got '8'"),
+    ])
+    def test_sample_is_built_from_an_even_count_of_at_least_six(self, count, match):
         with pytest.raises(ValueError, match=match):
-            SphereSample(points)
+            SphereSample(count)
+
+    @pytest.mark.parametrize("n", [6, 2000])
+    def test_sample_built_from_its_count_is_the_cached_one(self, n):
+        sphere = SphereSample(n)
+        assert sphere.count == n
+        assert sphere.points.tobytes() == sample_sphere(n).points.tobytes()
+        assert not sphere.points.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sphere.points = sphere.points[::-1]
 
     def test_deterministic(self):
         a = sample_sphere(5000).points
@@ -464,9 +473,9 @@ class TestTiedPoints:
         calls = []
         score = ranking._scores
 
-        def spy(points, dt, split):
+        def spy(points, dt):
             calls.append(points.shape[1])
-            return score(points, dt, split)
+            return score(points, dt)
 
         monkeypatch.setattr(ranking, "_scores", spy)
         rng = np.random.default_rng(n)
@@ -548,10 +557,10 @@ class TestPruning:
             searched.append((len(diffs), sphere.caps.order.size))
             return search(sphere, diffs)
 
-        def count_scored(points, dt, split):
+        def count_scored(points, dt):
             # floor points come as one (1, n, 3) stack for every trial
             scored.append(dt.shape[0] * points.shape[1])
-            return score(points, dt, split)
+            return score(points, dt)
 
         monkeypatch.setattr(ranking, "_search_trials", count_search)
         monkeypatch.setattr(ranking, "_scores", count_scored)
@@ -961,6 +970,13 @@ class TestEstimateRow:
         pairs = synthetic_channel_pairs(rng, 60, np.array([0.5, 0.4, 0.1]))
         with pytest.raises(ValueError, match="trials must be an integer >= 1, got 1.5"):
             estimate_row(pairs, 1, sample_sphere(2000), trials=1.5)
+
+    @pytest.mark.parametrize("sphere", ["s", 2000, np.eye(3)])
+    def test_sphere_must_be_a_sample(self, sphere):
+        rng = np.random.default_rng(15)
+        pairs = synthetic_channel_pairs(rng, 60, np.array([0.5, 0.4, 0.1]))
+        with pytest.raises(ValueError, match="sphere must be a SphereSample, got "):
+            estimate_row(pairs, 1, sphere)
 
     def test_scale_invariance_of_direction(self, sphere100k):
         rng = np.random.default_rng(13)
