@@ -24,7 +24,7 @@ from itertools import chain, islice, repeat
 import numpy as np
 
 from .errors import CorpusFormatError, EmptyCorpus, InsufficientVariety
-from .model import PixelPairSet, _as_rows, _check_integer, _check_type
+from .model import PixelPairSet, _as_rows, _check_integer, _check_rows, _check_type
 
 CSV_COLUMNS = (
     "camera", "illuminant", "exposure", "patch",
@@ -333,9 +333,8 @@ def rmse(predictions, truth, domain: str = "rendered255") -> float:
     """
     pred = _as_rows(predictions, "predictions")
     ref = _as_rows(truth, "truth")
-    for name, rows in (("predictions", pred), ("truth", ref)):
-        if not np.all(np.isfinite(rows)):
-            raise ValueError(f"{name} has non-finite values")
+    _check_rows(pred, "predictions", finite=True)
+    _check_rows(ref, "truth", finite=True)
     if pred.shape != ref.shape:
         raise ValueError(f"predictions and truth differ in shape: {pred.shape} vs {ref.shape}")
     if pred.shape[0] == 0:

@@ -15,7 +15,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DegenerateGeometry
-from .model import Lattice3, _as_rows, _check_finite, _check_integer, _check_rows
+from .model import (Lattice3, _as_float_array, _as_rows, _check_finite, _check_integer,
+                    _check_rows, _check_type)
 from .qp import QuadProgram, solve_qp
 
 _QP_TOL = 1e-8
@@ -41,18 +42,8 @@ class AffineGamutMap:
     o: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        o = np.asarray(self.o, dtype=float)
-        if t.shape != (3, 3) or o.shape != (3,):
-            raise ValueError("T must be 3x3 and o a 3-vector")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(o))):
-            raise ValueError("gamut map must be finite")
-        t = t.copy()
-        o = o.copy()
-        t.setflags(write=False)
-        o.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "o", o)
+        object.__setattr__(self, "t", _as_float_array(self.t, (3, 3), "AffineGamutMap.t"))
+        object.__setattr__(self, "o", _as_float_array(self.o, (3,), "AffineGamutMap.o"))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=float) @ self.t.T + self.o
@@ -136,6 +127,7 @@ def apply_lattice(lut: Lattice3, v):
     corner nodes are added one corner at a time, in ``_CORNERS`` order,
     so no (n, 8) index, weight or gathered-node array is formed.
     """
+    _check_type(lut, Lattice3, "lut")
     arr = np.asarray(v)
     single = arr.ndim == 1
     rows = _as_rows(arr, "v")

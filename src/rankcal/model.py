@@ -34,21 +34,29 @@ TONE_ROUNDTRIP_SLOPE_MIN = 0.05
 SATURATION_FRACTION = 0.995
 
 
-def _as_rows(values, name: str) -> np.ndarray:
-    """``values`` as float colour rows (n, 3); a single (3,) row becomes (1, 3).
+def _real_array(values, name: str) -> np.ndarray:
+    """``values`` as an array of real numbers; an array is not copied.
 
-    Anything but an array of real numbers raises ValueError naming ``name``:
-    a complex value would otherwise lose its imaginary part with a warning.
-    A float64 array is taken as it is, without a pass over its values.
+    Anything else raises ValueError naming ``name``: a complex value would
+    otherwise lose its imaginary part with a warning.
     """
     try:
-        rows = np.asarray(values)
+        arr = np.asarray(values)
     except ValueError:
         raise ValueError(f"{name} must be an array of real numbers, got a ragged "
                          f"nesting") from None
-    if rows.dtype.kind not in "biuf":
-        raise ValueError(f"{name} must be an array of real numbers, got dtype {rows.dtype}")
-    rows = rows.astype(float, copy=False)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _as_rows(values, name: str) -> np.ndarray:
+    """``values`` as float colour rows (n, 3); a single (3,) row becomes (1, 3).
+
+    Anything but an array of real numbers raises ValueError naming ``name``.
+    A float64 array is taken as it is, without a pass over its values.
+    """
+    rows = _real_array(values, name).astype(float, copy=False)
     if rows.shape == (3,):
         return rows.reshape(1, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
@@ -97,11 +105,11 @@ def _check_type(value, cls: type, name: str) -> None:
         raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
-def _check_channel(value, name: str = "channel") -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is the integer 1,
-    2 or 3 (not a bool)."""
+def _check_channel(value) -> None:
+    """Raise ValueError naming ``channel`` unless ``value`` is the integer
+    1, 2 or 3 (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, Integral) or not 1 <= value <= 3:
-        raise ValueError(f"{name} must be 1..3 as an integer, got {value!r}")
+        raise ValueError(f"channel must be 1..3 as an integer, got {value!r}")
 
 
 def _check_finite(value, name: str, positive: bool) -> None:
@@ -113,13 +121,20 @@ def _check_finite(value, name: str, positive: bool) -> None:
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
-def _as_float_array(values, shape, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape:
+def _as_float_array(values, shape: tuple, name: str) -> np.ndarray:
+    """``values`` as a read-only float copy of ``shape``, where a None entry
+    matches any length: the one way a value type takes an array.
+
+    Anything but a finite array of real numbers of that shape raises
+    ValueError naming ``name``.
+    """
+    arr = _real_array(values, name)
+    if arr.ndim != len(shape) or any(want not in (None, got)
+                                     for want, got in zip(shape, arr.shape)):
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
-    arr = arr.copy()
+    arr = arr.astype(float)
     arr.setflags(write=False)
     return arr
 
@@ -275,24 +290,17 @@ class ToneCurve:
     """A monotone polynomial tone curve on [0, 1] in the power basis.
 
     ``coefficients[i]`` multiplies t**i. Validation checks that the curve
-    is non-decreasing on a uniform 1024-point grid (slack 1e-9).
+    is non-decreasing on a uniform 1024-point grid (slack 1e-9). A curve's
+    direction and channel are its place in ``PipelineModel.forward_tones``
+    or ``inverse_tones``.
     """
 
     coefficients: np.ndarray
-    direction: str
-    channel: int
 
     def __post_init__(self) -> None:
-        coef = np.asarray(self.coefficients, dtype=float)
-        if coef.ndim != 1 or coef.size < 2:
+        coef = _as_float_array(self.coefficients, (None,), "ToneCurve.coefficients")
+        if coef.size < 2:
             raise ValueError("ToneCurve needs at least two coefficients")
-        if not np.all(np.isfinite(coef)):
-            raise ValueError("ToneCurve coefficients must be finite")
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError(f"unknown tone direction {self.direction!r}")
-        _check_channel(self.channel, "tone channel")
-        coef = coef.copy()
-        coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
         grid = np.linspace(0.0, 1.0, TONE_GRID_POINTS)
         values = self(grid)
@@ -314,11 +322,11 @@ class ToneCurve:
         return _horner(self.coefficients[1:] * np.arange(1, self.coefficients.size), t)
 
     @classmethod
-    def linear(cls, direction: str, channel: int, degree: int = 7) -> "ToneCurve":
+    def linear(cls, degree: int = 7) -> "ToneCurve":
         _check_integer(degree, "degree", 1)
         coef = np.zeros(degree + 1)
         coef[1] = 1.0
-        return cls(coef, direction, channel)
+        return cls(coef)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,16 +340,10 @@ class Lattice3:
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        if nodes.ndim != 4 or nodes.shape[3] != 3:
-            raise ValueError("Lattice3 nodes must have shape (r, r, r, 3)")
+        nodes = _as_float_array(self.nodes, (None, None, None, 3), "Lattice3.nodes")
         r = nodes.shape[0]
         if nodes.shape[:3] != (r, r, r) or r < 2:
             raise ValueError("Lattice3 must be cubic with resolution >= 2")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("Lattice3 nodes must be finite")
-        nodes = nodes.copy()
-        nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -398,12 +400,6 @@ class PipelineModel:
                                   (self.inverse_tones, "inverse")):
             if len(curves) != 3:
                 raise ValueError(f"need exactly three {direction} tone curves")
-            for k, curve in enumerate(curves, start=1):
-                if curve.direction != direction or curve.channel != k:
-                    raise ValueError(
-                        f"{direction} tone curve {k} is tagged "
-                        f"({curve.direction!r}, channel {curve.channel})"
-                    )
         degrees = {c.degree for c in self.forward_tones + self.inverse_tones}
         if len(degrees) != 1:
             raise ValueError(f"tone curves disagree on degree: {sorted(degrees)}")
@@ -412,7 +408,7 @@ class PipelineModel:
 
     def _check_tone_roundtrip(self) -> None:
         t = np.linspace(0.0, 1.0, 256)
-        for fwd, inv in zip(self.forward_tones, self.inverse_tones):
+        for channel, (fwd, inv) in enumerate(zip(self.forward_tones, self.inverse_tones), 1):
             slope = fwd.derivative(t)
             mask = slope >= TONE_ROUNDTRIP_SLOPE_MIN
             if not np.any(mask):
@@ -422,18 +418,17 @@ class PipelineModel:
             if gap > TONE_ROUNDTRIP_TOL:
                 raise ValueError(
                     f"forward/inverse tone curves disagree by {gap:.4f} on "
-                    f"channel {fwd.channel} (limit {TONE_ROUNDTRIP_TOL})"
+                    f"channel {channel} (limit {TONE_ROUNDTRIP_TOL})"
                 )
 
     @classmethod
     def identity(cls, resolution: int = 5, degree: int = 7) -> "PipelineModel":
-        fwd = tuple(ToneCurve.linear("forward", k, degree) for k in (1, 2, 3))
-        inv = tuple(ToneCurve.linear("inverse", k, degree) for k in (1, 2, 3))
+        tones = (ToneCurve.linear(degree),) * 3
         return cls(
             matrix=ColorMatrix.identity(),
-            forward_tones=fwd,
+            forward_tones=tones,
             forward_lut=Lattice3.identity(resolution),
-            inverse_tones=inv,
+            inverse_tones=tones,
             backward_lut=Lattice3.identity(resolution),
         )
 

@@ -43,9 +43,9 @@ def serialize_model(model: PipelineModel) -> str:
 
 
 def _emit_tones(lines: list[str], direction: str, curves) -> None:
-    for curve in curves:
+    for k, curve in enumerate(curves, start=1):
         for i, c in enumerate(curve.coefficients):
-            lines.append(f"tone.{direction}.{curve.channel}.c{i} = {_fmt(c)}")
+            lines.append(f"tone.{direction}.{k}.c{i} = {_fmt(c)}")
 
 
 def _emit_lut(lines: list[str], name: str, lut: Lattice3) -> None:
@@ -172,7 +172,7 @@ def _read_tones(reader: _Reader, direction: str, degree: int):
         for i in range(degree + 1):
             coef[i] = reader.take_float(f"tone.{direction}.{ch}.c{i}")
         try:
-            curves.append(ToneCurve(coef, direction, ch))
+            curves.append(ToneCurve(coef))
         except ValueError as exc:
             raise ModelParseError(f"tone.{direction}.{ch}: {exc}") from exc
     return tuple(curves)

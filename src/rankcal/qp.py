@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, MaxIterations
+from .model import _as_float_array, _check_type
 
 DEFAULT_TOL = 1e-8
 _SYMMETRY_TOL = 1e-10
@@ -40,25 +41,24 @@ class QuadProgram:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 1 or c.shape[0] == 0:
+        # shapes first, so that each shape rule keeps its own message
+        n = np.size(self.c)
+        if np.ndim(self.c) != 1 or n == 0:
             raise ValueError(f"a program needs at least one variable: c must be a "
-                             f"non-empty vector, got shape {c.shape}")
-        n = c.shape[0]
-        if q.shape != (n, n):
-            raise ValueError(f"Q must be ({n}, {n}), got {q.shape}")
-        a = np.asarray(self.a, dtype=float)
-        if a.size == 0:
-            a = a.reshape(0, n)
-        elif a.ndim != 2 or a.shape[1] != n:
-            raise ValueError(f"A must be (m, {n}), got {a.shape}")
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if a.shape[0] != b.shape[0]:
+                             f"non-empty vector, got shape {np.shape(self.c)}")
+        if np.shape(self.q) != (n, n):
+            raise ValueError(f"Q must be ({n}, {n}), got {np.shape(self.q)}")
+        # an empty A means no constraints
+        a = self.a if np.size(self.a) else np.zeros((0, n))
+        if np.ndim(a) != 2 or np.shape(a)[1] != n:
+            raise ValueError(f"A must be (m, {n}), got {np.shape(a)}")
+        m = np.shape(a)[0]
+        if np.size(self.b) != m:
             raise ValueError("A and b disagree on the constraint count")
-        for name, arr in (("Q", q), ("c", c), ("A", a), ("b", b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
+        q = _as_float_array(self.q, (n, n), "Q")
+        c = _as_float_array(self.c, (n,), "c")
+        a = _as_float_array(a, (m, n), "A")
+        b = _as_float_array(np.reshape(self.b, -1), (m,), "b")
         scale = np.abs(q).max()
         if scale > 0 and np.abs(q - q.T).max() > _SYMMETRY_TOL * scale:
             raise ValueError("Q is not symmetric")
@@ -67,8 +67,7 @@ class QuadProgram:
             np.linalg.cholesky(q)
         except np.linalg.LinAlgError:
             raise ValueError("Q is not positive definite") from None
-        for arr in (q, c, a, b):
-            arr.setflags(write=False)
+        q.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a", a)
@@ -124,6 +123,7 @@ def solve_qp(prob: QuadProgram, tol: float = DEFAULT_TOL) -> QpSolution:
     and no active multiplier can drop, which proves that no point
     satisfies them all, and ``MaxIterations`` after 50 (n + m) steps.
     """
+    _check_type(prob, QuadProgram, "prob")
     a, b = prob.a, prob.b
     # J J' = Q^-1; the active rows are factored as J'A_active' = QR
     j = np.linalg.inv(np.linalg.cholesky(prob.q)).T

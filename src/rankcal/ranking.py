@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DegenerateChannel, InsufficientData, NoAchromaticSample
 from .errors import CalibrationError
-from .model import (SATURATION_FRACTION, ColorMatrix, PixelPairSet, _check_channel,
-                    _check_integer, _check_type)
+from .model import (SATURATION_FRACTION, ColorMatrix, PixelPairSet, _as_float_array,
+                    _as_rows, _check_channel, _check_integer, _check_rows, _check_type)
 
 DEFAULT_SPHERE_COUNT = 100_000
 DEFAULT_TRIALS = 25
@@ -283,6 +283,7 @@ def build_half_spaces(pairs: PixelPairSet, channel: int, *,
     first: the true row satisfies row @ d > 0. Returns the read-only
     (m, 3) differences, m >= 1.
     """
+    _check_type(pairs, PixelPairSet, "pairs")
     _check_channel(channel)
     _check_integer(rng_seed, "rng_seed", 0)
     eligible, raws, rendered = pairs._rank_pool
@@ -479,12 +480,13 @@ def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.nd
     """Best non-decreasing L2 fit by pool-adjacent-violators.
 
     The stack runs on Python floats, which round exactly as float64 array
-    elements do and cost far less to index one at a time.
+    elements do and cost far less to index one at a time. Values must be
+    finite and weights finite and > 0, or ValueError names the argument.
     """
-    y = np.asarray(values, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != y.shape:
-        raise ValueError(f"weights shape {w.shape} does not match values {y.shape}")
+    y = _as_float_array(values, (None,), "values")
+    w = np.ones_like(y) if weights is None else _as_float_array(weights, y.shape, "weights")
+    if w.size and w.min() <= 0.0:
+        raise ValueError(f"weights must be > 0, got {float(w.min())}")
     level: list[float] = []
     weight: list[float] = []
     length: list[int] = []
@@ -511,35 +513,22 @@ def monotonicity_score(pairs: PixelPairSet, m: np.ndarray,
     stack form on a stack of one, so a row scores the same bits either
     way. Pairs with identical projections are pooled first (a monotone
     function must map them to one value), so the residual includes their
-    spread.
+    spread. ``m`` takes the rows rule of ``map_forward``: a row that is not
+    finite raises ValueError naming it.
     """
+    _check_type(pairs, PixelPairSet, "pairs")
     _check_channel(channel)
-    try:
-        if np.iscomplexobj(m):
-            raise TypeError
-        rows = np.asarray(m, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"m must be an array of real numbers, got {m!r}") from None
-    if rows.shape != (3,) and (rows.ndim != 2 or rows.shape[1] != 3 or len(rows) == 0):
-        raise ValueError(f"m must have shape (3,) or (k, 3) with k >= 1, got {rows.shape}")
-    stack = rows.reshape(-1, 3)
-    finite = np.isfinite(stack).all(axis=1)
-    bad = np.flatnonzero(~finite | (np.linalg.norm(stack, axis=1) < 1e-15))
-    if bad.size:
-        j = int(bad[0])
-        name = "m" if rows.ndim == 1 else f"m[{j}]"
-        cause = "is not finite" if not finite[j] else "must be non-zero"
-        raise ValueError(f"candidate row {name} = {stack[j]} {cause}")
+    stack = _as_rows(m, "m")
+    _check_rows(stack, "m", finite=True)
     pool = pairs.unsaturated()
     if len(pool) == 0:
         raise InsufficientData("no unsaturated pairs to score")
     y = pool.rendered[:, channel - 1]
     batch = max(1, _RESIDUAL_POINTS // len(pool))
-    residuals = np.concatenate([
-        _monotone_residuals(pool.raw, y, stack[s:s + batch])
-        for s in range(0, len(stack), batch)
-    ])
-    return float(residuals[0]) if rows.ndim == 1 else residuals
+    residuals = np.empty(len(stack))
+    for s in range(0, len(stack), batch):
+        residuals[s:s + batch] = _monotone_residuals(pool.raw, y, stack[s:s + batch])
+    return float(residuals[0]) if np.ndim(m) == 1 else residuals
 
 
 def _monotone_residuals(raw: np.ndarray, y: np.ndarray,
@@ -648,6 +637,8 @@ def rescale_achromatic(m: ColorMatrix, pairs: PixelPairSet) -> ColorMatrix:
     mid grey and rescales each row so the matrix maps that raw triple to
     its rendered triple exactly.
     """
+    _check_type(m, ColorMatrix, "m")
+    _check_type(pairs, PixelPairSet, "pairs")
     pool = pairs.unsaturated()
     if len(pool) == 0:
         raise NoAchromaticSample("no unsaturated pairs available")

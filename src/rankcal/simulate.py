@@ -108,6 +108,7 @@ def render_batch(camera: SyntheticCamera, raws: np.ndarray,
     scratch of every step stays fixed per block whatever n is. Noise is
     drawn block after block, which is the same draw as one for all rows.
     """
+    _check_type(camera, SyntheticCamera, "camera")
     raws = _as_rows(raws, "raws")
     if camera.noise_sigma > 0.0 and rng is None:
         raise ValueError("rendering with noise requires an explicit rng")
@@ -282,6 +283,7 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
 
 def serialize_camera(camera: SyntheticCamera) -> str:
     """Sidecar ground-truth document in the keyed text style."""
+    _check_type(camera, SyntheticCamera, "camera")
     lines = ["camera.version = 1"]
     lines.append(f"camera.id = {camera.camera_id}")
     lines.append(f"camera.seed = {camera.seed}")
@@ -306,6 +308,7 @@ def serialize_camera(camera: SyntheticCamera) -> str:
 
 def deserialize_camera(text: str) -> SyntheticCamera:
     """Parse a camera sidecar document, in serialize_camera's field order."""
+    _check_type(text, str, "text")
     reader = _Reader(text)
     version = reader.take("camera.version")
     if version != "1":

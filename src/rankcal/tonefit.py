@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSpan, InsufficientData
-from .model import ColorMatrix, PixelPairSet, ToneCurve
+from .model import ColorMatrix, PixelPairSet, ToneCurve, _check_type
 from .qp import QuadProgram, solve_qp
 
 # Polynomial degree and curvature weight of every tone curve. The weight
@@ -63,7 +63,7 @@ def _rise_rows(degree: int) -> np.ndarray:
     return b[1:] - b[:-1]
 
 
-def fit_monotone(x, y, direction: str = "forward", channel: int = 1) -> ToneCurve:
+def fit_monotone(x, y) -> ToneCurve:
     """Fit one monotone tone curve to samples with x in [0, 1].
 
     The curve is non-decreasing on all of [0, 1]. Raises InsufficientData
@@ -94,7 +94,7 @@ def fit_monotone(x, y, direction: str = "forward", channel: int = 1) -> ToneCurv
     rises = _rise_rows(TONE_DEGREE)
     prob = QuadProgram(q=q, c=c, a=-rises, b=np.zeros(rises.shape[0]))
     coef = solve_qp(prob, _QP_TOL).x
-    return ToneCurve(coef, direction, channel)
+    return ToneCurve(coef)
 
 
 def _forward_samples(m: ColorMatrix, pairs: PixelPairSet, channel: int):
@@ -106,18 +106,15 @@ def _forward_samples(m: ColorMatrix, pairs: PixelPairSet, channel: int):
 
 def fit_forward_tones(m: ColorMatrix, pairs: PixelPairSet):
     """Per-channel curves mapping colour-corrected raw to rendered."""
-    return tuple(
-        fit_monotone(*_forward_samples(m, pairs, ch), "forward", ch)
-        for ch in (1, 2, 3)
-    )
+    _check_type(m, ColorMatrix, "m")
+    _check_type(pairs, PixelPairSet, "pairs")
+    return tuple(fit_monotone(*_forward_samples(m, pairs, ch)) for ch in (1, 2, 3))
 
 
 def fit_inverse_tones(m: ColorMatrix, pairs: PixelPairSet):
     """Per-channel curves mapping rendered back to colour-corrected raw."""
+    _check_type(m, ColorMatrix, "m")
+    _check_type(pairs, PixelPairSet, "pairs")
     pool = pairs.unsaturated()
-    curves = []
-    for ch in (1, 2, 3):
-        x = pool.rendered[:, ch - 1]
-        y = pool.raw @ m.rows[ch - 1]
-        curves.append(fit_monotone(x, y, "inverse", ch))
-    return tuple(curves)
+    return tuple(fit_monotone(pool.rendered[:, ch - 1], pool.raw @ m.rows[ch - 1])
+                 for ch in (1, 2, 3))

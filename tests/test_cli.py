@@ -152,12 +152,28 @@ def write_warped_model(path):
     inverse = [0.0, 0.8, 0.128, 0.04096] + [0.0] * 4
     model = PipelineModel(
         matrix=ColorMatrix(np.diag([1.0, 0.5, 1.0])),
-        forward_tones=tuple(ToneCurve(forward, "forward", k) for k in (1, 2, 3)),
+        forward_tones=(ToneCurve(forward),) * 3,
         forward_lut=Lattice3(Lattice3.identity(5).nodes + rng.uniform(-0.02, 0.02, (5, 5, 5, 3))),
-        inverse_tones=tuple(ToneCurve(inverse, "inverse", k) for k in (1, 2, 3)),
+        inverse_tones=(ToneCurve(inverse),) * 3,
         backward_lut=Lattice3(Lattice3.identity(5).nodes + rng.uniform(-0.02, 0.02, (5, 5, 5, 3))),
     )
     path.write_text(serialize_model(model), encoding="utf-8")
+
+
+# The file text of format version 1. The warped model's file was written
+# when each tone curve still stored its direction and channel; its keys
+# now come from the curves' places, and must not move without a
+# FORMAT_VERSION bump.
+WARPED_MODEL_SHA256 = "7efee6f03a8720b516cc6cbe92a65d4f17fd1fcfb2d8c43ec427fa9597e4e00f"
+WARPED_MODEL_FILE = Path(__file__).parent / "data" / "warped_model.txt"
+
+
+def test_model_file_text_is_pinned(tmp_path):
+    write_warped_model(tmp_path / "m.txt")
+    written = (tmp_path / "m.txt").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == WARPED_MODEL_SHA256
+    kept = WARPED_MODEL_FILE.read_text(encoding="utf-8")
+    assert serialize_model(deserialize_model(kept)).encode("utf-8") == written
 
 
 def write_sensor_corpus(path, n=500):

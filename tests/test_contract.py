@@ -42,8 +42,14 @@ from rankcal import (
     serialize_model,
 )
 from rankcal import errors
+from rankcal.gamut import AffineGamutMap, apply_lattice
 from rankcal.model import ColorMatrix, Lattice3, ToneCurve
-from rankcal.simulate import render_batch
+from rankcal.pipeline import estimate_matrix
+from rankcal.qp import QuadProgram, solve_qp
+from rankcal.ranking import (build_half_spaces, estimate_row, monotonicity_score,
+                             rescale_achromatic, sample_sphere)
+from rankcal.simulate import deserialize_camera, render_batch, serialize_camera
+from rankcal.tonefit import fit_forward_tones, fit_inverse_tones
 
 NAN, INF = float("nan"), float("inf")
 
@@ -358,6 +364,76 @@ def test_bad_argument_raises_named_error(call, cause, tmp_path, monkeypatch):
     assert cause in str(info.value)
 
 
+# The stage functions behind calibrate keep its entry checks: an argument
+# of the wrong type raises ValueError naming it. build_half_spaces checks
+# pairs for estimate_row and estimate_matrix.
+STAGE_CASES = {
+    "build_half_spaces": (lambda: build_half_spaces("x", 1), "pairs must be a PixelPairSet"),
+    "estimate_row": (lambda: estimate_row("x", 1, sample_sphere(6)), "pairs must be a"),
+    "estimate_matrix": (lambda: estimate_matrix("x", sample_sphere(6)), "pairs must be a"),
+    "monotonicity_score": (lambda: monotonicity_score("x", np.ones(3), 1), "pairs must be a"),
+    "rescale_achromatic-pairs": (lambda: rescale_achromatic(ColorMatrix.identity(), "x"),
+                                 "pairs must be a PixelPairSet, got str"),
+    "rescale_achromatic-m": (lambda: rescale_achromatic("m", pairs()),
+                             "m must be a ColorMatrix, got str"),
+    "fit_forward_tones-pairs": (lambda: fit_forward_tones(ColorMatrix.identity(), "x"),
+                                "pairs must be a PixelPairSet, got str"),
+    "fit_forward_tones-m": (lambda: fit_forward_tones("m", pairs()),
+                            "m must be a ColorMatrix, got str"),
+    "fit_inverse_tones-m": (lambda: fit_inverse_tones("m", pairs()),
+                            "m must be a ColorMatrix, got str"),
+    "render_batch": (lambda: render_batch("cam", ROWS), "camera must be a SyntheticCamera"),
+    "serialize_camera": (lambda: serialize_camera(None),
+                         "camera must be a SyntheticCamera, got NoneType"),
+    "deserialize_camera": (lambda: deserialize_camera(5), "text must be a str, got int"),
+    "apply_lattice": (lambda: apply_lattice("lut", ROWS), "lut must be a Lattice3, got str"),
+    "solve_qp": (lambda: solve_qp("p"), "prob must be a QuadProgram, got str"),
+}
+
+
+@pytest.mark.parametrize("call, cause", STAGE_CASES.values(), ids=STAGE_CASES.keys())
+def test_stage_function_names_a_wrong_typed_argument(call, cause):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert cause in str(info.value)
+
+
+def program(**arrays):
+    """A two-variable program with one constraint, with ``arrays`` replaced."""
+    fields = dict(q=np.eye(2), c=np.zeros(2), a=np.ones((1, 2)), b=np.ones(1))
+    return QuadProgram(**{**fields, **arrays})
+
+
+# Every value type takes its arrays through model._as_float_array: complex
+# or text input raises ValueError naming the field, never a warning.
+ARRAY_FIELDS = {
+    "ColorMatrix.rows": lambda bad: ColorMatrix(bad(np.eye(3))),
+    "ToneCurve.coefficients": lambda bad: ToneCurve(bad(ToneCurve.linear().coefficients)),
+    "Lattice3.nodes": lambda bad: Lattice3(bad(Lattice3.identity(2).nodes)),
+    "AffineGamutMap.t": lambda bad: AffineGamutMap(bad(np.eye(3)), np.zeros(3)),
+    "AffineGamutMap.o": lambda bad: AffineGamutMap(np.eye(3), bad(np.zeros(3))),
+    "Q": lambda bad: program(q=bad(np.eye(2))),
+    "c": lambda bad: program(c=bad(np.zeros(2))),
+    "A": lambda bad: program(a=bad(np.ones((1, 2)))),
+    "b": lambda bad: program(b=bad(np.ones(1))),
+}
+BAD_ARRAYS = {
+    "complex": (lambda a: a + 1j, "got dtype complex128"),
+    "text": (lambda a: a.astype(str), "got dtype <U"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_ARRAYS)
+@pytest.mark.parametrize("field", ARRAY_FIELDS)
+def test_value_type_refuses_complex_and_text_by_field(field, kind):
+    bad, cause = BAD_ARRAYS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            ARRAY_FIELDS[field](bad)
+    assert str(info.value).startswith(f"{field} must be an array of real numbers, {cause}")
+
+
 # builders of two equal instances of each value type; those that hold an
 # array compare and hash by identity, the others by value
 VALUE_TYPES = {
@@ -368,7 +444,7 @@ VALUE_TYPES = {
     "PixelPairSet": (pairs, False),
     "SyntheticCamera": (plain_camera, False),
     "ColorMatrix": (ColorMatrix.identity, False),
-    "ToneCurve": (lambda: ToneCurve.linear("forward", 1), False),
+    "ToneCurve": (ToneCurve.linear, False),
     "Lattice3": (Lattice3.identity, False),
 }
 

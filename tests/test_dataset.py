@@ -647,7 +647,7 @@ class TestRmse:
     def test_rejects_non_finite_values(self, bad, name):
         arrays = {"predictions": np.zeros((2, 3)), "truth": np.zeros((2, 3))}
         arrays[name][1, 2] = bad
-        with pytest.raises(ValueError, match=f"{name} has non-finite values"):
+        with pytest.raises(ValueError, match=f"{name} row 1 is not finite"):
             rmse(arrays["predictions"], arrays["truth"], "raw01")
 
     def test_length_mismatch(self):

@@ -1,5 +1,6 @@
 """Tests for the shared value types and their invariants."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -168,7 +169,7 @@ class TestColorMatrix:
 
 class TestToneCurve:
     def test_identity_curve_valid(self):
-        curve = ToneCurve.linear("forward", 1)
+        curve = ToneCurve.linear()
         t = np.linspace(0, 1, 11)
         assert np.allclose(curve(t), t)
         assert np.allclose(curve.derivative(t), 1.0)
@@ -177,28 +178,17 @@ class TestToneCurve:
         coef = np.zeros(8)
         coef[0], coef[1] = 1.0, -1.0  # f(t) = 1 - t
         with pytest.raises(ValueError):
-            ToneCurve(coef, "forward", 1)
+            ToneCurve(coef)
 
     def test_quadratic_is_monotone_on_unit_interval(self):
         coef = np.zeros(8)
         coef[2] = 1.0  # f(t) = t^2, non-decreasing on [0, 1]
-        ToneCurve(coef, "forward", 2)
+        ToneCurve(coef)
 
-    def test_bad_direction_and_channel(self):
-        coef = np.zeros(8)
-        coef[1] = 1.0
-        with pytest.raises(ValueError):
-            ToneCurve(coef, "backways", 1)
-        with pytest.raises(ValueError):
-            ToneCurve(coef, "forward", 4)
-
-    @pytest.mark.parametrize("channel", [1.0, True, "1", 0, 4])
-    def test_non_channel_rejected_by_name(self, channel):
-        coef = np.zeros(8)
-        coef[1] = 1.0
-        with pytest.raises(ValueError, match=f"tone channel must be 1..3 as an integer, got {channel!r}"):
-            ToneCurve(coef, "forward", channel)
-        assert ToneCurve(coef, "forward", np.int64(2)).channel == 2
+    def test_a_curve_is_its_coefficients(self):
+        # direction and channel are the curve's place in a PipelineModel
+        assert [f.name for f in dataclasses.fields(ToneCurve)] == ["coefficients"]
+        assert ToneCurve.linear(3).coefficients.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 class TestLattice3:
@@ -237,21 +227,9 @@ class TestPipelineModel:
         # forward halves the signal, inverse pretends to be the identity
         half = np.zeros(8)
         half[1] = 0.5
-        fwd = tuple(ToneCurve(half, "forward", k) for k in (1, 2, 3))
-        inv = tuple(ToneCurve.linear("inverse", k) for k in (1, 2, 3))
-        with pytest.raises(ValueError):
-            PipelineModel(
-                matrix=ColorMatrix.identity(),
-                forward_tones=fwd,
-                forward_lut=Lattice3.identity(),
-                inverse_tones=inv,
-                backward_lut=Lattice3.identity(),
-            )
-
-    def test_wrong_channel_order_rejected(self):
-        fwd = tuple(ToneCurve.linear("forward", k) for k in (2, 1, 3))
-        inv = tuple(ToneCurve.linear("inverse", k) for k in (1, 2, 3))
-        with pytest.raises(ValueError):
+        fwd = (ToneCurve(half),) * 3
+        inv = (ToneCurve.linear(),) * 3
+        with pytest.raises(ValueError, match="tone curves disagree by 0.5000 on channel 1"):
             PipelineModel(
                 matrix=ColorMatrix.identity(),
                 forward_tones=fwd,
@@ -262,14 +240,13 @@ class TestPipelineModel:
 
     def test_singular_matrix_rejected(self):
         rows = np.array([[1.0, 0.0, 0.0], [1.0, 1e-12, 0.0], [0.0, 0.0, 1.0]])
-        fwd = tuple(ToneCurve.linear("forward", k) for k in (1, 2, 3))
-        inv = tuple(ToneCurve.linear("inverse", k) for k in (1, 2, 3))
+        tones = (ToneCurve.linear(),) * 3
         with pytest.raises(SingularMatrix):
             PipelineModel(
                 matrix=ColorMatrix(rows),
-                forward_tones=fwd,
+                forward_tones=tones,
                 forward_lut=Lattice3.identity(),
-                inverse_tones=inv,
+                inverse_tones=tones,
                 backward_lut=Lattice3.identity(),
             )
 

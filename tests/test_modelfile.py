@@ -19,14 +19,14 @@ from rankcal.model import (
 from rankcal.modelfile import deserialize_model, serialize_model
 
 
-def random_monotone_curve(rng, direction, channel):
+def random_monotone_curve(rng):
     """Degree-7 monotone polynomial: integral of a squared cubic."""
     p = rng.uniform(-1.0, 1.0, size=4)
     sq = np.polynomial.polynomial.polymul(p, p)  # degree 6, non-negative
     coef = np.zeros(8)
     coef[1:] = sq / np.arange(1, 8)
     coef[0] = rng.uniform(-0.2, 0.2)
-    return ToneCurve(coef, direction, channel)
+    return ToneCurve(coef)
 
 
 def random_model(seed):
@@ -34,13 +34,11 @@ def random_model(seed):
     rows = np.eye(3) + rng.uniform(-0.3, 0.3, size=(3, 3))
     lut_f = Lattice3(rng.uniform(-0.1, 1.1, size=(5, 5, 5, 3)))
     lut_b = Lattice3(rng.uniform(-0.1, 1.1, size=(5, 5, 5, 3)))
-    curve = tuple(random_monotone_curve(rng, "forward", k) for k in (1, 2, 3))
+    curve = tuple(random_monotone_curve(rng) for _ in range(3))
     # reuse the forward shapes for the inverse so the roundtrip invariant
     # check is exercised with consistent curves
-    inverse = tuple(
-        ToneCurve.linear("inverse", k) for k in (1, 2, 3)
-    )
-    fwd = tuple(ToneCurve.linear("forward", k) for k in (1, 2, 3))
+    inverse = (ToneCurve.linear(),) * 3
+    fwd = (ToneCurve.linear(),) * 3
     return PipelineModel(
         matrix=ColorMatrix(rows),
         forward_tones=fwd,

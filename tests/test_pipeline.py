@@ -311,8 +311,8 @@ class TestApply:
         ])
         gamma_ish = np.zeros(8)
         gamma_ish[1], gamma_ish[2] = 1.2, -0.2  # monotone on [0, 1]
-        fwd = tuple(ToneCurve(gamma_ish, "forward", k) for k in (1, 2, 3))
-        inv = tuple(ToneCurve.linear("inverse", k) for k in (1, 2, 3))
+        fwd = (ToneCurve(gamma_ish),) * 3
+        inv = (ToneCurve.linear(),) * 3
         model = PipelineModel(
             matrix=ColorMatrix(rows),
             forward_tones=fwd,

@@ -676,6 +676,18 @@ class TestIsotonic:
         with pytest.raises(ValueError, match="weights"):
             isotonic_fit(np.arange(4.0), np.ones(3))
 
+    @pytest.mark.parametrize("values, weights, name", [
+        ([2.0, 1.0], [0.0, 0.0], "weights"),  # the pooled weight would divide by 0
+        ([2.0, 1.0], [1.0, -1.0], "weights"),
+        ([2.0, 1.0], [1.0, np.inf], "weights"),
+        ([2.0, 1.0], [np.nan, 1.0], "weights"),
+        ([2.0, np.nan], None, "values"),
+        ([-np.inf, 1.0], [1.0, 1.0], "values"),
+    ])
+    def test_bad_values_and_weights_rejected_by_name(self, values, weights, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            isotonic_fit(values, weights)
+
 
 def dp_isotonic_residual(x, y):
     """Exhaustive partition search: blocks of consecutive sorted points,
@@ -849,22 +861,31 @@ class TestStackedMonotonicityScore:
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     @pytest.mark.parametrize("m, match", [
-        ([np.nan, 1.0, 0.0], r"candidate row m = \[nan +1\. +0\.\] is not finite"),
-        ([np.inf, 1.0, 0.0], "candidate row m = .* is not finite"),
-        ([[1.0, 0.0, 0.0], [0.0, -np.inf, 1.0]], r"candidate row m\[1\] = .* is not finite"),
-        ([0.0, 0.0, 0.0], "candidate row m = .* must be non-zero"),
-        ([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], r"candidate row m\[1\] = .* must be non-zero"),
-        (np.ones(4), r"m must have shape \(3,\) or \(k, 3\) with k >= 1, got \(4,\)"),
-        (np.ones((0, 3)), r"got \(0, 3\)"),
+        ([np.nan, 1.0, 0.0], r"m row 0 is not finite: \[nan +1\. +0\.\]"),
+        ([np.inf, 1.0, 0.0], "m row 0 is not finite"),
+        ([[1.0, 0.0, 0.0], [0.0, -np.inf, 1.0]], "m row 1 is not finite"),
+        ([[1.0, 0.0, 0.0], [1.0]], "m must be an array of real numbers, got a ragged nesting"),
+        ([None, 1.0, 0.0], "m must be an array of real numbers, got dtype object"),
+        (np.ones(4), r"m must have shape \(n, 3\) or \(3,\), got \(4,\)"),
+        (np.ones(0), r"got \(0,\)"),
         (np.ones((2, 4)), r"got \(2, 4\)"),
         (np.ones((3, 1)), r"got \(3, 1\)"),
         (np.ones((1, 2, 3)), r"got \(1, 2, 3\)"),
-        ([1j, 0.0, 0.0], r"m must be an array of real numbers, got \[1j, 0.0, 0.0\]"),
-        ("abc", "m must be an array of real numbers, got 'abc'"),
+        ([1j, 0.0, 0.0], "m must be an array of real numbers, got dtype complex128"),
+        ("abc", "m must be an array of real numbers, got dtype <U3"),
     ])
     def test_rejects_bad_rows_at_entry(self, m, match):
         with pytest.raises(ValueError, match=match):
             monotonicity_score(cascade_pairs(60), m, 1)
+
+    def test_zero_rows_and_empty_stacks_are_scored(self):
+        # m takes the rows rule of map_forward: a zero row projects every
+        # pair to 0, so its fit is the mean, and no rows give no residuals
+        pairs = cascade_pairs(60)
+        y = pairs.unsaturated().rendered[:, 0]
+        spread = np.sqrt(np.mean((y - y.mean()) ** 2))
+        assert monotonicity_score(pairs, [0.0, 0.0, 0.0], 1) == pytest.approx(spread, rel=1e-12)
+        assert monotonicity_score(pairs, np.ones((0, 3)), 1).shape == (0,)
 
 
 class TestSplitBatches:
