@@ -44,6 +44,8 @@ _BLOCK_ROWS = 1024
 # 3.11) or a lone surrogate, and no camera tag may read as a comment.
 _UNSAFE_TAG = re.compile('[,"\r\n\x00\ud800-\udfff]')
 _COMMENT_TAG = re.compile(r"^\s*#", re.MULTILINE)
+# A field that csv.writer quotes (QUOTE_MINIMAL).
+_QUOTED_FIELD = re.compile('[,"\r\n]')
 # A corpus is read with errors="surrogateescape": a byte that is not
 # UTF-8 text reads as its escape, U+DC80 + byte.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -108,7 +110,8 @@ def load_corpus(path, rows: list | None = None) -> PixelPairSet:
 
     When ``rows`` is a list, one ``(texts, white)`` pair per block of data
     rows is appended to it, in file order: each row's fields joined by
-    commas, and the rows' white levels as an array.
+    commas, a field quoted as ``csv.writer`` would quote it, and the rows'
+    white levels as an array.
     """
     if rows is not None:
         _check_type(rows, list, "rows")
@@ -125,14 +128,7 @@ def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
     # strings and the tag dictionaries are freed before the arrays below
     table, tags = _read_table(fh, origin, rows)
     raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
-    return PixelPairSet(
-        raw=raw / white[:, None],
-        rendered=jpeg / 255.0,
-        camera=tags[0],
-        illuminant=tags[1],
-        exposure=tags[2],
-        patch=tags[3],
-    )
+    return PixelPairSet(raw / white[:, None], jpeg / 255.0, *tags)
 
 
 def _read_table(fh, origin: str, rows: list | None):
@@ -220,7 +216,7 @@ def _read_table(fh, origin: str, rows: list | None):
                 )
             header = True
         data = [row for _, row in records]
-        texts = list(map(",".join, data))
+        texts = [",".join(map(_csv_field, row)) for row in data]
         if data and not (all(len(row) == width for row in data)
                          and not _ESCAPED_BYTE.search("".join(texts))
                          and take(list(chain.from_iterable(data)), texts)):
@@ -235,6 +231,14 @@ def _read_table(fh, origin: str, rows: list | None):
     if not tables:
         raise EmptyCorpus(f"{origin}: no data rows")
     return np.concatenate(tables), tags
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a field of a CSV line, quoted as ``csv.writer`` quotes it
+    by default: only when it holds a comma, a double quote or a line break."""
+    if _QUOTED_FIELD.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _row_error(origin: str, records) -> CorpusFormatError:
@@ -279,7 +283,7 @@ def save_corpus(pairs: PixelPairSet, path) -> None:
     """
     _check_type(pairs, PixelPairSet, "pairs")
     for name in CSV_COLUMNS[:4]:
-        distinct = set(getattr(pairs, name))
+        distinct = set(getattr(pairs, name).tolist())
         comment = name == "camera" and _COMMENT_TAG.search("\n".join(distinct))
         if comment or _UNSAFE_TAG.search("".join(distinct)):
             bad = next(t for t in getattr(pairs, name) if _UNSAFE_TAG.search(t)
@@ -289,7 +293,7 @@ def save_corpus(pairs: PixelPairSet, path) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for start in range(0, len(pairs), _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            tags = [getattr(pairs, name)[block] for name in CSV_COLUMNS[:4]]
+            tags = [getattr(pairs, name)[block].tolist() for name in CSV_COLUMNS[:4]]
             numbers = np.column_stack([pairs.raw[block], pairs.rendered[block] * 255.0])
             fh.write(_format_rows(_ROW_TEMPLATE, tags + numbers.T.tolist()))
 
@@ -309,20 +313,17 @@ def select_subset(corpus: PixelPairSet, spec: SubsetSpec) -> PixelPairSet:
         idx = rng.choice(len(corpus), size=spec.k, replace=False)
         return corpus.subset(idx)
 
-    exposures = sorted(set(corpus.exposure))
-    illuminants = sorted(set(corpus.illuminant))
-    if spec.n_exposures > len(exposures) or spec.n_illuminants > len(illuminants):
+    exposures = np.array(sorted(set(corpus.exposure.tolist())), dtype=object)
+    illuminants = np.array(sorted(set(corpus.illuminant.tolist())), dtype=object)
+    if spec.n_exposures > exposures.size or spec.n_illuminants > illuminants.size:
         raise InsufficientVariety(
-            f"corpus has {len(exposures)} exposures and {len(illuminants)} "
+            f"corpus has {exposures.size} exposures and {illuminants.size} "
             f"illuminants; requested {spec.n_exposures} and {spec.n_illuminants}"
         )
-    keep_e = set(rng.choice(exposures, size=spec.n_exposures, replace=False))
-    keep_i = set(rng.choice(illuminants, size=spec.n_illuminants, replace=False))
-    idx = [
-        i for i in range(len(corpus))
-        if corpus.exposure[i] in keep_e and corpus.illuminant[i] in keep_i
-    ]
-    return corpus.subset(np.array(idx, dtype=int))
+    keep_e = rng.choice(exposures, size=spec.n_exposures, replace=False)
+    keep_i = rng.choice(illuminants, size=spec.n_illuminants, replace=False)
+    return corpus.subset(np.isin(corpus.exposure, keep_e)
+                         & np.isin(corpus.illuminant, keep_i))
 
 
 def rmse(predictions, truth, domain: str = "rendered255") -> float:

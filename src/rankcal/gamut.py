@@ -46,7 +46,9 @@ class AffineGamutMap:
         object.__setattr__(self, "o", _as_float_array(self.o, (3,), "AffineGamutMap.o"))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=float) @ self.t.T + self.o
+        """The map at v, a 3-vector or rows (n, 3)."""
+        out = _as_rows(v, "v") @ self.t.T + self.o
+        return out[0] if np.ndim(v) == 1 else out
 
 
 def solve_affine_gamut(points) -> AffineGamutMap:
@@ -128,9 +130,7 @@ def apply_lattice(lut: Lattice3, v):
     so no (n, 8) index, weight or gathered-node array is formed.
     """
     _check_type(lut, Lattice3, "lut")
-    arr = np.asarray(v)
-    single = arr.ndim == 1
-    rows = _as_rows(arr, "v")
+    rows = _as_rows(v, "v")
     _check_rows(rows, "v", finite=False)
     r = lut.resolution
     flat, frac = _cells(rows, r)
@@ -143,7 +143,7 @@ def apply_lattice(lut: Lattice3, v):
         term = nodes[flat + offset]
         term *= (wij * sides[dk][2])[:, None]
         out += term
-    return out[0] if single else out
+    return out[0] if np.ndim(v) == 1 else out
 
 
 def _grid_laplacian(resolution: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -32,6 +33,9 @@ TONE_ROUNDTRIP_SLOPE_MIN = 0.05
 # clipped: their rows are flagged saturated (see PixelPairSet), and no
 # rendered component at or above it is used as rank evidence.
 SATURATION_FRACTION = 0.995
+
+# The tag columns of a PixelPairSet, in field order.
+_TAGS = ("camera", "illuminant", "exposure", "patch")
 
 
 def _real_array(values, name: str) -> np.ndarray:
@@ -149,15 +153,16 @@ class PixelPairSet:
     the rule lives: a row is flagged when a raw component is at or above
     SATURATION_FRACTION or a rendered component is exactly 0 or 1, where
     some stage clipped it. Saturated entries are retained for evaluation
-    but excluded from all estimation steps.
+    but excluded from all estimation steps. The tags are columns too:
+    read-only (n,) object arrays of ``str``, copied from any sequence.
     """
 
     raw: np.ndarray
     rendered: np.ndarray
-    camera: tuple[str, ...]
-    illuminant: tuple[str, ...]
-    exposure: tuple[str, ...]
-    patch: tuple[str, ...]
+    camera: np.ndarray
+    illuminant: np.ndarray
+    exposure: np.ndarray
+    patch: np.ndarray
     saturated: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -173,16 +178,18 @@ class PixelPairSet:
             raise ValueError("rendered values must lie in [0, 1]")
         if raw.size and raw.min() < 0.0:
             raise ValueError("raw values must be non-negative")
-        for name in ("camera", "illuminant", "exposure", "patch"):
-            tags = tuple(str(t) for t in getattr(self, name))
-            if len(tags) != n:
-                raise ValueError(f"{name} tags must have length {n}")
+        columns = {name: np.array(getattr(self, name), dtype=object) for name in _TAGS}
+        for name, tags in columns.items():
+            if tags.shape != (n,):
+                raise ValueError(f"{name} tags must have shape ({n},), got {tags.shape}")
+            if not all(map(isinstance, tags.tolist(), repeat(str))):
+                raise ValueError(f"{name} tags must all be str")
             object.__setattr__(self, name, tags)
         raw = raw.copy()
         rendered = rendered.copy()
         sat = ((raw >= SATURATION_FRACTION).any(axis=1)
                | (rendered == 0.0).any(axis=1) | (rendered == 1.0).any(axis=1))
-        for a in (raw, rendered, sat):
+        for a in (raw, rendered, sat, *columns.values()):
             a.setflags(write=False)
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "rendered", rendered)
@@ -210,15 +217,8 @@ class PixelPairSet:
             if outside.size:
                 raise ValueError(f"subset index {outside[0]} is outside [-{len(self)}, "
                                  f"{len(self)}) for a set of {len(self)} entries")
-        positions = idx.tolist()
-        return PixelPairSet(
-            raw=self.raw[idx],
-            rendered=self.rendered[idx],
-            camera=tuple(self.camera[i] for i in positions),
-            illuminant=tuple(self.illuminant[i] for i in positions),
-            exposure=tuple(self.exposure[i] for i in positions),
-            patch=tuple(self.patch[i] for i in positions),
-        )
+        return PixelPairSet(self.raw[idx], self.rendered[idx],
+                            *(getattr(self, name)[idx] for name in _TAGS))
 
     def unsaturated(self) -> "PixelPairSet":
         """The unflagged entries: the set itself when none is flagged.
@@ -247,14 +247,9 @@ class PixelPairSet:
         """Build a set from bare arrays with uniform tags (mainly for tests)."""
         raw = _as_rows(raw, "raw")
         n = raw.shape[0]
-        return cls(
-            raw=raw,
-            rendered=rendered,
-            camera=(camera,) * n,
-            illuminant=(illuminant,) * n,
-            exposure=(exposure,) * n,
-            patch=tuple(f"p{i}" for i in range(n)),
-        )
+        return cls(raw, rendered, *(np.full(n, tag, dtype=object)
+                                    for tag in (camera, illuminant, exposure)),
+                   [f"p{i}" for i in range(n)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,14 +10,13 @@ the gamut-folded matrix (``effective_matrix``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
 from .model import (ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer,
-                    _check_type)
+                    _check_rows, _check_type)
 from .modelfile import _fmt, _Reader
 from .pipeline import _map_in_blocks
 
@@ -83,7 +82,8 @@ class SyntheticCamera:
             raise ValueError("a warped camera needs a fitted gamut map")
         # the camera sidecar holds one value per line and reads back an integer seed
         _check_integer(self.seed, "seed", 0)
-        if "\r" in str(self.camera_id) or "\n" in str(self.camera_id):
+        _check_type(self.camera_id, str, "camera_id")  # the camera tag of its corpora
+        if "\r" in self.camera_id or "\n" in self.camera_id:
             raise ValueError(f"camera_id {self.camera_id!r} holds a line break")
 
     def effective_matrix(self) -> np.ndarray:
@@ -110,6 +110,7 @@ def render_batch(camera: SyntheticCamera, raws: np.ndarray,
     """
     _check_type(camera, SyntheticCamera, "camera")
     raws = _as_rows(raws, "raws")
+    _check_rows(raws, "raws", finite=True)
     if camera.noise_sigma > 0.0 and rng is None:
         raise ValueError("rendering with noise requires an explicit rng")
     rows_t = camera.matrix.rows.T
@@ -268,16 +269,16 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
     raw = np.vstack(raw_rows)
     rendered = np.vstack(rend_rows)
     # tags by repetition: exposures vary slowest, then illuminants, then patches
-    lights = len(illuminants)
+    lights, shots = len(illuminants), len(exposures)
+    i, e, p = (np.array([f"{prefix}{k}" for k in range(count)], dtype=object)
+               for prefix, count in (("i", lights), ("e", shots), ("p", n_patches)))
     return PixelPairSet(
         raw=raw,
         rendered=rendered,
-        camera=(camera.camera_id,) * raw.shape[0],
-        illuminant=tuple(chain.from_iterable(
-            repeat(f"i{li}", n_patches) for li in range(lights))) * len(exposures),
-        exposure=tuple(chain.from_iterable(
-            repeat(f"e{ei}", n_patches * lights) for ei in range(len(exposures)))),
-        patch=tuple(f"p{pi}" for pi in range(n_patches)) * (lights * len(exposures)),
+        camera=np.full(raw.shape[0], camera.camera_id, dtype=object),
+        illuminant=np.tile(np.repeat(i, n_patches), shots),
+        exposure=np.repeat(e, n_patches * lights),
+        patch=np.tile(p, lights * shots),
     )
 
 

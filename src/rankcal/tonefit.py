@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSpan, InsufficientData
-from .model import ColorMatrix, PixelPairSet, ToneCurve, _check_type
+from .model import ColorMatrix, PixelPairSet, ToneCurve, _check_type, _real_array
 from .qp import QuadProgram, solve_qp
 
 # Polynomial degree and curvature weight of every tone curve. The weight
@@ -70,8 +70,10 @@ def fit_monotone(x, y) -> ToneCurve:
     with fewer than TONE_DEGREE + 1 samples and DegenerateSpan when the x
     values cover less than 0.2 of [0, 1].
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    # views, not copies: a copy of a strided y would change the order of
+    # the sums in v.T @ y, and so the last digits of the coefficients
+    x = _real_array(x, "x").astype(float, copy=False).reshape(-1)
+    y = _real_array(y, "y").astype(float, copy=False).reshape(-1)
     if x.shape != y.shape:
         raise ValueError("x and y must have equal length")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

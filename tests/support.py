@@ -311,7 +311,7 @@ def data_rows(fh, origin: str):
 
 def parse_rows(fh, origin: str, keep_texts: bool):
     """The row parser: the numbers (n, 7), the four tag lists and, when
-    ``keep_texts``, one block of the rows' fields joined by commas.
+    ``keep_texts``, one block of the rows as ``csv.writer`` writes them.
 
     The corpus reader's oracle: one csv record at a time, every check
     in Python on that record.
@@ -350,7 +350,9 @@ def parse_rows(fh, origin: str, keep_texts: bool):
         numbers += values
         tags += row[:4]
         if keep_texts:
-            texts.append(",".join(row))
+            line = io.StringIO()
+            csv.writer(line).writerow(row)
+            texts.append(line.getvalue()[:-2])  # less the writer's "\r\n"
     if not numbers:
         raise EmptyCorpus(f"{origin}: no data rows")
     return (np.array(numbers).reshape(-1, 7), [tags[k::4] for k in range(4)],

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import hashlib
 import os
 import subprocess
@@ -253,6 +254,25 @@ class TestApplyCommand:
             assert run(["apply", "--model", model, "--direction", direction,
                         "--in", data, "--out", data.with_suffix(".out")]) == 0
         assert quoted.with_suffix(".out").read_bytes() == plain.with_suffix(".out").read_bytes()
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_quoted_tags_echoed_as_csv(self, tmp_path, direction):
+        # tags that only a quoted field can hold: a comma, a quote, line breaks
+        tags = ["c,A", 'c"B', "c\nC", "c\r\nD", "plain"]
+        data = tmp_path / "c.csv"
+        quoted = ['"' + t.replace('"', '""') + '"' for t in tags]
+        data.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(
+            f"{t},i0,e0,p{k},100,200,300,10,20,30,1000\n" for k, t in enumerate(quoted)),
+            encoding="utf-8", newline="")
+        model, out = tmp_path / "m.txt", tmp_path / "p.csv"
+        write_warped_model(model)
+        assert run(["apply", "--model", model, "--direction", direction,
+                    "--in", data, "--out", out]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 14 and [len(row) for row in rows] == [14] * len(tags)
+        assert [row[0] for row in rows] == tags
+        assert [row[3] for row in rows] == [f"p{k}" for k in range(len(tags))]
 
     def test_missing_model_exits_1(self, tmp_path):
         data = tmp_path / "c.csv"

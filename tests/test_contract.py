@@ -49,7 +49,7 @@ from rankcal.qp import QuadProgram, solve_qp
 from rankcal.ranking import (build_half_spaces, estimate_row, monotonicity_score,
                              rescale_achromatic, sample_sphere)
 from rankcal.simulate import deserialize_camera, render_batch, serialize_camera
-from rankcal.tonefit import fit_forward_tones, fit_inverse_tones
+from rankcal.tonefit import fit_forward_tones, fit_inverse_tones, fit_monotone
 
 NAN, INF = float("nan"), float("inf")
 
@@ -296,6 +296,8 @@ CASES = {
                                                    noise_sigma=INF), "noise_sigma"),
         ("line_break_id", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
                                                   camera_id="a\rb"), "camera_id"),
+        ("int_id", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(), camera_id=5),
+         "camera_id must be a str, got int"),
     ],
     "PixelPairSet": [
         ("nan_raw", lambda: pairs(4, raw=with_value(GREYS, 1, 1, NAN)), "raw"),
@@ -308,6 +310,12 @@ CASES = {
          "rendered"),
         ("negative_raw", lambda: pairs(4, raw=with_value(GREYS, 3, 0, -0.1)), "raw"),
         ("short_tags", lambda: pairs(4, patch=("p0",)), "patch"),
+        ("bare_string_tags", lambda: pairs(4, camera="cam0"), "camera tags must have shape"),
+        ("two_d_tags", lambda: pairs(4, illuminant=[["i0"]] * 4), "illuminant tags must"),
+        ("int_tags", lambda: pairs(4, exposure=[0, 1, 2, 3]), "exposure tags must all be str"),
+        ("bytes_tag", lambda: pairs(2, patch=["p0", b"p1"]), "patch tags must all be str"),
+        ("from_int_tag", lambda: PixelPairSet.from_arrays(GREYS, GREYS, camera=5),
+         "camera tags must all be str"),
         ("subset_outside", lambda: pairs(4).subset([4]), "subset index"),
         ("subset_floats", lambda: pairs(4).subset([0.5]), "subset indices"),
         ("subset_short_mask", lambda: pairs(4).subset([True]), "subset mask"),
@@ -396,6 +404,36 @@ def test_stage_function_names_a_wrong_typed_argument(call, cause):
     with pytest.raises(ValueError) as info:
         call()
     assert cause in str(info.value)
+
+
+# Stage functions take their arrays through the value types' checks:
+# complex, ragged or NaN input raises ValueError naming the argument,
+# never a warning or a result of NaN rows.
+STAGE_ARRAY_CASES = {
+    "fit_monotone-complex_x": (lambda: fit_monotone(np.linspace(0, 1, 20) + 0j,
+                                                    np.linspace(0, 1, 20)),
+                               "x must be an array of real numbers, got dtype complex128"),
+    "fit_monotone-complex_y": (lambda: fit_monotone(np.linspace(0, 1, 20),
+                                                    np.linspace(0, 1, 20) + 0j),
+                               "y must be an array of real numbers, got dtype complex128"),
+    "AffineGamutMap.apply-complex": (lambda: AffineGamutMap(np.eye(3), np.zeros(3)).apply(
+        ROWS + 0j), "v must be an array of real numbers, got dtype complex128"),
+    "apply_lattice-ragged": (lambda: apply_lattice(Lattice3.identity(2),
+                                                   [[0.1, 0.2, 0.3], [0.1]]),
+                             "v must be an array of real numbers, got a ragged nesting"),
+    "render_batch-nan_raw": (lambda: render_batch(plain_camera(), [[NAN, 0.2, 0.3]]),
+                             "raws row 0 is not finite"),
+}
+
+
+@pytest.mark.parametrize("call, cause", STAGE_ARRAY_CASES.values(),
+                         ids=STAGE_ARRAY_CASES.keys())
+def test_stage_function_names_a_bad_array(call, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call()
+    assert str(info.value).startswith(cause)
 
 
 def program(**arrays):

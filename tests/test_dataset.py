@@ -47,7 +47,7 @@ class TestLoadCorpus:
         assert len(corpus) == 3
         assert np.allclose(corpus.raw[0], [0.1, 0.2, 0.3])
         assert np.allclose(corpus.rendered[0], [50 / 255, 100 / 255, 150 / 255])
-        assert corpus.illuminant == ("i0", "i0", "i1")
+        assert corpus.illuminant.tolist() == ["i0", "i0", "i1"]
         assert not corpus.saturated.any()
 
     def test_jpeg_255_flagged_saturated(self):
@@ -154,10 +154,10 @@ class TestLoadCorpus:
         assert np.abs(back.raw - corpus.raw).max() <= 1e-12
         assert np.abs(back.rendered - corpus.rendered).max() <= 1e-12
         assert back.saturated.tolist() == corpus.saturated.tolist()
-        assert back.camera == corpus.camera
-        assert back.illuminant == corpus.illuminant
-        assert back.exposure == corpus.exposure
-        assert back.patch == corpus.patch
+        assert back.camera.tolist() == corpus.camera.tolist()
+        assert back.illuminant.tolist() == corpus.illuminant.tolist()
+        assert back.exposure.tolist() == corpus.exposure.tolist()
+        assert back.patch.tolist() == corpus.patch.tolist()
 
     def test_simulated_flags_survive_save_and_load(self, tmp_path):
         camera = make_camera(seed=4, delta=0.2, tone=ToneSpec("gamma", 1 / 2.2),
@@ -187,7 +187,7 @@ class TestLoadCorpus:
             corpus = load_corpus(f"/dev/fd/{read}")
         finally:
             os.close(read)
-        assert corpus.camera == (tag.strip('"'),)
+        assert corpus.camera.tolist() == [tag.strip('"')]
 
     @pytest.mark.parametrize("source", ["file", "pipe"])
     @pytest.mark.parametrize("before, line", [
@@ -298,7 +298,7 @@ def assert_same_pairs(got: PixelPairSet, want: PixelPairSet) -> None:
     assert got.rendered.tobytes() == want.rendered.tobytes()
     assert got.saturated.tolist() == want.saturated.tolist()
     for name in ("camera", "illuminant", "exposure", "patch"):
-        assert getattr(got, name) == getattr(want, name), name
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
 
 
 def assert_same_rows(rows: list, texts: list, white: np.ndarray) -> None:
@@ -436,7 +436,7 @@ class TestSaveCorpus:
         assert back.rendered.tobytes() == pairs.rendered.tobytes()
         assert back.saturated.tolist() == pairs.saturated.tolist()
         for name in ("camera", "illuminant", "exposure", "patch"):
-            assert getattr(back, name) == getattr(pairs, name), name
+            assert getattr(back, name).tolist() == getattr(pairs, name).tolist(), name
 
     @pytest.mark.parametrize("column, tag", [
         ("camera", "a,b"), ("illuminant", 'say "x"'), ("exposure", "e\r0"),
@@ -463,7 +463,8 @@ class TestSaveCorpus:
                                          camera="c#1", illuminant="#i", exposure="#e")
         save_corpus(pairs, tmp_path / "c.csv")
         back = load_corpus(tmp_path / "c.csv")
-        assert (back.camera, back.illuminant) == (pairs.camera, pairs.illuminant)
+        assert ((back.camera.tolist(), back.illuminant.tolist())
+                == (pairs.camera.tolist(), pairs.illuminant.tolist()))
 
 
 def image_pairs() -> PixelPairSet:
@@ -532,7 +533,7 @@ class TestSelectSubset:
         subset = select_subset(corpus, SubsetSpec("uniform", k=50, rng_seed=3))
         assert len(subset) == 50
         assert sorted(subset.patch) == sorted(corpus.patch)
-        assert subset.patch != corpus.patch  # permuted order
+        assert subset.patch.tolist() != corpus.patch.tolist()  # permuted order
 
     def test_uniform_overdraw_rejected(self):
         corpus = self.big_corpus().subset(np.arange(10))
@@ -554,6 +555,34 @@ class TestSelectSubset:
         parent_keys = set(zip(corpus.illuminant, corpus.exposure, corpus.patch))
         child_keys = set(zip(a.illuminant, a.exposure, a.patch))
         assert child_keys <= parent_keys
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_exposures_illuminants_mask_matches_row_rule(self, data, n, seed):
+        # each column's tags from a few drawn texts, NULs and spaces
+        # included; each row's patch tag is its index
+        def column():
+            texts = data.draw(st.lists(st.text("ab \x00", max_size=3), min_size=1,
+                                       max_size=5, unique=True))
+            return data.draw(st.lists(st.sampled_from(texts), min_size=n, max_size=n))
+
+        exposure, illuminant = column(), column()
+        corpus = PixelPairSet(np.full((n, 3), 0.5), np.full((n, 3), 0.5), ["c"] * n,
+                              illuminant, exposure, [str(i) for i in range(n)])
+        spec = SubsetSpec("exposures_illuminants",
+                          n_exposures=data.draw(st.integers(1, len(set(exposure)))),
+                          n_illuminants=data.draw(st.integers(1, len(set(illuminant)))),
+                          rng_seed=seed)
+        # the rule row by row: the spec's seeded draws from the sorted
+        # distinct tags, then every row holding a drawn pair
+        rng = np.random.default_rng(seed)
+        exposures, illuminants = sorted(set(exposure)), sorted(set(illuminant))
+        keep_e = {exposures[k] for k in rng.choice(len(exposures), spec.n_exposures,
+                                                   replace=False)}
+        keep_i = {illuminants[k] for k in rng.choice(len(illuminants), spec.n_illuminants,
+                                                     replace=False)}
+        rows = [str(i) for i in range(n) if exposure[i] in keep_e and illuminant[i] in keep_i]
+        assert select_subset(corpus, spec).patch.tolist() == rows
 
 
 class TestSubsetSpec:

@@ -33,6 +33,18 @@ class TestPixelPairSet:
         assert pairs.patch[1] == "p1"
         assert not pairs.saturated[1]
 
+    def test_tags_are_read_only_object_columns(self):
+        raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        tags = np.array(["a\x00", "b"], dtype=object)
+        pairs = PixelPairSet(raw, raw, tags, tags, ("e0", "e1"), ["p0", "p1"])
+        tags[0] = "z"  # the set holds a copy
+        for name in ("camera", "illuminant", "exposure", "patch"):
+            column = getattr(pairs, name)
+            assert column.dtype == object and column.shape == (2,)
+            assert not column.flags.writeable
+        assert pairs.camera.tolist() == ["a\x00", "b"]  # a trailing NUL is kept
+        assert pairs.subset([1, 0]).exposure.tolist() == ["e1", "e0"]
+
     def test_rendered_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             PixelPairSet.from_arrays([[0.1, 0.1, 0.1]], [[0.2, 1.2, 0.2]])
@@ -53,7 +65,7 @@ class TestPixelPairSet:
         assert pairs.saturated.tolist() == [False, True, False]
         kept = pairs.unsaturated()
         assert len(kept) == 2
-        assert kept.patch == ("p0", "p2")
+        assert kept.patch.tolist() == ["p0", "p2"]
 
     def test_unsaturated_is_built_once(self):
         raw = np.array([[0.1, 0.2, 0.3], [1.0, 0.5, 0.6], [0.7, 0.8, 0.9]])
@@ -73,16 +85,16 @@ class TestPixelPairSet:
         for empty in ([], np.array([], dtype=np.int64)):
             none = pairs.subset(empty)
             assert len(none) == 0
-            assert none.raw.shape == (0, 3) and none.patch == ()
+            assert none.raw.shape == (0, 3) and none.patch.tolist() == []
 
     def test_subset_by_mask(self):
         raw = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
         pairs = PixelPairSet.from_arrays(raw, raw)
         kept = pairs.subset(np.array([True, False, True]))
-        assert kept.patch == ("p0", "p2")
+        assert kept.patch.tolist() == ["p0", "p2"]
         assert np.array_equal(kept.raw, raw[[0, 2]])
-        assert pairs.subset([2, 0]).patch == ("p2", "p0")
-        assert pairs.subset([-1, -3]).patch == ("p2", "p0")
+        assert pairs.subset([2, 0]).patch.tolist() == ["p2", "p0"]
+        assert pairs.subset([-1, -3]).patch.tolist() == ["p2", "p0"]
 
     @pytest.mark.parametrize("bad, match", [
         (np.array([True, False]), "mask must have length 3"),

@@ -221,10 +221,10 @@ class TestMakeCorpus:
                              illuminants=make_illuminants(2, 0),
                              exposures=make_exposures(2), rng_seed=0)
         blocks = [(e, i) for e in ("e0", "e1") for i in ("i0", "i1")]
-        assert corpus.camera == ("cam",) * 12
-        assert corpus.exposure == tuple(e for e, _ in blocks for _ in range(3))
-        assert corpus.illuminant == tuple(i for _, i in blocks for _ in range(3))
-        assert corpus.patch == ("p0", "p1", "p2") * 4
+        assert corpus.camera.tolist() == ["cam"] * 12
+        assert corpus.exposure.tolist() == [e for e, _ in blocks for _ in range(3)]
+        assert corpus.illuminant.tolist() == [i for _, i in blocks for _ in range(3)]
+        assert corpus.patch.tolist() == ["p0", "p1", "p2"] * 4
 
     def test_neutral_first_illuminant(self):
         illus = make_illuminants(4, seed=3)
