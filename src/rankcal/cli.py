@@ -26,6 +26,7 @@ from .errors import CalibrationError
 from .model import backward_parameter_count, parameter_count
 from .modelfile import _fmt, deserialize_model, serialize_model
 from .pipeline import CalibrationConfig, calibrate, map_backward, map_forward
+from .ranking import DEFAULT_SPHERE_COUNT, DEFAULT_TRIALS
 from .simulate import (
     ToneSpec,
     make_camera,
@@ -70,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="all | uniform:K | exp:E,illu:I")
     p_cal.add_argument("--out", required=True, help="model file to write")
     p_cal.add_argument("--seed", type=int, default=0)
-    p_cal.add_argument("--sphere-count", type=int, default=100_000,
+    p_cal.add_argument("--sphere-count", type=int, default=DEFAULT_SPHERE_COUNT,
                        help="row-search directions on the unit sphere; "
                             "an even count, in antipodal pairs")
-    p_cal.add_argument("--trials", type=int, default=25,
+    p_cal.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                        help="random colour subsets per matrix row")
 
     p_app = sub.add_parser("apply", help="map every row through a model")

@@ -68,7 +68,7 @@ class SubsetSpec:
 
     def __post_init__(self) -> None:
         counts = {"uniform": ("k",), "exposures_illuminants": ("n_exposures", "n_illuminants")}
-        if self.kind not in counts:
+        if not isinstance(self.kind, str) or self.kind not in counts:
             raise ValueError(f"unknown subset kind {self.kind!r}")
         for name in ("k", "n_exposures", "n_illuminants", "rng_seed"):
             _check_integer(getattr(self, name), name, 1 if name in counts[self.kind] else 0)
@@ -127,13 +127,13 @@ def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
     # read in its own frame, so that the per-block tables, the last block's
     # strings and the tag dictionaries are freed before the arrays below
     table, tags = _read_table(fh, origin, rows)
-    raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
-    return PixelPairSet(raw / white[:, None], jpeg / 255.0, *tags)
+    return PixelPairSet(table[:, 0:3], table[:, 3:6] / 255.0, *tags)
 
 
 def _read_table(fh, origin: str, rows: list | None):
     """The numbers (n, 7) and the four tag lists of a corpus CSV, read
-    from ``fh`` once, in blocks of data rows.
+    from ``fh`` once, in blocks of data rows; the raw columns are already
+    divided by the white level.
 
     Blank lines and lines whose first field starts with '#' are skipped;
     the first other line must be the header. Plain lines (no quote, CR,
@@ -149,7 +149,8 @@ def _read_table(fh, origin: str, rows: list | None):
 
     def take(fields: list, texts: list) -> bool:
         """Append a block of data rows, ``width`` fields each, when every
-        value parses and is in range; leave everything as it was if not."""
+        value parses and is in range and no raw value overflows when divided
+        by its white level; leave everything as it was if not."""
         table = np.empty((len(texts), 7))
         try:
             for k in range(7):
@@ -159,6 +160,10 @@ def _read_table(fh, origin: str, rows: list | None):
         raw, jpeg, white = table[:, 0:3], table[:, 3:6], table[:, 6]
         if not (np.isfinite(table).all() and (white > 0).all() and raw.min() >= 0
                 and jpeg.min() >= 0 and jpeg.max() <= 255):
+            return False
+        with np.errstate(over="ignore"):
+            raw /= white[:, None]
+        if not np.isfinite(raw).all():
             return False
         tables.append(table)
         for k, (column, seen) in enumerate(zip(tags, distinct)):
@@ -265,6 +270,8 @@ def _row_error(origin: str, records) -> CorpusFormatError:
             return CorpusFormatError(f"{where}: white_level must be positive")
         if min(jpeg) < 0 or max(jpeg) > 255 or min(raw) < 0:
             return CorpusFormatError(f"{where}: values out of range")
+        if max(raw) / white == math.inf:
+            return CorpusFormatError(f"{where}: raw / white_level overflows")
     raise AssertionError("no bad row in a block that failed its checks")
 
 

@@ -260,9 +260,15 @@ class ColorMatrix:
 
     def __post_init__(self) -> None:
         rows = _as_float_array(self.rows, (3, 3), "ColorMatrix.rows")
-        norms = np.linalg.norm(rows, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(rows, axis=1)
+            # bounds |det M| (Hadamard's inequality), so det() cannot overflow
+            volume = norms.prod()
         if np.any(norms < 1e-12):
             raise ValueError("ColorMatrix rows must be non-zero")
+        if not np.isfinite(volume):
+            raise ValueError("ColorMatrix rows are too large: the product of their norms "
+                             "overflows")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -296,6 +302,13 @@ class ToneCurve:
         coef = _as_float_array(self.coefficients, (None,), "ToneCurve.coefficients")
         if coef.size < 2:
             raise ValueError("ToneCurve needs at least two coefficients")
+        with np.errstate(over="ignore"):
+            # sum (i + 1) |c_i| bounds the curve and its slope on [0, 1], so
+            # twice it bounds any difference of two values
+            bound = 2.0 * (np.abs(coef) * np.arange(1, coef.size + 1)).sum()
+        if not np.isfinite(bound):
+            raise ValueError("ToneCurve coefficients are too large: the curve or its slope "
+                             "overflows on [0, 1]")
         object.__setattr__(self, "coefficients", coef)
         grid = np.linspace(0.0, 1.0, TONE_GRID_POINTS)
         values = self(grid)
@@ -362,7 +375,10 @@ class ModelMetadata:
     settings: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "camera", str(self.camera))
+        # a model file must read back what is written: no other type is
+        # turned into a camera string or truncated into a sample count
+        _check_type(self.camera, str, "camera")
+        _check_integer(self.samples, "samples", 0)
         object.__setattr__(self, "samples", int(self.samples))
         pairs = tuple((str(k), str(v)) for k, v in self.settings)
         object.__setattr__(self, "settings", pairs)
@@ -389,12 +405,18 @@ class PipelineModel:
     metadata: ModelMetadata = field(default_factory=ModelMetadata)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "forward_tones", tuple(self.forward_tones))
-        object.__setattr__(self, "inverse_tones", tuple(self.inverse_tones))
-        for curves, direction in ((self.forward_tones, "forward"),
-                                  (self.inverse_tones, "inverse")):
-            if len(curves) != 3:
+        _check_type(self.matrix, ColorMatrix, "matrix")
+        for direction in ("forward", "inverse"):
+            name = f"{direction}_tones"
+            curves = getattr(self, name)
+            if not isinstance(curves, (tuple, list)) or len(curves) != 3:
                 raise ValueError(f"need exactly three {direction} tone curves")
+            for k, curve in enumerate(curves):
+                _check_type(curve, ToneCurve, f"{name}[{k}]")
+            object.__setattr__(self, name, tuple(curves))
+        _check_type(self.forward_lut, Lattice3, "forward_lut")
+        _check_type(self.backward_lut, Lattice3, "backward_lut")
+        _check_type(self.metadata, ModelMetadata, "metadata")
         degrees = {c.degree for c in self.forward_tones + self.inverse_tones}
         if len(degrees) != 1:
             raise ValueError(f"tone curves disagree on degree: {sorted(degrees)}")

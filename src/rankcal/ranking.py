@@ -640,8 +640,6 @@ def rescale_achromatic(m: ColorMatrix, pairs: PixelPairSet) -> ColorMatrix:
     _check_type(m, ColorMatrix, "m")
     _check_type(pairs, PixelPairSet, "pairs")
     pool = pairs.unsaturated()
-    if len(pool) == 0:
-        raise NoAchromaticSample("no unsaturated pairs available")
     spread = pool.rendered.max(axis=1) - pool.rendered.min(axis=1)
     brightness = pool.rendered.mean(axis=1)
     lo, hi = ACHROMATIC_BRIGHTNESS

@@ -71,6 +71,12 @@ class SyntheticCamera:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_type(self.matrix, ColorMatrix, "matrix")
+        _check_type(self.tone, ToneSpec, "tone")
+        if self.gamut is not None:
+            _check_type(self.gamut, AffineGamutMap, "gamut")
+        # the camera sidecar records quantize as 1 or 0
+        _check_type(self.quantize, bool, "quantize")
         if abs(self.matrix.det()) < 1e-8:
             raise ValueError("camera matrix must be invertible")
         grid = np.linspace(0.0, 1.0, 512)
@@ -152,8 +158,9 @@ def make_camera(seed: int = 0, delta: float = 0.25,
     colours, exactly the affine formulation the calibration assumes.
     """
     _check_integer(seed, "seed", 0)
-    if not 0.0 <= delta <= 0.4:
-        raise ValueError("delta must be in [0, 0.4]")
+    _check_finite(delta, "delta", positive=False)
+    if delta > 0.4:
+        raise ValueError(f"delta must be in [0, 0.4], got {delta!r}")
     if gamut_mode not in GAMUT_MODES:
         raise ValueError(f"unknown gamut_mode {gamut_mode!r}")
     rng = np.random.default_rng(seed)

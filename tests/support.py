@@ -346,6 +346,8 @@ def parse_rows(fh, origin: str, keep_texts: bool):
             raise CorpusFormatError(
                 f"{origin}: line {lineno}: values out of range"
             )
+        if max(raw) / white == math.inf:
+            raise CorpusFormatError(f"{origin}: line {lineno}: raw / white_level overflows")
         # flat lists hold a row in the fewest Python objects
         numbers += values
         tags += row[:4]

@@ -12,10 +12,11 @@ import pytest
 
 import rankcal
 
-from rankcal.cli import main
+from rankcal.cli import build_parser, main
 from rankcal.dataset import CSV_COLUMNS, load_corpus, save_corpus
 from rankcal.model import ColorMatrix, Lattice3, PipelineModel, PixelPairSet, ToneCurve
 from rankcal.modelfile import deserialize_model, serialize_model
+from rankcal.pipeline import CalibrationConfig, calibrate
 from rankcal.simulate import ToneSpec, deserialize_camera, make_camera, make_corpus
 
 FAST = ["--sphere-count", "20000", "--trials", "4"]
@@ -23,6 +24,15 @@ FAST = ["--sphere-count", "20000", "--trials", "4"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def child_env(**variables) -> dict:
+    """The environment, with ``variables``, of a child process that imports
+    the rankcal this suite tests."""
+    src = str(Path(rankcal.__file__).resolve().parents[1])
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def write_identity_model(path):
@@ -55,6 +65,14 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--out", tmp_path / "c.csv", "--patches", 0])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--illuminants", "--exposures"])
+    def test_zero_conditions_is_usage_error(self, tmp_path, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--out", tmp_path / "c.csv", "--patches", 10, flag, 0])
+        assert exc.value.code == 2
+        assert "--illuminants and --exposures must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
     def test_bad_noise_is_usage_error(self, tmp_path, noise, capsys):
@@ -120,6 +138,33 @@ class TestCalibrateCommand:
         assert run(["calibrate", "--data", data, "--out", model,
                     "--sphere-count", 2001, "--trials", 2]) == 1
         assert "sphere_count must be even, got 2001" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_one_trial_writes_the_library_model(self, tmp_path):
+        data, model = tmp_path / "c.csv", tmp_path / "m.txt"
+        run(["simulate", "--out", data, "--patches", 140, "--seed", 1, "--quantize"])
+        assert run(["calibrate", "--data", data, "--out", model,
+                    "--sphere-count", 2000, "--trials", 1]) == 0
+        cfg = CalibrationConfig(sphere_count=2000, trials=1)
+        assert model.read_text(encoding="utf-8") == serialize_model(
+            calibrate(load_corpus(data), cfg))
+        assert "meta.setting.trials = 1\n" in model.read_text(encoding="utf-8")
+
+    def test_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["calibrate", "--data", "c.csv", "--out", "m.txt"])
+        cfg = CalibrationConfig()
+        assert (args.sphere_count, args.trials) == (cfg.sphere_count, cfg.trials)
+
+    @pytest.mark.parametrize("row, message", [
+        (b"caf\xe9,i0,e0,p0,1,2,3,4,5,6,1000", "not UTF-8 text (byte 0xe9)"),
+        (b"cam,i0,e0,p0,1,2,3,4,5,6,1e-320", "raw / white_level overflows"),
+        (b'"cam",i0,e0,p0,1,2,3,4,5,6,1e-320', "raw / white_level overflows"),
+    ])
+    def test_bad_row_exits_1_naming_line(self, tmp_path, capsys, row, message):
+        data, model = tmp_path / "c.csv", tmp_path / "m.txt"
+        data.write_bytes(",".join(CSV_COLUMNS).encode() + b"\n" + row + b"\n")
+        assert run(["calibrate", "--data", data, "--out", model]) == 1
+        assert capsys.readouterr().err == f"error: {data}: line 2: {message}\n"
         assert not model.exists()
 
     def test_over_long_field_exits_1_naming_line(self, tmp_path, capsys):
@@ -274,6 +319,21 @@ class TestApplyCommand:
         assert [row[0] for row in rows] == tags
         assert [row[3] for row in rows] == [f"p{k}" for k in range(len(tags))]
 
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_reads_standard_input(self, tmp_path, direction):
+        data, model = tmp_path / "c.csv", tmp_path / "m.txt"
+        write_sensor_corpus(data, n=50)
+        write_warped_model(model)
+        assert run(["apply", "--model", model, "--direction", direction,
+                    "--in", data, "--out", tmp_path / "file.csv"]) == 0
+        # input= feeds standard input through a pipe, which reads only once
+        done = subprocess.run(
+            [sys.executable, "-m", "rankcal", "apply", "--model", str(model),
+             "--direction", direction, "--in", "/dev/stdin", "--out", str(tmp_path / "pipe.csv")],
+            input=data.read_bytes(), env=child_env(), capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
     def test_missing_model_exits_1(self, tmp_path):
         data = tmp_path / "c.csv"
         write_identity_corpus(data)
@@ -309,6 +369,21 @@ class TestEvaluateCommand:
         assert blob.startswith(b"P6\n8 5\n255\n")
         assert len(blob) == len(b"P6\n8 5\n255\n") + 8 * 5 * 3
         assert "errormap_scale:" in report.read_text()
+
+    def test_errormap_of_exact_predictions_is_black(self, tmp_path):
+        # the identity model maps the nodes of its 5-node lattice exactly
+        axis = np.linspace(0.0, 1.0, 5)
+        raw = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1).T
+        data, model = tmp_path / "c.csv", tmp_path / "m.txt"
+        save_corpus(PixelPairSet.from_arrays(raw, raw), data)
+        write_identity_model(model)
+        report, ppm = tmp_path / "r.txt", tmp_path / "e.ppm"
+        assert run(["evaluate", "--model", model, "--data", data,
+                    "--direction", "forward", "--report", report,
+                    "--errormap", ppm, "--width", 25, "--height", 5]) == 0
+        assert ppm.read_bytes() == b"P6\n25 5\n255\n" + bytes(25 * 5 * 3)
+        assert "rmse_exact: 0\n" in report.read_text()
+        assert "errormap_scale: 1\n" in report.read_text()
 
     def test_wrong_errormap_shape_exits_1(self, tmp_path):
         data = tmp_path / "c.csv"
@@ -386,9 +461,7 @@ def _run_at_threads(tmp_path, threads: int) -> dict:
     script = ("import sys\nfrom rankcal.cli import main\n"
               f"for argv in {[[str(a) for a in c] for c in commands]!r}:\n"
               "    assert main(argv) == 0, argv\n")
-    src = str(Path(rankcal.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]

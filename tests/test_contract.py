@@ -43,7 +43,7 @@ from rankcal import (
 )
 from rankcal import errors
 from rankcal.gamut import AffineGamutMap, apply_lattice
-from rankcal.model import ColorMatrix, Lattice3, ToneCurve
+from rankcal.model import ColorMatrix, Lattice3, ModelMetadata, ToneCurve
 from rankcal.pipeline import estimate_matrix
 from rankcal.qp import QuadProgram, solve_qp
 from rankcal.ranking import (build_half_spaces, estimate_row, monotonicity_score,
@@ -82,6 +82,11 @@ def model_text(key, value):
     at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
     lines[at] = f"{key} = {value}"
     return "\n".join(lines) + "\n"
+
+
+def identity_with(**fields):
+    """The identity model with ``fields`` replaced."""
+    return PipelineModel(**{**vars(PipelineModel.identity()), **fields})
 
 
 def corpus_file(name, text):
@@ -176,6 +181,12 @@ CASES = {
             model_text("lut.forward.resolution", 10 ** 6)), "lut.forward.resolution"),
         ("bytes", lambda: deserialize_model(b"model.version = 1\n"),
          "text must be a str, got bytes"),
+        ("falling_tone", lambda: deserialize_model(model_text("tone.forward.1.c1", -1)),
+         "tone.forward.1: ToneCurve is not monotone"),
+        ("huge_matrix", lambda: deserialize_model(model_text("matrix.r1.c1", "1e308")),
+         "ColorMatrix rows are too large"),
+        ("huge_tone", lambda: deserialize_model(model_text("tone.inverse.3.c5", "1e308")),
+         "tone.inverse.3: ToneCurve coefficients are too large"),
     ],
     "load_corpus": [
         ("empty_file", lambda: load_corpus(corpus_file("empty.csv", "")), "empty.csv"),
@@ -191,6 +202,12 @@ CASES = {
         ("number_rows", lambda: load_corpus(corpus_file(
             "ok.csv", HEADER + "c,i,e,p,1,1,1,1,1,1,1\n"), rows=5),
          "rows must be a list, got int"),
+        ("overflowing_raw", lambda: load_corpus(corpus_file(
+            "over.csv", HEADER + "c,i,e,p,1,1,1,1,1,1,1e-320\n")),
+         "over.csv: line 2: raw / white_level overflows"),
+        ("overflowing_quoted_raw", lambda: load_corpus(corpus_file(
+            "quoted.csv", HEADER + 'c,i,e,p,1,1,1,1,1,1,1\n"c",i,e,p,2,0,0,1,1,1,1e-308\n')),
+         "quoted.csv: line 3: raw / white_level overflows"),
     ],
     "save_corpus": [
         ("comma_tag", lambda: save_corpus(pairs(3, patch=("p0", "a,b", "p2")), "out.csv"),
@@ -218,6 +235,7 @@ CASES = {
         ("no_exposures", lambda: SubsetSpec("exposures_illuminants", n_exposures=0,
                                             n_illuminants=1), "n_exposures"),
         ("negative_seed", lambda: SubsetSpec("uniform", k=1, rng_seed=-1), "rng_seed"),
+        ("list_kind", lambda: SubsetSpec(["uniform"]), "unknown subset kind ['uniform']"),
     ],
     "rmse": [
         ("nan_prediction", lambda: rmse(with_value(ROWS, 0, 0, NAN), ROWS), "predictions"),
@@ -244,6 +262,12 @@ CASES = {
          "warp_scale"),
         ("line_break_id", lambda: make_camera(gamut_mode="none", camera_id="a\nb"),
          "camera_id"),
+        ("flat_tone", lambda: make_camera(tone=ToneSpec("gamma", 1000.0)),
+         "tone curve must be strictly increasing"),
+        ("text_tone", lambda: make_camera(tone="gamma"), "tone must be a ToneSpec, got str"),
+        ("text_delta", lambda: make_camera(delta="0.1"), "delta must be finite"),
+        ("text_quantize", lambda: make_camera(gamut_mode="none", quantize="no"),
+         "quantize must be a bool, got str"),
     ],
     "make_corpus": [
         ("no_patches", lambda: make_corpus(plain_camera(), 0), "n_patches"),
@@ -258,6 +282,9 @@ CASES = {
          "illuminants[0][2]"),
         ("no_illuminants", lambda: make_corpus(plain_camera(), 5, illuminants=[]),
          "illuminants"),
+        ("two_rows_of_gains", lambda: make_corpus(plain_camera(), 5,
+                                                  illuminants=[np.ones((2, 3))]),
+         "illuminants[0] must hold 3 gains, got shape (2, 3)"),
         ("text_exposure", lambda: make_corpus(plain_camera(), 5, exposures=["a"]),
          "exposures[0]"),
         ("infinite_exposure", lambda: make_corpus(plain_camera(), 5, exposures=[1.0, INF]),
@@ -298,6 +325,16 @@ CASES = {
                                                   camera_id="a\rb"), "camera_id"),
         ("int_id", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(), camera_id=5),
          "camera_id must be a str, got int"),
+        ("array_matrix", lambda: SyntheticCamera(np.eye(3), ToneSpec()),
+         "matrix must be a ColorMatrix, got ndarray"),
+        ("function_tone", lambda: SyntheticCamera(ColorMatrix.identity(), np.sqrt),
+         "tone must be a ToneSpec, got ufunc"),
+        ("array_gamut", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
+                                                gamut=np.eye(3)),
+         "gamut must be a AffineGamutMap, got ndarray"),
+        ("text_quantize", lambda: SyntheticCamera(ColorMatrix.identity(), ToneSpec(),
+                                                  quantize="no"),
+         "quantize must be a bool, got str"),
     ],
     "PixelPairSet": [
         ("nan_raw", lambda: pairs(4, raw=with_value(GREYS, 1, 1, NAN)), "raw"),
@@ -310,6 +347,8 @@ CASES = {
          "rendered"),
         ("negative_raw", lambda: pairs(4, raw=with_value(GREYS, 3, 0, -0.1)), "raw"),
         ("short_tags", lambda: pairs(4, patch=("p0",)), "patch"),
+        ("short_rendered", lambda: pairs(4, rendered=GREYS[:3]),
+         "raw and rendered must have the same shape, got (4, 3) and (3, 3)"),
         ("bare_string_tags", lambda: pairs(4, camera="cam0"), "camera tags must have shape"),
         ("two_d_tags", lambda: pairs(4, illuminant=[["i0"]] * 4), "illuminant tags must"),
         ("int_tags", lambda: pairs(4, exposure=[0, 1, 2, 3]), "exposure tags must all be str"),
@@ -336,6 +375,24 @@ CASES = {
         ("mixed_degrees", lambda: PipelineModel(
             **{**vars(PipelineModel.identity()),
                "inverse_tones": PipelineModel.identity(degree=3).inverse_tones}), "degree"),
+        ("int_tone_curves", lambda: identity_with(forward_tones=(1, 2, 3)),
+         "forward_tones[0] must be a ToneCurve, got int"),
+        ("int_inverse_tones", lambda: identity_with(inverse_tones=5),
+         "need exactly three inverse tone curves"),
+        ("array_matrix", lambda: identity_with(matrix=np.eye(3)),
+         "matrix must be a ColorMatrix, got ndarray"),
+        ("array_lattice", lambda: identity_with(forward_lut=np.zeros((5, 5, 5, 3))),
+         "forward_lut must be a Lattice3, got ndarray"),
+        ("array_backward_lattice", lambda: identity_with(backward_lut=np.zeros((5, 5, 5, 3))),
+         "backward_lut must be a Lattice3, got ndarray"),
+        ("dict_metadata", lambda: identity_with(metadata={}),
+         "metadata must be a ModelMetadata, got dict"),
+        ("negative_samples", lambda: identity_with(metadata=ModelMetadata(samples=-3)),
+         "samples must be an integer >= 0, got -3"),
+        ("fractional_samples", lambda: identity_with(metadata=ModelMetadata(samples=2.7)),
+         "samples must be an integer >= 0, got 2.7"),
+        ("int_camera", lambda: identity_with(metadata=ModelMetadata(camera=5)),
+         "camera must be a str, got int"),
     ],
 }
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rankcal import dataset
@@ -251,7 +251,7 @@ def _numbers(low: float, high: float):
 
 
 BAD_NUMBERS = st.sampled_from(["abc", "", "nan", "-inf", "1e400", "-1", "-1e-300", "256",
-                               "255.00001", "0x10", "1_0", "\u0663", "-0", "0"])
+                               "255.00001", "0x10", "1_0", "\u0663", "-0", "0", "1e-320"])
 
 
 @st.composite
@@ -309,6 +309,8 @@ def assert_same_rows(rows: list, texts: list, white: np.ndarray) -> None:
 class TestFastParse:
     @settings(max_examples=300, deadline=None)
     @given(text=corpus_texts())
+    @example(text=HEADER + "\nc,i,e,p,0,0,0,1,1,1,1e-320\nc,i,e,p,0,1,0,1,1,1,1e-320\n")
+    @example(text=HEADER + '\n"c",i,e,p,0,0,0,1,1,1,1e-320\nc,i,e,p,0,1,0,1,1,1,1e-320\n')
     def test_matches_row_parser(self, text):
         try:
             want, texts, white = loads_corpus_reference(text)

@@ -1,5 +1,6 @@
 """Tests for the affine gamut solver and the lattice LUT."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -16,6 +17,15 @@ from rankcal.model import Lattice3
 
 
 class TestSolveAffineGamut:
+    def test_out_of_cube_solution_is_refused(self, monkeypatch):
+        # a QP solution that maps the points outside the cube: (T, o) = (0, 2)
+        solve = gamut.solve_qp
+        monkeypatch.setattr(gamut, "solve_qp", lambda prob, tol: dataclasses.replace(
+            solve(prob, tol), x=np.array([0.0, 0.0, 0.0, 2.0])))
+        pts = np.random.default_rng(0).uniform(0.05, 0.95, size=(10, 3))
+        with pytest.raises(ArithmeticError, match="gamut QP produced an out-of-cube mapping"):
+            solve_affine_gamut(pts)
+
     def test_in_cube_points_map_to_themselves(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0.05, 0.95, size=(60, 3))

@@ -197,6 +197,10 @@ class TestToneCurve:
         coef[2] = 1.0  # f(t) = t^2, non-decreasing on [0, 1]
         ToneCurve(coef)
 
+    def test_needs_two_coefficients(self):
+        with pytest.raises(ValueError, match="ToneCurve needs at least two coefficients"):
+            ToneCurve([0.5])
+
     def test_a_curve_is_its_coefficients(self):
         # direction and channel are the curve's place in a PipelineModel
         assert [f.name for f in dataclasses.fields(ToneCurve)] == ["coefficients"]
@@ -249,6 +253,21 @@ class TestPipelineModel:
                 inverse_tones=inv,
                 backward_lut=Lattice3.identity(),
             )
+
+    def test_roundtrip_checked_only_where_forward_slope_reaches_the_minimum(self):
+        # a forward slope of 0.01 everywhere leaves nothing to check, so
+        # an inverse that undoes nothing passes; at 0.06 it is checked
+        fwd, inv = np.zeros(8), ToneCurve.linear()
+        for slope, passes in ((0.01, True), (0.06, False)):
+            fwd[1] = slope
+            fields = dict(matrix=ColorMatrix.identity(), forward_tones=(ToneCurve(fwd),) * 3,
+                          forward_lut=Lattice3.identity(), inverse_tones=(inv,) * 3,
+                          backward_lut=Lattice3.identity())
+            if passes:
+                PipelineModel(**fields)
+            else:
+                with pytest.raises(ValueError, match="tone curves disagree by 0.94"):
+                    PipelineModel(**fields)
 
     def test_singular_matrix_rejected(self):
         rows = np.array([[1.0, 0.0, 0.0], [1.0, 1e-12, 0.0], [0.0, 0.0, 1.0]])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankcal.errors import ModelParseError
@@ -216,6 +216,10 @@ def corrupt(lines: list[str], change) -> list[str]:
 
 @settings(max_examples=400, deadline=None)
 @given(changes=st.lists(corruptions, min_size=1, max_size=3))
+# a matrix entry whose row norm overflows, and a forward tone coefficient
+# whose slope does: both warned of an overflow and were not refused
+@example(changes=[("delete", 3), ("value", 5, "1e308")])
+@example(changes=[("duplicate", 3), ("value", 39, "1e308")])
 def test_corrupted_model_raises_only_parse_error(changes):
     lines = CORRUPTIBLE
     for change in changes:

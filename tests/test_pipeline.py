@@ -39,6 +39,23 @@ def fast_config(seed=0):
 
 
 class TestCalibrate:
+    def test_stage_passes_an_interrupt_through_unchanged(self, monkeypatch):
+        interrupt = KeyboardInterrupt()
+        times = []
+
+        def interrupted(*args):
+            raise interrupt
+
+        monkeypatch.setattr(pipeline, "fit_forward_tones", interrupted)
+        camera = make_camera(seed=0, gamut_mode="none")
+        with pytest.raises(KeyboardInterrupt) as info:
+            calibrate(make_corpus(camera, 60, rng_seed=1),
+                      CalibrationConfig(sphere_count=2000, trials=1),
+                      lambda stage, seconds: times.append(stage))
+        assert info.value is interrupt
+        # the interrupted stage reports no time
+        assert times == ["matrix", "achromatic_rescale"]
+
     def test_identity_camera_hits_fixed_points(self):
         camera = make_camera(seed=0, delta=0.0, tone=ToneSpec("gamma", 1.0),
                              gamut_mode="none")

@@ -167,6 +167,18 @@ def test_rejects_constraints_of_the_wrong_shape(a):
         QuadProgram(np.eye(2), np.zeros(2), a, np.ones(a.size // 2))
 
 
+@pytest.mark.parametrize("q", [np.eye(3), np.ones(4), np.eye(2)[:1]])
+def test_rejects_q_of_the_wrong_shape(q):
+    with pytest.raises(ValueError, match=re.escape(f"Q must be (2, 2), got {q.shape}")):
+        QuadProgram(q, np.zeros(2), np.ones((1, 2)), np.ones(1))
+
+
+@pytest.mark.parametrize("b", [np.ones(2), np.zeros(0)])
+def test_rejects_b_of_another_length(b):
+    with pytest.raises(ValueError, match="A and b disagree on the constraint count"):
+        QuadProgram(np.eye(2), np.zeros(2), np.ones((1, 2)), b)
+
+
 @pytest.mark.parametrize("a", [np.zeros(0), np.zeros((0, 2)), np.zeros((0, 0))])
 def test_empty_constraints_mean_none(a):
     prob = QuadProgram(2.0 * np.eye(2), np.array([-2.0, -4.0]), a, np.zeros(0))

@@ -23,7 +23,7 @@ from support import (
 
 from rankcal import ranking
 from rankcal.cli import main as cli_main
-from rankcal.errors import DegenerateChannel, NoAchromaticSample
+from rankcal.errors import DegenerateChannel, InsufficientData, NoAchromaticSample
 from rankcal.model import SATURATION_FRACTION, ColorMatrix, PixelPairSet
 from rankcal.ranking import (
     SphereSample,
@@ -34,6 +34,7 @@ from rankcal.ranking import (
     rescale_achromatic,
     sample_sphere,
     _count_true,
+    _median_direction,
     _pair_indices,
     _search_trials,
 )
@@ -162,6 +163,15 @@ class TestBuildHalfSpaces:
         diffs = build_half_spaces(pairs, 1, rng_seed=1)
         assert diffs.shape == (50 * 49 // 2, 3) == (1225, 3)
         assert not diffs.flags.writeable
+
+    @pytest.mark.parametrize("rendered", [[[0.5, 0.5, 0.5]],
+                                          [[0.5, 0.5, 0.5], [0.997, 0.3, 0.4]]])
+    def test_fewer_than_two_eligible_rows(self, rendered):
+        # the second set's second row is too near the clip to rank
+        raw = [[0.5, 0.5, 0.5], [0.2, 0.3, 0.4]][:len(rendered)]
+        pairs = PixelPairSet.from_arrays(raw, rendered)
+        with pytest.raises(InsufficientData, match="need at least 2 unsaturated entries, have 1"):
+            build_half_spaces(pairs, 1)
 
     def test_three_colours_ordered(self):
         row = np.array([0.7, 0.2, 0.1])
@@ -729,6 +739,11 @@ class TestMonotonicityScore:
         pairs = synthetic_channel_pairs(rng, 100, row)
         assert monotonicity_score(pairs, row, 1) <= 1e-12
 
+    def test_no_unsaturated_pair(self):
+        pairs = PixelPairSet.from_arrays(np.full((3, 3), 0.5), np.ones((3, 3)))
+        with pytest.raises(InsufficientData, match="no unsaturated pairs to score"):
+            monotonicity_score(pairs, np.array([1.0, 0.0, 0.0]), 1)
+
     def test_shuffled_relation_scores_near_std(self):
         rng = np.random.default_rng(1)
         raw = rng.uniform(0.0, 1.0, size=(4000, 3))
@@ -945,6 +960,13 @@ class TestSplitBatches:
 
 
 class TestEstimateRow:
+    def test_median_direction_of_a_tie_set(self):
+        tied = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+        assert np.allclose(_median_direction(tied), [0.8, 0.4, 0.0] / np.sqrt(0.8))
+        # an antipodal pair has a zero median: the first point stands for it
+        antipodal = np.array([[0.6, 0.0, -0.8], [-0.6, 0.0, 0.8]])
+        assert _median_direction(antipodal).tolist() == [0.6, 0.0, -0.8]
+
     def test_scores_all_candidates_of_a_row_in_one_call(self, monkeypatch):
         rng = np.random.default_rng(14)
         pairs = synthetic_channel_pairs(rng, 120, np.array([0.55, 0.35, 0.10]))
@@ -1046,6 +1068,12 @@ class TestRescaleAchromatic:
         ])
         pairs = PixelPairSet.from_arrays(raw, rendered)
         with pytest.raises(NoAchromaticSample):
+            rescale_achromatic(ColorMatrix.identity(), pairs)
+
+    def test_no_unsaturated_pair_raises(self):
+        # an empty pool holds no achromatic pair either
+        pairs = PixelPairSet.from_arrays(np.full((3, 3), 0.5), np.ones((3, 3)))
+        with pytest.raises(NoAchromaticSample, match="no rendered triple with spread"):
             rescale_achromatic(ColorMatrix.identity(), pairs)
 
     def test_synthetic_camera_recovers_matrix_up_to_row_scale(self, clean_bundle):

@@ -1,5 +1,6 @@
 """Tests for the synthetic camera and corpus generation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -268,12 +269,25 @@ def test_camera_sidecar_roundtrip():
     ("noise.sigma", "nan"),
     ("matrix.r2.c3", "1.0.0"),
     ("camera.seed", "x7"),
+    ("gamut.mode", "bent"),
 ])
 def test_camera_sidecar_bad_value_names_key(key, bad):
     text = serialize_camera(make_camera(seed=6, noise_sigma=0.01))
     start = text.index(f"{key} = ") + len(f"{key} = ")
     broken = text[:start] + bad + text[text.index("\n", start):]
     with pytest.raises(ModelParseError, match=key.replace(".", r"\.")):
+        deserialize_camera(broken)
+
+
+@pytest.mark.parametrize("key, bad, message", [
+    ("camera.version", "2", "unknown camera version '2'"),
+    ("noise.sigma", "-0.5", "camera fails validation: noise_sigma must be finite and >= 0"),
+])
+def test_camera_sidecar_bad_field_named(key, bad, message):
+    text = serialize_camera(make_camera(seed=6, gamut_mode="none"))
+    start = text.index(f"{key} = ") + len(f"{key} = ")
+    broken = text[:start] + bad + text[text.index("\n", start):]
+    with pytest.raises(ModelParseError, match=f"^{re.escape(message)}"):
         deserialize_camera(broken)
 
 

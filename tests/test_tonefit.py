@@ -51,6 +51,19 @@ class TestFitMonotone:
         # the monotone cone projection of decreasing data hugs the mean
         assert np.abs(curve(DENSE) - 0.5).max() <= 0.05
 
+    @pytest.mark.parametrize("x, y, message", [
+        (np.linspace(0, 1, 20), np.linspace(0, 1, 19), "x and y must have equal length"),
+        (np.append(np.linspace(0, 1, 19), np.nan), np.linspace(0, 1, 20),
+         "samples must be finite"),
+        (np.linspace(0, 1, 20), np.append(np.linspace(0, 1, 19), np.inf),
+         "samples must be finite"),
+        (np.linspace(0, 1.1, 20), np.linspace(0, 1, 20), r"x samples must lie in \[0, 1\]"),
+        (np.linspace(-0.1, 1, 20), np.linspace(0, 1, 20), r"x samples must lie in \[0, 1\]"),
+    ])
+    def test_bad_samples_named(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            fit_monotone(x, y)
+
     def test_too_few_samples(self):
         with pytest.raises(InsufficientData):
             fit_monotone(np.linspace(0, 1, 7), np.zeros(7))
