@@ -23,7 +23,6 @@ from .errors import (
     InsufficientVariety,
     MaxIterations,
     ModelParseError,
-    NoAchromaticSample,
     SingularMatrix,
 )
 from .model import PipelineModel, PixelPairSet, backward_parameter_count, parameter_count
@@ -46,7 +45,6 @@ __all__ = [
     "InsufficientVariety",
     "MaxIterations",
     "ModelParseError",
-    "NoAchromaticSample",
     "PipelineModel",
     "PixelPairSet",
     "SingularMatrix",

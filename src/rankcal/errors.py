@@ -17,10 +17,6 @@ class DegenerateChannel(CalibrationError):
     """A channel carries too few distinct rendered values to rank."""
 
 
-class NoAchromaticSample(CalibrationError):
-    """No near-achromatic pixel pair is available for rescaling."""
-
-
 class InsufficientData(CalibrationError):
     """Too few samples for the requested fit."""
 

@@ -21,7 +21,7 @@ import numpy as np
 TONE_GRID_POINTS = 1024
 TONE_MONOTONE_TOL = 1e-9
 
-# |det M| must exceed this after achromatic rescaling.
+# |det M| must exceed this once the rows are scaled.
 MATRIX_DET_MIN = 1e-8
 
 # Forward/inverse tone curves must invert each other to within this bound

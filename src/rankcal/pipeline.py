@@ -44,7 +44,6 @@ MIN_DISTINCT_RENDERED = 10
 # Nodes per axis of both lattices. With degree-7 tone curves this keeps
 # the forward model at 9 + 3 * 8 + 3 * 5^3 = 408 parameters.
 LATTICE_RESOLUTION = 5
-_GAUGE_HEADROOM = 1.02
 
 # Rows mapped per block by map_forward, map_backward and
 # simulate.render_batch. The scratch of a map's block (a few (n, 3) arrays
@@ -151,8 +150,9 @@ def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
               progress=None) -> PipelineModel:
     """Recover the full pipeline from pixel pairs.
 
-    Stages: matrix row estimation, achromatic rescaling, forward tone
-    curves, forward lattice, inverse tone curves, backward lattice.
+    Stages: matrix row directions, row scales (``rescale_achromatic``),
+    forward tone curves, forward lattice, inverse tone curves, backward
+    lattice.
     Deterministic for a fixed seed. ``progress(stage, seconds)`` is
     called after each stage when provided. Arguments of the wrong type
     raise ValueError naming the argument before any stage runs.
@@ -168,16 +168,7 @@ def calibrate(pairs: PixelPairSet, cfg: CalibrationConfig = CalibrationConfig(),
                                      cfg.trials, rng_seed=cfg.rng_seed)
 
     with _Stage("achromatic_rescale", progress):
-        anchored = rescale_achromatic(directions, pairs)
-        # The achromatic gauge can push bright corrected raws well above 1
-        # (the grey's rendered value exceeds its linear response under
-        # gamma-like tones), but tone curves are defined on [0, 1] and
-        # application clamps there. Shrink each row so the training data
-        # fits, with slight headroom; the tone fit absorbs any row scale.
-        corrected = pool.raw @ anchored.rows.T
-        peak = corrected.max(axis=0)
-        row_scale = np.maximum(1.0, _GAUGE_HEADROOM * peak)
-        matrix = ColorMatrix(anchored.rows / row_scale[:, None])
+        matrix = rescale_achromatic(directions, pairs)
         matrix_inv = matrix.inverse()  # raises SingularMatrix
 
     with _Stage("forward_tones", progress):

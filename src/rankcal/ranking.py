@@ -24,8 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateChannel, InsufficientData, NoAchromaticSample
-from .errors import CalibrationError
+from .errors import CalibrationError, DegenerateChannel, InsufficientData
 from .model import (SATURATION_FRACTION, ColorMatrix, PixelPairSet, _as_float_array,
                     _as_rows, _check_channel, _check_integer, _check_rows, _check_type)
 
@@ -38,10 +37,9 @@ MAX_COLORS = 50
 # as ties: one-level gaps are unreliable rank evidence.
 RANK_TIE_EPS = 2.0 / 255.0
 
-# Achromatic reference selection: rendered max-min spread and mid-range
-# brightness window.
-ACHROMATIC_SPREAD = 0.04
-ACHROMATIC_BRIGHTNESS = (0.25, 0.75)
+# A row is shrunk until the training data's largest corrected value
+# leaves this headroom below 1, the top of the tone curves' domain.
+_GAUGE_HEADROOM = 1.02
 
 _SCORE_BLOCK = 4096
 
@@ -631,34 +629,28 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
 
 
 def rescale_achromatic(m: ColorMatrix, pairs: PixelPairSet) -> ColorMatrix:
-    """Fix the per-row scale of M using a grey reference pair.
+    """Fix the scale of each row of M, which rank order leaves free.
 
-    Picks the near-achromatic pair whose rendered triple is closest to
-    mid grey and rescales each row so the matrix maps that raw triple to
-    its rendered triple exactly.
+    Each row is scaled by the least-squares slope through the origin of
+    its channel's rendered values on its corrected raw values over the
+    unflagged pairs. Where that puts the largest corrected value of
+    those pairs above 1 / 1.02, the row is shrunk to put it there: tone
+    curves are defined on [0, 1], and application clamps there. The tone
+    fit absorbs any row scale. The function keeps the name of the
+    grey-pair rule it replaced, as ``perfbench`` times it by that name.
     """
     _check_type(m, ColorMatrix, "m")
     _check_type(pairs, PixelPairSet, "pairs")
     pool = pairs.unsaturated()
-    spread = pool.rendered.max(axis=1) - pool.rendered.min(axis=1)
-    brightness = pool.rendered.mean(axis=1)
-    lo, hi = ACHROMATIC_BRIGHTNESS
-    ok = (spread <= ACHROMATIC_SPREAD) & (brightness >= lo) & (brightness <= hi)
-    if not np.any(ok):
-        raise NoAchromaticSample(
-            f"no rendered triple with spread <= {ACHROMATIC_SPREAD} and "
-            f"brightness in [{lo}, {hi}]"
-        )
-    idx = np.flatnonzero(ok)
-    dist = np.linalg.norm(pool.rendered[idx] - 0.5, axis=1)
-    pick = idx[int(np.argmin(dist))]
-    raw_ref = pool.raw[pick]
-    rend_ref = pool.rendered[pick]
-    response = m.rows @ raw_ref
-    if np.any(response <= 1e-12):
-        raise CalibrationError(
-            "achromatic reference produces a non-positive row response; "
-            "the estimated row directions are unusable"
-        )
-    scale = rend_ref / response
-    return ColorMatrix(m.rows * scale[:, None])
+    corrected = pool.raw @ m.rows.T
+    sxy = np.sum(corrected * pool.rendered, axis=0)
+    sxx = np.sum(corrected * corrected, axis=0)
+    for k in range(3):
+        if not (sxy[k] > 0.0 and sxx[k] > 0.0):
+            raise CalibrationError(
+                f"channel {k + 1}: the rendered values have no positive slope on "
+                f"the row's corrected raw values over {len(pool)} unflagged pairs"
+            )
+    scaled = m.rows * (sxy / sxx)[:, None]
+    peak = (pool.raw @ scaled.T).max(axis=0)
+    return ColorMatrix(scaled / np.maximum(1.0, _GAUGE_HEADROOM * peak)[:, None])

@@ -117,6 +117,8 @@ def render_batch(camera: SyntheticCamera, raws: np.ndarray,
     _check_type(camera, SyntheticCamera, "camera")
     raws = _as_rows(raws, "raws")
     _check_rows(raws, "raws", finite=True)
+    if rng is not None:
+        _check_type(rng, np.random.Generator, "rng")
     if camera.noise_sigma > 0.0 and rng is None:
         raise ValueError("rendering with noise requires an explicit rng")
     rows_t = camera.matrix.rows.T
@@ -216,11 +218,9 @@ def _reflectances(n_patches: int, rng: np.random.Generator) -> np.ndarray:
     population, and saturated colours.
 
     Real charts carry a roughly logarithmic grey ramp ending in a deep
-    black, and real scenes are full of near-neutral surfaces; without
-    near-achromatic pairs the matrix scale cannot be pinned (uniform
-    one-shot pixel draws must land on some), and without dark patches
-    the tone fit extrapolates blindly at the dark end. The 0.2% black
-    stays above the rendered-zero saturation cut.
+    black, and real scenes are full of near-neutral surfaces. Without
+    dark patches the tone fit extrapolates blindly at the dark end. The
+    0.2% black stays above the rendered-zero saturation cut.
     """
     n_grey = min(8, max(3, n_patches // 18)) if n_patches >= 3 else n_patches
     ramp = np.geomspace(0.002, 0.9, max(2, n_grey - 1)).tolist()

@@ -480,6 +480,10 @@ STAGE_ARRAY_CASES = {
                              "v must be an array of real numbers, got a ragged nesting"),
     "render_batch-nan_raw": (lambda: render_batch(plain_camera(), [[NAN, 0.2, 0.3]]),
                              "raws row 0 is not finite"),
+    "render_batch-int_rng": (lambda: render_batch(plain_camera(noise_sigma=0.01), ROWS, rng=5),
+                             "rng must be a Generator, got int"),
+    "render_batch-int_rng_clean": (lambda: render_batch(plain_camera(), ROWS, rng=5),
+                                   "rng must be a Generator, got int"),
 }
 
 

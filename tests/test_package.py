@@ -11,9 +11,9 @@ import rankcal
 PUBLIC = [
     "CalibrationConfig", "CalibrationError", "CorpusFormatError", "DegenerateChannel",
     "DegenerateGeometry", "DegenerateSpan", "EmptyCorpus", "Infeasible", "InsufficientData",
-    "InsufficientVariety", "MaxIterations", "ModelParseError", "NoAchromaticSample",
-    "PipelineModel", "PixelPairSet", "SingularMatrix", "SubsetSpec", "SyntheticCamera",
-    "ToneSpec", "backward_parameter_count", "calibrate", "deserialize_model", "load_corpus",
+    "InsufficientVariety", "MaxIterations", "ModelParseError", "PipelineModel",
+    "PixelPairSet", "SingularMatrix", "SubsetSpec", "SyntheticCamera", "ToneSpec",
+    "backward_parameter_count", "calibrate", "deserialize_model", "load_corpus",
     "make_camera", "make_corpus", "map_backward", "map_forward", "parameter_count", "rmse",
     "save_corpus", "select_subset", "serialize_model",
 ]

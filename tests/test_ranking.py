@@ -21,9 +21,10 @@ from support import (
     score_candidate,
 )
 
-from rankcal import ranking
+from rankcal import (CalibrationConfig, ToneSpec, calibrate, make_camera, make_corpus,
+                     map_forward, ranking, rmse)
 from rankcal.cli import main as cli_main
-from rankcal.errors import DegenerateChannel, InsufficientData, NoAchromaticSample
+from rankcal.errors import CalibrationError, DegenerateChannel, InsufficientData
 from rankcal.model import SATURATION_FRACTION, ColorMatrix, PixelPairSet
 from rankcal.ranking import (
     SphereSample,
@@ -1033,22 +1034,33 @@ class TestEstimateRow:
 
 
 class TestRescaleAchromatic:
-    def test_maps_reference_exactly(self):
-        rows = np.array([
-            [0.8, 0.1, 0.1],
-            [0.2, 0.7, 0.1],
-            [0.1, 0.2, 0.7],
-        ])
-        rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        raw = np.vstack([
-            np.array([[0.4, 0.4, 0.4]]),
-            np.random.default_rng(0).uniform(0.1, 0.9, size=(9, 3)),
-        ])
-        rendered = np.full((10, 3), 0.8)
-        rendered[0] = [0.5, 0.5, 0.5]
+    ROWS = np.array([
+        [0.8, 0.1, 0.1],
+        [0.2, 0.7, 0.1],
+        [0.1, 0.2, 0.7],
+    ])
+    ROWS = ROWS / np.linalg.norm(ROWS, axis=1, keepdims=True)
+
+    def test_rows_take_the_slope_of_a_linear_rendering(self):
+        # rendered = c * (raw @ row): each row comes back scaled by c, as the
+        # largest corrected value stays below 1 / 1.02
+        raw = np.random.default_rng(0).uniform(0.05, 0.45, size=(40, 3))
+        c = np.array([0.9, 1.3, 0.7])
+        pairs = PixelPairSet.from_arrays(raw, c * (raw @ self.ROWS.T))
+        m = rescale_achromatic(ColorMatrix(self.ROWS), pairs)
+        assert np.allclose(m.rows, c[:, None] * self.ROWS, rtol=1e-12, atol=0.0)
+
+    def test_gauge_puts_the_corrected_peak_below_one(self):
+        # a concave rendering pushes the slope's peak above 1 / 1.02, so
+        # every row is shrunk to put it there, keeping its direction
+        raw = np.random.default_rng(1).uniform(0.02, 0.9, size=(60, 3))
+        corrected = raw @ self.ROWS.T
+        rendered = 0.95 * (corrected / corrected.max(axis=0)) ** 0.45
         pairs = PixelPairSet.from_arrays(raw, rendered)
-        m = rescale_achromatic(ColorMatrix(rows), pairs)
-        assert np.allclose(m.rows @ raw[0], [0.5, 0.5, 0.5], atol=1e-15)
+        m = rescale_achromatic(ColorMatrix(self.ROWS), pairs)
+        assert np.allclose((raw @ m.rows.T).max(axis=0), 1 / 1.02, rtol=1e-12, atol=0.0)
+        directions = m.rows / np.linalg.norm(m.rows, axis=1, keepdims=True)
+        assert np.allclose(directions, self.ROWS, rtol=1e-12, atol=0.0)
 
     def test_already_consistent_matrix_unchanged(self):
         rows = np.eye(3)
@@ -1061,20 +1073,33 @@ class TestRescaleAchromatic:
         m = rescale_achromatic(ColorMatrix(rows), pairs)
         assert np.allclose(m.rows, rows, atol=1e-15)
 
-    def test_no_achromatic_sample_raises(self):
+    @pytest.mark.parametrize("case, channel", [("empty", 1), ("zero", 3), ("negative", 2)])
+    def test_no_positive_slope_raises_naming_the_channel(self, case, channel):
         raw = np.random.default_rng(2).uniform(0.1, 0.9, size=(20, 3))
-        rendered = np.column_stack([
-            np.full(20, 0.9), np.full(20, 0.5), np.full(20, 0.1)
-        ])
+        raw[:, 1] = raw[:, 0]
+        rows = np.eye(3)
+        rendered = np.full((20, 3), 0.5)
+        if case == "empty":
+            # every pair flagged: the pool is empty
+            rendered[:, 0] = 1.0
+        elif case == "zero":
+            rows[2] = [1.0, -1.0, 0.0]  # every corrected value is 0
+        else:
+            rows[1] = -rows[1]
         pairs = PixelPairSet.from_arrays(raw, rendered)
-        with pytest.raises(NoAchromaticSample):
-            rescale_achromatic(ColorMatrix.identity(), pairs)
+        # filterwarnings = error turns any 0/0 warning into a failure here
+        with pytest.raises(CalibrationError, match=f"^channel {channel}: .*no positive slope"):
+            rescale_achromatic(ColorMatrix(rows), pairs)
 
-    def test_no_unsaturated_pair_raises(self):
-        # an empty pool holds no achromatic pair either
-        pairs = PixelPairSet.from_arrays(np.full((3, 3), 0.5), np.ones((3, 3)))
-        with pytest.raises(NoAchromaticSample, match="no rendered triple with spread"):
-            rescale_achromatic(ColorMatrix.identity(), pairs)
+    def test_calibrates_a_corpus_with_no_near_grey_pair(self):
+        camera = make_camera(seed=7, tone=ToneSpec("gamma", 1 / 2.2))
+        corpus = make_corpus(camera, 200, rng_seed=7)
+        spread = np.ptp(corpus.rendered, axis=1)
+        colourful = corpus.subset(spread > 0.08)
+        assert len(colourful) == 148
+        model = calibrate(colourful, CalibrationConfig(rng_seed=0))
+        fit = rmse(map_forward(model, colourful.raw), colourful.rendered, "rendered255")
+        assert fit <= 1.0
 
     def test_synthetic_camera_recovers_matrix_up_to_row_scale(self, clean_bundle):
         estimated = rescale_achromatic(clean_bundle["estimated"],
