@@ -1,6 +1,6 @@
 """Smoke test of the accuracy yardstick, at a tiny size (about 5 s).
 
-    python3 -m pytest accbench/test_smoke.py -q
+    python3 -m pytest accbench/test_sweep_smoke.py -q
 
 It runs the sweep on one seed with a small sphere and few trials, and
 checks that the result has the committed baseline's layout, and that the

@@ -106,7 +106,8 @@ def parse_subset_spec(text: str, rng_seed: int = 0) -> SubsetSpec | None:
 def load_corpus(path, rows: list | None = None) -> PixelPairSet:
     """Read a corpus CSV; errors carry the offending line number.
 
-    A data row holding a byte that is not UTF-8 text is a bad row.
+    A data row holding a byte that is not UTF-8 text is a bad row. A
+    leading UTF-8 byte-order mark, as spreadsheets write, is skipped.
 
     When ``rows`` is a list, one ``(texts, white)`` pair per block of data
     rows is appended to it, in file order: each row's fields joined by
@@ -115,12 +116,12 @@ def load_corpus(path, rows: list | None = None) -> PixelPairSet:
     """
     if rows is not None:
         _check_type(rows, list, "rows")
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         return _parse_corpus(fh, str(path), rows)
 
 
 def loads_corpus(text: str) -> PixelPairSet:
-    return _parse_corpus(io.StringIO(text), "<string>")
+    return _parse_corpus(io.StringIO(text.removeprefix("\ufeff")), "<string>")
 
 
 def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
@@ -221,10 +222,12 @@ def _read_table(fh, origin: str, rows: list | None):
                 )
             header = True
         data = [row for _, row in records]
-        texts = [",".join(map(_csv_field, row)) for row in data]
+        fields = list(chain.from_iterable(data))
+        # echo texts only when asked for: otherwise take counts the rows
+        texts = data if rows is None else [",".join(map(_csv_field, row)) for row in data]
         if data and not (all(len(row) == width for row in data)
-                         and not _ESCAPED_BYTE.search("".join(texts))
-                         and take(list(chain.from_iterable(data)), texts)):
+                         and not _ESCAPED_BYTE.search("".join(fields))
+                         and take(fields, texts)):
             raise _row_error(origin, records)
         if failure is not None:
             raise failure

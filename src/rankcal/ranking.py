@@ -58,20 +58,15 @@ _LANE_WORDS = 255
 # array) a third slower.
 _RESIDUAL_POINTS = 2 ** 15
 
-# Caps of the row search: points are grouped around this many Fibonacci
-# spiral centres over the upper hemisphere. 256 caps prune too little and
-# 4096 spend more on bounds than they save.
+# Caps of the row search: the upper half of the sample is cut into this
+# many equal-area zones, about 4.5 degrees across. 256 caps prune too
+# little and 4096 spend more on bounds than they save.
 _CAP_CENTRES = 1024
 
-# Cap groups: the fine caps are grouped in turn around this many coarser
-# spiral centres, so that a search bounds the groups first and the fine
-# caps of the groups it opens.
+# Cap groups: the caps are grouped in turn by which of this many coarser
+# equal-area zones holds their centre, so that a search bounds the groups
+# first and the caps of the groups it opens.
 _CAP_GROUPS = 64
-
-# Reach (radians) beyond a group's farthest point within which a cap may
-# take that group's points. Every scored direction lies within about
-# 4.6 degrees of a cap centre, so each point finds its nearest cap.
-_LABEL_REACH = 0.1
 
 # Angular margin (radians) added to each cap radius. The float32 sign
 # test errs only for constraints within about 1e-6 rad of a point's
@@ -140,8 +135,11 @@ def _hemisphere_spiral(count: int) -> np.ndarray:
     i = np.arange(count, dtype=float)
     radius = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     theta = np.pi * (3.0 - np.sqrt(5.0)) * i
-    pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
+    return _unit_rows(np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z]))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
 def _check_sphere_count(value, name: str) -> None:
@@ -171,62 +169,64 @@ def sample_sphere(n: int) -> SphereSample:
     return SphereSample(n)
 
 
+def _zone_labels(points: np.ndarray, count: int) -> np.ndarray:
+    """Region of each unit row of ``points``, which lie in the upper
+    hemisphere, in an equal-area partition of it into ``count`` regions
+    (Leopardi, ETNA 25, 2006).
+
+    Region 0 is a polar cap. Below it lie collars about as tall as a
+    region is wide, each cut into equal azimuth sectors; the count of
+    regions above each collar edge is rounded to whole regions, and the
+    edge put where they fill the area above it, at z = 1 - above / count.
+    """
+    polar = np.arccos(1.0 - 1.0 / count)
+    collars = max(1, round((np.pi / 2 - polar) / np.sqrt(2 * np.pi / count)))
+    edges = np.append(0.0, np.linspace(polar, np.pi / 2, collars + 1))
+    above = np.rint(count * (1.0 - np.cos(edges))).astype(np.int64)  # 0, 1, ..., count
+    zone = np.clip(np.searchsorted(above, count * (1.0 - points[:, 2]), side="right") - 1,
+                   0, collars)
+    sectors = np.diff(above)[zone]
+    azimuth = np.arctan2(points[:, 1], points[:, 0]) % (2 * np.pi)
+    return above[zone] + np.minimum((azimuth * sectors / (2 * np.pi)).astype(np.int64),
+                                    sectors - 1)
+
+
 def _largest_angles(points: np.ndarray, centres: np.ndarray,
-                    starts: np.ndarray) -> np.ndarray:
-    """Largest angle between a point and its centre in each run from ``starts``."""
-    cosine = np.einsum("ij,ij->i", points, centres)
-    return np.maximum.reduceat(np.arccos(np.clip(cosine, -1.0, 1.0)), starts)
+                    edges: np.ndarray) -> np.ndarray:
+    """Largest angle between ``centres[k]`` and the points ``edges[k]:edges[k + 1]``."""
+    cosine = np.einsum("ij,ij->i", points, np.repeat(centres, np.diff(edges), axis=0))
+    return np.arccos(np.clip(np.minimum.reduceat(cosine, edges[:-1]), -1.0, 1.0))
 
 
 def _build_caps(scored: np.ndarray) -> CapIndex:
-    centres = _hemisphere_spiral(_CAP_CENTRES)
-    groups = _hemisphere_spiral(_CAP_GROUPS)
-    # each cap centre joins its nearest group, and each point its nearest
-    # group and then the nearest cap within reach of that group, by
-    # float32 products: a near tie may go either way, and the radii below
-    # hold for whichever cap was picked
-    closeness = centres @ groups.T
-    owner = np.argmax(closeness, axis=1)
-    p32 = scored.astype(np.float32)
-    g32 = np.ascontiguousarray(groups.T, dtype=np.float32)
-    point_group = np.concatenate([
-        np.argmax(p32[s:s + _SCORE_BLOCK] @ g32, axis=1)
-        for s in range(0, scored.shape[0], _SCORE_BLOCK)
-    ])
-    grouped = np.argsort(point_group, kind="stable")
-    starts = np.searchsorted(point_group[grouped], np.arange(groups.shape[0] + 1))
-    label = np.empty(scored.shape[0], dtype=np.int64)
-    for j in range(groups.shape[0]):
-        members = grouped[starts[j]:starts[j + 1]]
-        if members.size == 0:
-            continue
-        spread = np.arccos(np.clip(scored[members] @ groups[j], -1.0, 1.0)).max()
-        within = np.flatnonzero(closeness[:, j] >= np.cos(spread + _LABEL_REACH))
-        prod = p32[members] @ np.ascontiguousarray(centres[within].T, dtype=np.float32)
-        label[members] = within[np.argmax(prod, axis=1)]
-    counts = np.bincount(label, minlength=centres.shape[0])
+    # each point joins its zone of _CAP_CENTRES, and each cap, centred on
+    # the normalized mean of its points, the zone of _CAP_GROUPS that its
+    # centre lies in; the radii below hold for any such partition
+    label = _zone_labels(scored, _CAP_CENTRES)
+    counts = np.bincount(label, minlength=_CAP_CENTRES)
     used = np.flatnonzero(counts)
+    centres = _unit_rows(np.column_stack([
+        np.bincount(label, weights=column, minlength=_CAP_CENTRES)[used]
+        for column in scored.T]))
+    owner = _zone_labels(centres, _CAP_GROUPS)
     # the non-empty caps are numbered group by group, so that a group's
     # caps are contiguous
-    by_group = used[np.argsort(owner[used], kind="stable")]
-    rank = np.empty(centres.shape[0], dtype=np.int64)
-    rank[by_group] = np.arange(by_group.size)
-    order = np.argsort(rank[label], kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(counts[by_group])])
-    group_sizes = np.bincount(owner[used], minlength=groups.shape[0])
+    by_group = np.argsort(owner, kind="stable")
+    centres, zones = centres[by_group], used[by_group]
+    rank = np.empty(_CAP_CENTRES, dtype=np.int64)
+    rank[zones] = np.arange(zones.size)
+    # the ranks fit 16 bits, and a 16-bit key is sorted by radix, several times faster
+    order = np.argsort(rank[label].astype(np.uint16), kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(counts[zones])])
+    group_sizes = np.bincount(owner, minlength=_CAP_GROUPS)
     group_offsets = np.concatenate([[0], np.cumsum(group_sizes[group_sizes > 0])])
     members = scored[order]
-    member_cap = label[order]
-    return CapIndex(
-        centres=centres[by_group],
-        order=order,
-        offsets=offsets,
-        radius=_largest_angles(members, centres[member_cap], offsets[:-1]),
-        group_centres=groups[group_sizes > 0],
-        group_offsets=group_offsets,
-        group_radius=_largest_angles(members, groups[owner[member_cap]],
-                                     offsets[group_offsets[:-1]]),
-    )
+    group_edges = offsets[group_offsets]
+    group_centres = _unit_rows(np.add.reduceat(members, group_edges[:-1], axis=0))
+    return CapIndex(centres=centres, order=order, offsets=offsets,
+                    radius=_largest_angles(members, centres, offsets),
+                    group_centres=group_centres, group_offsets=group_offsets,
+                    group_radius=_largest_angles(members, group_centres, group_edges))
 
 
 def _constraint_pool(pairs: PixelPairSet) -> tuple[int, np.ndarray, np.ndarray]:

@@ -319,6 +319,17 @@ class TestApplyCommand:
         assert [row[0] for row in rows] == tags
         assert [row[3] for row in rows] == [f"p{k}" for k in range(len(tags))]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_sensor_corpus(plain, n=20)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        model = tmp_path / "m.txt"
+        write_warped_model(model)
+        for data in (plain, marked):
+            assert run(["apply", "--model", model, "--direction", "forward",
+                        "--in", data, "--out", data.with_suffix(".out")]) == 0
+        assert marked.with_suffix(".out").read_bytes() == plain.with_suffix(".out").read_bytes()
+
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_reads_standard_input(self, tmp_path, direction):
         data, model = tmp_path / "c.csv", tmp_path / "m.txt"

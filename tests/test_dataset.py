@@ -214,6 +214,42 @@ class TestLoadCorpus:
             if source == "pipe":
                 os.close(read)
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_byte_order_mark_is_skipped(self, tmp_path, quoted):
+        # as Excel's "CSV UTF-8" and Python's utf-8-sig write a corpus
+        tag = '"c,am"' if quoted else "cam"
+        text = f"{HEADER}\n{tag},i0,e0,p0,1,2,3,4,5,6,1000\ncam,i1,e0,p1,7,8,9,1,2,3,1000\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = load_corpus(plain)
+        assert_same_pairs(load_corpus(marked), want)
+        assert_same_pairs(loads_corpus("\ufeff" + text), want)
+
+    def test_quoted_corpus_loads_the_same_with_or_without_rows(self, tmp_path):
+        # the csv reader's path builds the echo texts only when asked for
+        text = HEADER + "\n" + "".join(
+            f'"cam {i % 3}, unit",i{i % 2},e0,"p""{i}",{i / 7!r},0.5,1,{i % 256},3,4,1023\n'
+            for i in range(3000))
+        path = tmp_path / "quoted.csv"
+        path.write_text(text, encoding="utf-8")
+        want, texts, white = loads_corpus_reference(text)
+        rows = []
+        assert_same_pairs(load_corpus(path), want)
+        assert_same_pairs(load_corpus(path, rows), want)
+        assert_same_rows(rows, texts, white)
+
+    @pytest.mark.parametrize("rows", [None, []])
+    @pytest.mark.parametrize("tag", [b'"caf\xe9"', b"caf\xe9"])
+    def test_byte_not_utf8_in_a_quoted_block_names_its_line(self, tmp_path, rows, tag):
+        path = tmp_path / "c.csv"
+        path.write_bytes(HEADER.encode() + b'\n"cam",i0,e0,p0,1,2,3,4,5,6,1000\n'
+                         + tag + b",i0,e0,p1,1,2,3,4,5,6,1000\n")
+        with pytest.raises(CorpusFormatError,
+                           match=r": line 3: not UTF-8 text \(byte 0xe9\)$"):
+            load_corpus(path, rows)
+
     def test_field_over_csv_limit_raises_as_row_parser(self):
         text = HEADER + "\ncam,i0,e0," + "p" * 80 + ",1,2,3,4,5,6,1000\n"
         limit = csv.field_size_limit(64)

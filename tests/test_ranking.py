@@ -445,19 +445,19 @@ class TestTiedPoints:
         assert np.all(cosine >= np.cos(radius) - 1e-12)
         assert np.degrees(caps.radius.max()) <= 5.0
 
-    @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
-    def test_points_join_their_nearest_cap(self, n):
-        # labelled group by group, each point still finds the nearest of
-        # all cap centres, up to float32 near-ties
-        sphere = sample_sphere(n)
-        caps = sphere.caps
-        centres = ranking._hemisphere_spiral(ranking._CAP_CENTRES)
-        points = sphere.points[caps.order]
-        own = np.repeat(caps.centres, np.diff(caps.offsets), axis=0)
-        for s in range(0, points.shape[0], 4096):
-            nearest = (points[s:s + 4096] @ centres.T).max(axis=1)
-            got = np.einsum("ij,ij->i", points[s:s + 4096], own[s:s + 4096])
-            assert np.all(got >= nearest - 1e-6)
+    def test_zones_hold_equal_shares_of_a_uniform_sample(self):
+        # the spiral is uniform in z and azimuth, so each equal-area zone
+        # takes about count / zones of its points
+        points = ranking._hemisphere_spiral(200_000)
+        for zones in (16, 64, 256, 1024):
+            shares = np.bincount(ranking._zone_labels(points, zones), minlength=zones)
+            assert shares.size == zones
+            assert np.abs(shares / (points.shape[0] / zones) - 1.0).max() < 0.05
+            # the pole, the equator and azimuths that wrap to 2 pi stay in range
+            edge = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, -1e-300, 0.0],
+                             [0.0, -1.0, 0.0], [0.0, 0.0, 1.0 + 2e-16]])
+            labels = ranking._zone_labels(edge, zones)
+            assert labels[0] == labels[4] == 0 and labels.max() < zones
 
     @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
     def test_groups_partition_caps_within_radius(self, n):
@@ -475,12 +475,12 @@ class TestTiedPoints:
         cosine = np.einsum("ij,ij->i", sphere.points[caps.order], centre)
         assert np.all(cosine >= np.cos(radius) - 1e-12)
 
-    @pytest.mark.parametrize("n", (6, 2000))
-    def test_one_point_incumbent_matches_dense_scan(self, search_spheres, n,
-                                                    monkeypatch):
+    @pytest.mark.parametrize("n", (6, 1000))
+    def test_one_point_incumbent_matches_dense_scan(self, n, monkeypatch):
         # the floor comes from scoring one cap's points on one side; a cap
-        # of one point must score as it does within the final pass's blocks
-        sphere = search_spheres[n]
+        # of one point must score as it does within the final pass's blocks.
+        # Both samples have fewer points than caps, each cap holding one
+        sphere = sample_sphere(n)
         calls = []
         score = ranking._scores
 
@@ -609,6 +609,32 @@ class TestDenseOracle:
         pruned = model_bytes("pruned")
         monkeypatch.setattr(ranking, "_search_trials", dense_search_trials)
         assert model_bytes("dense") == pruned
+
+
+class TestCapPartition:
+    def test_model_bytes_do_not_depend_on_the_partition(self, tmp_path, monkeypatch):
+        # the search finds exactly the dense scan's points for any cap
+        # partition, so a coarser one must write the same model
+        corpus = tmp_path / "c.csv"
+        assert cli_main(["simulate", "--out", str(corpus), "--patches", "140",
+                         "--seed", "9", "--noise", "0.004", "--quantize"]) == 0
+
+        def model_text(tag):
+            out = tmp_path / f"{tag}.txt"
+            assert cli_main(["calibrate", "--data", str(corpus), "--out", str(out),
+                             "--sphere-count", "20000", "--trials", "3"]) == 0
+            return out.read_text()
+
+        default = model_text("default")
+        monkeypatch.setattr(ranking, "_CAP_CENTRES", 256)
+        monkeypatch.setattr(ranking, "_CAP_GROUPS", 16)
+        sample_sphere.cache_clear()
+        try:
+            assert sample_sphere(20000).caps.centres.shape[0] <= 256
+            coarse = model_text("coarse")
+        finally:
+            sample_sphere.cache_clear()
+        assert coarse == default
 
 
 class TestMemoOracle:
