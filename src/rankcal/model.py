@@ -380,6 +380,13 @@ class ModelMetadata:
         _check_type(self.camera, str, "camera")
         _check_integer(self.samples, "samples", 0)
         object.__setattr__(self, "samples", int(self.samples))
+        # a str or a mapping would iterate as characters or keys
+        if not isinstance(self.settings, (tuple, list)):
+            raise ValueError(f"settings must be a tuple or list of (key, value) pairs, "
+                             f"got {type(self.settings).__name__}")
+        for entry in self.settings:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise ValueError(f"settings entries must be (key, value) pairs, got {entry!r}")
         pairs = tuple((str(k), str(v)) for k, v in self.settings)
         object.__setattr__(self, "settings", pairs)
         # a model file holds one value per line

@@ -65,7 +65,8 @@ class _Reader:
 
     def __init__(self, text: str):
         self.items: list[tuple[str, str]] = []
-        for lineno, raw_line in enumerate(text.split("\n"), start=1):
+        # an editor may start a UTF-8 file with a byte-order mark
+        for lineno, raw_line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
             line = raw_line.rstrip("\r")
             if not line.strip():
                 continue

@@ -4,16 +4,15 @@ Each pair of pixels whose rendered values differ in a channel pins the
 corresponding matrix row to one side of a plane through the origin. Rows
 are recovered by finding the candidate directions, from a fixed dense
 sample of the unit sphere, that satisfy the most of those half-space
-constraints. A row's trials are searched by a branch-and-bound over two
-levels of caps of the sample, which finds exactly the points a dense
-scan would. Each trial's floor is the best score of a few points: those
-its row's earlier trials tied on, or for the first trial its best cap.
-Each bound pass is one product for a chunk of trials, each side of the
-antipodal sample is bounded on its own, and only the points of the (cap,
-side) pairs whose bounds reach the floor are scored.
-That is about 0.35% of the half-sphere on the benchmark's constraint
-sets. Repeated trials over random colour subsets are arbitrated by how
-monotone the induced raw-to-rendered relation is.
+constraints. A row's trials are searched one after the other by a
+branch-and-bound over two levels of caps of the sample, which finds
+exactly the points a dense scan would. Each trial's floor is the best
+score of a few points: those the trial before it tied on, or for the
+first trial those of its best cap. Each side of the antipodal sample is
+bounded on its own, and only the points of the (cap, side) pairs whose
+bounds reach the floor are scored: about 0.36% of the half-sphere on the
+benchmark's constraint sets. Repeated trials over random colour subsets
+are arbitrated by how monotone the induced raw-to-rendered relation is.
 """
 
 from __future__ import annotations
@@ -41,10 +40,8 @@ RANK_TIE_EPS = 2.0 / 255.0
 # leaves this headroom below 1, the top of the tone curves' domain.
 _GAUGE_HEADROOM = 1.02
 
-_SCORE_BLOCK = 4096
-
-# Values in one float32 product of the cap bounds (2 MB): trials are
-# searched in chunks, and centres bounded in pieces, that keep within it.
+# Values in one float32 product of the row search (2 MB): centres are
+# bounded, and points scored, in pieces that keep within it.
 _BOUND_ENTRIES = 2 ** 19
 
 # uint64 words that ``_count_true`` sums at once: each of a sum's 8 byte
@@ -329,53 +326,54 @@ def _count_true(mask: np.ndarray) -> np.ndarray:
     return total
 
 
-def _upper_bounds(centres: np.ndarray, radius: np.ndarray, unit: np.ndarray,
-                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Most constraints any point within ``radius`` of each centre satisfies.
+def _bound_centres(centres: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Float32 ``centres``, each divided by the sine of its radius plus
+    _CAP_MARGIN, as ``_upper_bounds`` takes them."""
+    return (centres / np.sin(radius + _CAP_MARGIN)[:, None]).astype(np.float32)
 
-    ``unit`` holds a stack of trials' unit constraints as float32 (3, t,
-    p), padded with zeros, and ``sizes`` their counts. Returns (k, t)
-    bounds for the points near each centre and for their negations. With
-    g = c . d and s = sin(radius + margin), every such point fails the
-    constraints with g < -s, and its negation those with g > s; each
-    centre is divided by its s, so both tests compare with 1, and a zero
-    constraint never fails. The products are float32, whose error the
-    margin covers, and are taken for pieces of centres that hold at most
-    _BOUND_ENTRIES values.
+
+def _upper_bounds(scaled: np.ndarray, unit: np.ndarray,
+                  size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Most constraints any point within a radius of each centre satisfies.
+
+    ``unit`` holds one trial's unit constraints as float32 (3, p), padded
+    with zeros, and ``size`` their count; ``scaled`` holds the centres as
+    ``_bound_centres`` gives them. Returns (k,) bounds for the points near
+    each centre and for their negations. With g = c . d and s = sin(radius
+    + margin), every such point fails the constraints with g < -s, and its
+    negation those with g > s; each centre is divided by its s, so both
+    tests compare with 1, and a zero constraint never fails. The products
+    are float32, whose error the margin covers, and are taken for pieces
+    of centres that hold at most _BOUND_ENTRIES values.
     """
-    _, trials, width = unit.shape
-    flat = unit.reshape(3, -1)
-    scaled = (centres / np.sin(radius + _CAP_MARGIN)[:, None]).astype(np.float32)
-    plus = np.empty((centres.shape[0], trials), dtype=np.int64)
+    plus = np.empty(scaled.shape[0], dtype=np.int64)
     minus = np.empty_like(plus)
-    step = max(1, _BOUND_ENTRIES // (trials * width))
-    for start in range(0, centres.shape[0], step):
-        g = (scaled[start:start + step] @ flat).reshape(-1, trials, width)
-        plus[start:start + step] = sizes - _count_true(g < -1.0)
-        minus[start:start + step] = sizes - _count_true(g > 1.0)
+    step = max(1, _BOUND_ENTRIES // unit.shape[1])
+    for start in range(0, scaled.shape[0], step):
+        g = scaled[start:start + step] @ unit
+        plus[start:start + step] = size - _count_true(g < -1.0)
+        minus[start:start + step] = size - _count_true(g > 1.0)
     return plus, minus
 
 
 def _scores(points: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Constraint counts (t, n) of float32 points (t, n, 3), trial by trial.
-
-    Trial i's points are scored against its differences ``dt[i]`` (3, p):
-    a point's count is how many of its products are positive. Points of
-    shape (1, n, 3) are shared by every trial. Products are formed in
-    blocks of _SCORE_BLOCK points, shared out among the trials.
+    """Constraint counts (n,) of float32 points (n, 3) against one
+    trial's float32 differences ``dt`` (3, p): a point's count is how
+    many of its products are positive. Products are formed in blocks of
+    points that hold at most _BOUND_ENTRIES values, and never fewer than
+    two points.
     """
-    trials, n = dt.shape[0], points.shape[1]
-    block = max(2, _SCORE_BLOCK // trials)
+    n = points.shape[0]
+    block = max(2, _BOUND_ENTRIES // dt.shape[1])
     if n % block == 1:
         # numpy forms a one-row product with gemv, which may round
         # differently from a matrix product, as a one-column product
         # does; a repeated row keeps every product a matrix product
-        points = np.concatenate([points, points[:, -1:]], axis=1)
-    counts = np.empty((trials, points.shape[1]), dtype=np.int64)
+        points = np.concatenate([points, points[-1:]])
+    counts = np.empty(points.shape[0], dtype=np.int64)
     for start in range(0, n, block):
-        prod = points[:, start:start + block] @ dt
-        counts[:, start:start + block] = _count_true(prod > 0.0)
-    return counts[:, :n]
+        counts[start:start + block] = _count_true(points[start:start + block] @ dt > 0.0)
+    return counts[:n]
 
 
 def _search_trials(sphere: SphereSample,
@@ -384,87 +382,73 @@ def _search_trials(sphere: SphereSample,
     do, for each of a stack of trials' differences (m, 3).
 
     The indices come in ascending order and equal those of scoring every
-    point. The first trial is searched alone; the rest in chunks whose
-    group bounds hold at most _BOUND_ENTRIES values, floored on the
-    points every earlier trial tied on. Differences are padded by zero
-    rows to a common multiple of 8.
+    point. The trials are searched one after the other, each floored on
+    the points the trial before it tied on. Differences are padded by
+    zero rows to a common multiple of 8.
     """
-    sizes = np.array([d.shape[0] for d in diffs])
-    width = -(-int(sizes.max()) // 8) * 8
-    step = max(1, _BOUND_ENTRIES // (sphere.caps.group_centres.shape[0] * width))
-    edges = [0, *range(1, sizes.size, step), sizes.size]
+    sizes = [d.shape[0] for d in diffs]
+    width = -(-max(sizes) // 8) * 8
+    padded = np.zeros((len(diffs), 3, width))
+    for row, d in enumerate(diffs):
+        padded[row, :, :d.shape[0]] = d.T
+    norm = np.sqrt(padded[:, 0] ** 2 + padded[:, 1] ** 2 + padded[:, 2] ** 2)[:, None]
+    unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
+    dt = padded.astype(np.float32)
+    caps = sphere.caps
+    groups = _bound_centres(caps.group_centres, caps.group_radius)
+    centres = _bound_centres(caps.centres, caps.radius)
     found = []
-    for start, stop in zip(edges, edges[1:]):
-        chunk = diffs[start:stop]
-        padded = np.zeros((3, len(chunk), width))
-        for row, d in enumerate(chunk):
-            padded[:, row, :d.shape[0]] = d.T
-        norm = np.sqrt(padded[0] ** 2 + padded[1] ** 2 + padded[2] ** 2)
-        unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
-        dt = np.ascontiguousarray(padded.transpose(1, 0, 2), dtype=np.float32)
-        if found:
-            # sorted, not np.unique, which imports numpy.ma
-            points = np.sort(np.concatenate([tied for _, tied in found]))
-            floor_points = points[np.concatenate(([True], points[1:] != points[:-1]))]
-        else:
-            floor_points = None
-        found += _search_chunk(sphere, unit, dt, sizes[start:stop], floor_points)
+    for size, trial_unit, trial_dt in zip(sizes, unit, dt):
+        found.append(_search_trial(sphere, groups, centres, trial_unit, trial_dt, size,
+                                   found[-1][1] if found else None))
     return found
 
 
-def _best_cap_points(sphere: SphereSample, unit: np.ndarray, sizes: np.ndarray,
-                     group_plus: np.ndarray, group_minus: np.ndarray) -> np.ndarray:
+def _best_cap_points(sphere: SphereSample, centres: np.ndarray, unit: np.ndarray,
+                     size: int, group_plus: np.ndarray,
+                     group_minus: np.ndarray) -> np.ndarray:
     """Sphere indices of the points of one trial's best-bounded cap in its
     best-bounded group, on the cap's better side, given the trial's group
-    bounds."""
+    bounds and its caps' ``_bound_centres``."""
     caps = sphere.caps
     top = int(np.argmax(np.maximum(group_plus, group_minus)))
     near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
-    plus, minus = _upper_bounds(caps.centres[near], caps.radius[near], unit, sizes)
+    plus, minus = _upper_bounds(centres[near], unit, size)
     best = int(np.argmax(np.maximum(plus, minus)))
-    side = 0 if plus[best, 0] >= minus[best, 0] else sphere.count // 2
+    side = 0 if plus[best] >= minus[best] else sphere.count // 2
     return np.sort(_members(caps, near[best:best + 1])) + side
 
 
-def _search_chunk(sphere: SphereSample, unit: np.ndarray, dt: np.ndarray,
-                  sizes: np.ndarray,
-                  floor_points: np.ndarray | None) -> list[tuple[int, np.ndarray]]:
-    """Branch-and-bound over the cap index for a chunk of trials.
+def _search_trial(sphere: SphereSample, groups: np.ndarray, centres: np.ndarray,
+                  unit: np.ndarray, dt: np.ndarray, size: int,
+                  floor_points: np.ndarray | None) -> tuple[int, np.ndarray]:
+    """Branch-and-bound over the cap index for one trial.
 
-    ``unit`` (3, t, p) and ``dt`` (t, 3, p) hold the trials' unit and
+    ``groups`` and ``centres`` are the ``_bound_centres`` of the index's
+    groups and caps. ``unit`` and ``dt`` (3, p) hold the trial's unit and
     raw differences as float32, padded with zeros: a zero product counts
     for no side, and zero columns leave the other products as the dense
-    blocks form them. Each trial's floor is the best score of the
-    ascending sphere indices ``floor_points``, or of ``_best_cap_points``
-    for a chunk of one trial with none. The caps of every group that
-    reaches a trial's floor are bounded, in one product for the chunk, and
-    the points of each (cap, side) whose group and cap bounds still reach
-    it are scored, a minus side by its members' negations. The floor is a
-    score that some point reaches, so every tied point is among them.
+    blocks form them. The floor is the best score of the sphere indices
+    ``floor_points``, or of ``_best_cap_points`` when there are none. The
+    caps of every group whose bound reaches it on either side are
+    bounded, and the points of each (cap, side) whose cap bound reaches
+    it are scored, a minus side by its members' negations. The floor is
+    a score that some point reaches, so every tied point is among them.
     """
     caps = sphere.caps
-    group_plus, group_minus = _upper_bounds(caps.group_centres, caps.group_radius,
-                                            unit, sizes)
+    group_plus, group_minus = _upper_bounds(groups, unit, size)
     if floor_points is None:
-        floor_points = _best_cap_points(sphere, unit, sizes, group_plus, group_minus)
-    floor = _scores(sphere.points[floor_points].astype(np.float32)[None], dt).max(axis=1)
+        floor_points = _best_cap_points(sphere, centres, unit, size, group_plus, group_minus)
+    floor = _scores(sphere.points[floor_points].astype(np.float32), dt).max()
 
-    group_caps = np.diff(caps.group_offsets)
-    open_plus = np.repeat(group_plus >= floor, group_caps, axis=0)
-    open_minus = np.repeat(group_minus >= floor, group_caps, axis=0)
-    near = np.flatnonzero((open_plus | open_minus).any(axis=1))
-    cap_plus, cap_minus = _upper_bounds(caps.centres[near], caps.radius[near], unit, sizes)
-    open_plus = open_plus[near] & (cap_plus >= floor)
-    open_minus = open_minus[near] & (cap_minus >= floor)
-
-    found = []
-    for i in range(sizes.size):
-        rows = np.concatenate([_members(caps, near[open_plus[:, i]]),
-                               _members(caps, near[open_minus[:, i]]) + sphere.count // 2])
-        scores = _scores(sphere.points[rows].astype(np.float32)[None], dt[i:i + 1])[0]
-        best = int(scores.max())
-        found.append((best, np.sort(rows[scores == best])))
-    return found
+    open_groups = np.maximum(group_plus, group_minus) >= floor
+    near = np.flatnonzero(np.repeat(open_groups, np.diff(caps.group_offsets)))
+    cap_plus, cap_minus = _upper_bounds(centres[near], unit, size)
+    rows = np.concatenate([_members(caps, near[cap_plus >= floor]),
+                           _members(caps, near[cap_minus >= floor]) + sphere.count // 2])
+    scores = _scores(sphere.points[rows].astype(np.float32), dt)
+    best = int(scores.max())
+    return best, np.sort(rows[scores == best])
 
 
 def _members(caps: CapIndex, which: np.ndarray) -> np.ndarray:

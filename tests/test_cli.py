@@ -286,6 +286,20 @@ class TestApplyCommand:
                     "--in", data, "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_model_with_byte_order_mark(self, tmp_path):
+        # an editor may save the model with a UTF-8 byte-order mark
+        data, plain, marked = tmp_path / "c.csv", tmp_path / "m.txt", tmp_path / "bom.txt"
+        write_sensor_corpus(data, n=20)
+        write_warped_model(plain)
+        marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        outputs = []
+        for model in (plain, marked):
+            out = model.with_suffix(".csv")
+            assert run(["apply", "--model", model, "--direction", "forward",
+                        "--in", data, "--out", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_quoted_input_echoed_unquoted(self, tmp_path, direction):
         plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"

@@ -393,6 +393,18 @@ CASES = {
          "samples must be an integer >= 0, got 2.7"),
         ("int_camera", lambda: identity_with(metadata=ModelMetadata(camera=5)),
          "camera must be a str, got int"),
+        ("str_settings", lambda: ModelMetadata(settings="ab"),
+         "settings must be a tuple or list of (key, value) pairs, got str"),
+        ("dict_settings", lambda: ModelMetadata(settings={"ab": 1, "cd": 2}),
+         "settings must be a tuple or list of (key, value) pairs, got dict"),
+        ("none_settings", lambda: ModelMetadata(settings=None),
+         "settings must be a tuple or list of (key, value) pairs, got NoneType"),
+        ("str_setting", lambda: ModelMetadata(settings=["ab"]),
+         "settings entries must be (key, value) pairs, got 'ab'"),
+        ("short_setting", lambda: ModelMetadata(settings=[("a",)]),
+         "settings entries must be (key, value) pairs, got ('a',)"),
+        ("long_setting", lambda: ModelMetadata(settings=[["a", "b", "c"]]),
+         "settings entries must be (key, value) pairs, got ['a', 'b', 'c']"),
     ],
 }
 

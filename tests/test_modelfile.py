@@ -88,6 +88,12 @@ def test_random_model_roundtrip_exact(seed):
     assert serialize_model(back) == text
 
 
+def test_byte_order_mark_is_skipped():
+    # an editor may save a UTF-8 model with a byte-order mark
+    text = serialize_model(random_model(0)[0])
+    assert serialize_model(deserialize_model("\ufeff" + text)) == text
+
+
 def test_format_is_lf_keyed_lines():
     text = serialize_model(PipelineModel.identity())
     assert "\r" not in text

@@ -413,15 +413,15 @@ class TestTiedPoints:
 
     @settings(max_examples=150, deadline=None)
     @given(diffs=st.lists(half_space_sets(), min_size=1, max_size=8)
-           | half_space_sets().map(lambda d: [d, -d]),
+           | half_space_sets().map(lambda d: [d, -d, d, -d]),
            n=st.sampled_from(SEARCH_SPHERE_COUNTS + (100_000,)),
            bound_entries=st.sampled_from([2 ** 19, 4096, 1]))
     def test_stack_matches_dense_scan(self, search_spheres, sphere100k, diffs, n,
                                       bound_entries):
-        # trials of mixed sizes searched together, m = 1 among them; small
-        # bound budgets split the stack into chunks of one trial and the
-        # caps into pieces of one centre. A set followed by its negation
-        # floors the second trial on points that score near 0 under it
+        # trials of mixed sizes padded to one width, m = 1 among them;
+        # small product budgets split the caps into pieces of one centre
+        # and the scored points into blocks of two. A set and its negation
+        # in turn floor each trial on the points that score lowest under it
         sphere = sphere100k if n == 100_000 else search_spheres[n]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ranking, "_BOUND_ENTRIES", bound_entries)
@@ -485,7 +485,7 @@ class TestTiedPoints:
         score = ranking._scores
 
         def spy(points, dt):
-            calls.append(points.shape[1])
+            calls.append(points.shape[0])
             return score(points, dt)
 
         monkeypatch.setattr(ranking, "_scores", spy)
@@ -502,27 +502,38 @@ class TestTiedPoints:
         assert one_point >= 50
 
     def test_later_trials_are_floored_on_earlier_ties(self, search_spheres, monkeypatch):
-        # every chunk after the first trial scores the distinct tied points
-        # of all trials before it, ascending, so that the upper-half ones
-        # come first and are read on their own side
+        # the first trial has no floor points; each later one scores the
+        # points the trial before it tied on
         sphere = search_spheres[20000]
         floors = []
-        search_chunk = ranking._search_chunk
+        search_trial = ranking._search_trial
 
-        def spy(sample, unit, dt, sizes, floor_points):
-            floors.append((sizes.size, floor_points))
-            return search_chunk(sample, unit, dt, sizes, floor_points)
+        def spy(sample, groups, centres, unit, dt, size, floor_points):
+            floors.append(floor_points)
+            return search_trial(sample, groups, centres, unit, dt, size, floor_points)
 
-        monkeypatch.setattr(ranking, "_search_chunk", spy)
-        monkeypatch.setattr(ranking, "_BOUND_ENTRIES", 2 ** 16)
+        monkeypatch.setattr(ranking, "_search_trial", spy)
         rng = np.random.default_rng(3)
         diffs = [rng.normal(size=(100, 3)) + [0.5, 0.3, 0.1] for _ in range(12)]
         found = _search_trials(sphere, diffs)
-        sizes = [size for size, _ in floors]
-        assert sizes[0] == 1 and len(sizes) >= 3 and max(sizes) > 1
-        for k, done in enumerate(np.cumsum(sizes)[:-1], start=1):
-            earlier = np.unique(np.concatenate([tied for _, tied in found[:done]]))
-            assert np.array_equal(floors[k][1], earlier)
+        assert len(floors) == len(diffs) and floors[0] is None
+        for k in range(1, len(diffs)):
+            assert np.array_equal(floors[k], found[k - 1][1])
+
+    def test_every_product_keeps_to_the_budget(self, sphere100k, monkeypatch):
+        # every bound and score product's sign mask passes through
+        # _count_true; none may hold more than _BOUND_ENTRIES values
+        sizes = []
+        count_true = ranking._count_true
+
+        def spy(mask):
+            sizes.append(mask.size)
+            return count_true(mask)
+
+        monkeypatch.setattr(ranking, "_count_true", spy)
+        rng = np.random.default_rng(11)
+        _search_trials(sphere100k, [rng.normal(size=(300, 3)) for _ in range(6)])
+        assert sizes and max(sizes) <= ranking._BOUND_ENTRIES
 
     def test_index_built_once_per_sample(self):
         sphere = sample_sphere(2000)
@@ -549,9 +560,9 @@ class TestCountTrue:
 
 
 class TestPruning:
-    # measured: 0.35% of the half-sphere per search at 140 pairs and
-    # 0.39% at 8000, the floor points (about 20 a trial) included; a
-    # floor 33 constraints low, as cap hit counts give, scores about 2%
+    # measured: 0.32% of the half-sphere per search at 140 pairs and
+    # 0.35% at 8000, the floor points included; a floor 33 constraints
+    # low, as cap hit counts give, scores about 2%
     MAX_SCORED_SHARE = 0.007
 
     @pytest.mark.parametrize("pairs", [140, 8000])
@@ -569,8 +580,7 @@ class TestPruning:
             return search(sphere, diffs)
 
         def count_scored(points, dt):
-            # floor points come as one (1, n, 3) stack for every trial
-            scored.append(dt.shape[0] * points.shape[1])
+            scored.append(points.shape[0])
             return score(points, dt)
 
         monkeypatch.setattr(ranking, "_search_trials", count_search)

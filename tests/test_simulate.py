@@ -264,6 +264,11 @@ def test_camera_sidecar_roundtrip():
             assert np.array_equal(back.gamut.o, camera.gamut.o)
 
 
+def test_camera_sidecar_with_byte_order_mark():
+    text = serialize_camera(make_camera(seed=6, gamut_mode="warped"))
+    assert serialize_camera(deserialize_camera("\ufeff" + text)) == text
+
+
 @pytest.mark.parametrize("key, bad", [
     ("noise.sigma", "abc"),
     ("noise.sigma", "nan"),
