@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -76,6 +77,7 @@ class SubsetSpec:
 
 def parse_subset_spec(text: str, rng_seed: int = 0) -> SubsetSpec | None:
     """Parse the CLI subset vocabulary: 'all', 'uniform:K', 'exp:E,illu:I'."""
+    _check_type(text, str, "text")
     text = text.strip()
     if text == "all":
         return None
@@ -112,8 +114,10 @@ def load_corpus(path, rows: list | None = None) -> PixelPairSet:
     When ``rows`` is a list, one ``(texts, white)`` pair per block of data
     rows is appended to it, in file order: each row's fields joined by
     commas, a field quoted as ``csv.writer`` would quote it, and the rows'
-    white levels as an array.
+    white levels as an array. ``path`` is a str, bytes or os.PathLike,
+    not a file descriptor, or ValueError names it.
     """
+    _check_path(path)
     if rows is not None:
         _check_type(rows, list, "rows")
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
@@ -121,7 +125,16 @@ def load_corpus(path, rows: list | None = None) -> PixelPairSet:
 
 
 def loads_corpus(text: str) -> PixelPairSet:
+    _check_type(text, str, "text")
     return _parse_corpus(io.StringIO(text.removeprefix("\ufeff")), "<string>")
+
+
+def _check_path(path) -> None:
+    """Raise ValueError naming ``path`` unless it is a str, bytes or
+    os.PathLike: ``open`` would take an int, or a bool, as a file
+    descriptor and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValueError(f"path must be a str, bytes or os.PathLike, got {type(path).__name__}")
 
 
 def _parse_corpus(fh, origin: str, rows: list | None = None) -> PixelPairSet:
@@ -289,9 +302,10 @@ def save_corpus(pairs: PixelPairSet, path) -> None:
     Tags are written unquoted: a tag holding a comma, a double quote, a
     line break, a NUL or a lone surrogate, or a camera tag that starts
     with '#' after any leading whitespace, raises ValueError before
-    anything is written.
+    anything is written. ``path`` takes the rule of ``load_corpus``.
     """
     _check_type(pairs, PixelPairSet, "pairs")
+    _check_path(path)
     for name in CSV_COLUMNS[:4]:
         distinct = set(getattr(pairs, name).tolist())
         comment = name == "camera" and _COMMENT_TAG.search("\n".join(distinct))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, MaxIterations
-from .model import _as_float_array, _check_type
+from .model import _as_float_array, _check_finite, _check_type
 
 DEFAULT_TOL = 1e-8
 _SYMMETRY_TOL = 1e-10
@@ -122,8 +122,10 @@ def solve_qp(prob: QuadProgram, tol: float = DEFAULT_TOL) -> QpSolution:
     Raises ``Infeasible`` when a violated row depends on the active rows
     and no active multiplier can drop, which proves that no point
     satisfies them all, and ``MaxIterations`` after 50 (n + m) steps.
+    ``tol`` must be finite and > 0, or ValueError names it.
     """
     _check_type(prob, QuadProgram, "prob")
+    _check_finite(tol, "tol", True)
     a, b = prob.a, prob.b
     # J J' = Q^-1; the active rows are factored as J'A_active' = QR
     j = np.linalg.inv(np.linalg.cholesky(prob.q)).T

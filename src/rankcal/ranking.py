@@ -12,7 +12,8 @@ first trial those of its best cap. Each side of the antipodal sample is
 bounded on its own, and only the points of the (cap, side) pairs whose
 bounds reach the floor are scored: about 0.36% of the half-sphere on the
 benchmark's constraint sets. Repeated trials over random colour subsets
-are arbitrated by how monotone the induced raw-to-rendered relation is.
+are arbitrated by how monotone the induced raw-to-rendered relation is,
+scored in increasing order of a lower bound until no bound can win.
 """
 
 from __future__ import annotations
@@ -47,13 +48,6 @@ _BOUND_ENTRIES = 2 ** 19
 # uint64 words that ``_count_true`` sums at once: each of a sum's 8 byte
 # lanes then counts at most 255 entries.
 _LANE_WORDS = 255
-
-# Candidate x pair elements scored together by ``monotonicity_score``:
-# each of its (k, n) float64 work arrays stays near 256 KiB, so a batch's
-# arrays fit together in a core's 2 MiB L2 cache. On 8000 pairs, 2**14
-# was slower, 2**16 no faster at twice the memory, and 2**20 (8 MiB an
-# array) a third slower.
-_RESIDUAL_POINTS = 2 ** 15
 
 # Caps of the row search: the upper half of the sample is cut into this
 # many equal-area zones, about 4.5 degrees across. 256 caps prune too
@@ -491,12 +485,12 @@ def monotonicity_score(pairs: PixelPairSet, m: np.ndarray,
     """RMS residual of the best monotone fit of rendered on corrected raw.
 
     ``m`` is one candidate row (3,), which gives a float, or a stack of
-    k rows (k, 3), which gives their k residuals; the one-row form is the
-    stack form on a stack of one, so a row scores the same bits either
-    way. Pairs with identical projections are pooled first (a monotone
-    function must map them to one value), so the residual includes their
-    spread. ``m`` takes the rows rule of ``map_forward``: a row that is not
-    finite raises ValueError naming it.
+    k rows (k, 3), which gives their k residuals; each row of a stack is
+    scored on its own, so a row scores the same bits either way. Pairs
+    with identical projections are pooled first (a monotone function must
+    map them to one value), so the residual includes their spread. ``m``
+    takes the rows rule of ``map_forward``: a row that is not finite
+    raises ValueError naming it.
     """
     _check_type(pairs, PixelPairSet, "pairs")
     _check_channel(channel)
@@ -506,78 +500,69 @@ def monotonicity_score(pairs: PixelPairSet, m: np.ndarray,
     if len(pool) == 0:
         raise InsufficientData("no unsaturated pairs to score")
     y = pool.rendered[:, channel - 1]
-    batch = max(1, _RESIDUAL_POINTS // len(pool))
-    residuals = np.empty(len(stack))
-    for s in range(0, len(stack), batch):
-        residuals[s:s + batch] = _monotone_residuals(pool.raw, y, stack[s:s + batch])
+    residuals = np.array([_monotone_residual(pool.raw @ row, y) for row in stack])
     return float(residuals[0]) if np.ndim(m) == 1 else residuals
 
 
-def _monotone_residuals(raw: np.ndarray, y: np.ndarray,
-                        rows: np.ndarray) -> np.ndarray:
-    """Residual of the best monotone fit of ``y`` on ``raw @ row``, per row.
+def _monotone_residual(x: np.ndarray, y: np.ndarray) -> float:
+    """RMS residual of the best monotone fit of ``y`` on ``x``.
 
-    The k candidates' pooled blocks lie end to end in flat arrays, and
-    pool-adjacent-violators runs on all of them at once, in rounds: each
-    round merges every block into its left neighbour when that one's
-    mean is not lower. The order in which violators are pooled does not
-    change the fit (Barlow et al., 1972). A candidate that is monotone is
-    done; one whose round would merge fewer than 1/8 of its blocks, as
-    when one outlier cascades through the rest, is finished on the
-    ``isotonic_fit`` stack, which bounds the rounds. Both decisions are
-    made per candidate, so a row gets the same bits in any batch. When
-    no two of a batch's projections are equal, the usual case, the tie
-    re-order and pooling are skipped: each pair starts as its own block.
+    Pool-adjacent-violators runs in numpy rounds: each round merges every
+    block into its left neighbour when that one's mean is not lower. The
+    order in which violators are pooled does not change the fit (Barlow
+    et al., 1972). When a round would merge fewer than 1/8 of the blocks,
+    as when one outlier cascades through the rest, the fit is finished on
+    the ``isotonic_fit`` stack, which bounds the rounds. When no two
+    projections are equal, the usual case, the tie re-order and pooling
+    are skipped: each pair starts as its own block.
     """
-    k = rows.shape[0]
-    x = np.stack([raw @ row for row in rows])
-    n = x.shape[1]
-    order = np.argsort(x, axis=1)
-    xs = np.take_along_axis(x, order, axis=1)
-    first = np.ones((k, n), dtype=bool)
-    first[:, 1:] = np.diff(xs, axis=1) > 0.0
+    n = x.size
+    order = np.argsort(x)
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.diff(x[order]) > 0.0
     if first.all():
         # no ties, the usual case: every pair is a block of one, whose sum
         # is the bits a singleton reduceat returns
-        ys = y[order]
-        sums = ys.ravel()
-        counts = np.ones(k * n, dtype=np.int64)
-        owner = np.repeat(np.arange(k), n)
+        ys = sums = y[order]
+        counts = np.ones(n, dtype=np.int64)
     else:
         # the unstable sort, several times faster, may permute a run of
         # equal x; ordering each run by pair index gives the order of
-        # np.argsort(x, axis=1, kind="stable"), so tie sums add as before
-        key = np.cumsum(first, axis=1) * n + order
-        key.sort(axis=1)
+        # np.argsort(x, kind="stable"), so tie sums add as before
+        key = np.cumsum(first) * n + order
+        key.sort()
         ys = y[key % n]
-        # pool exact ties in x: group sums and sizes, never across candidates
+        # pool exact ties in x: group sums and sizes
         starts = np.flatnonzero(first)
-        sums = np.add.reduceat(ys.ravel(), starts)
-        counts = np.diff(np.append(starts, k * n))
-        owner = starts // n
-    fit = np.empty((k, n))
-    while owner.size:
+        sums = np.add.reduceat(ys, starts)
+        counts = np.diff(np.append(starts, n))
+    while True:
         means = sums / counts
-        joins = np.zeros(owner.size, dtype=bool)
-        joins[1:] = (means[:-1] >= means[1:]) & (owner[:-1] == owner[1:])
-        blocks = np.bincount(owner, minlength=k)
-        merges = np.bincount(owner[joins], minlength=k)
-        done = (blocks > 0) & (8 * merges < blocks)
-        if done.any():
-            offsets = np.append(0, np.cumsum(blocks))
-            for c in np.flatnonzero(done & (merges > 0)):
-                lo, hi = offsets[c], offsets[c + 1]
-                means[lo:hi] = isotonic_fit(means[lo:hi], counts[lo:hi])
-            out = done[owner]
-            fit[done] = np.repeat(means[out], counts[out]).reshape(-1, n)
-            keep = ~out
-            sums, counts, owner, joins = sums[keep], counts[keep], owner[keep], joins[keep]
+        joins = np.zeros(means.size, dtype=bool)
+        joins[1:] = means[:-1] >= means[1:]
+        merges = np.count_nonzero(joins)
+        if 8 * merges < means.size:
+            break
         heads = np.flatnonzero(~joins)
-        if heads.size:
-            sums = np.add.reduceat(sums, heads)
-            counts = np.add.reduceat(counts, heads)
-            owner = owner[heads]
-    return np.sqrt(np.mean((ys - fit) ** 2, axis=1))
+        sums = np.add.reduceat(sums, heads)
+        counts = np.add.reduceat(counts, heads)
+    if merges:
+        means = isotonic_fit(means, counts)
+    return float(np.sqrt(np.mean((ys - np.repeat(means, counts)) ** 2)))
+
+
+def _monotone_bound(x: np.ndarray, y: np.ndarray) -> float:
+    """Lower bound of ``_monotone_residual(x, y)`` from one pass.
+
+    A non-decreasing fit f of ``y`` sorted by ``x`` has f_i <= f_i+1, so
+    each neighbour pair whose values fall from a to b costs it at least
+    (a - b)^2 / 2; a tied pair gets one fitted value, so this holds in
+    any order of a run of equal x. The costs of disjoint pairs add, so
+    the larger of the sums over all even and all odd starts bounds the
+    residual sum from below.
+    """
+    fall = np.minimum(np.diff(y[np.argsort(x)]), 0.0) ** 2
+    return float(np.sqrt(max(fall[0::2].sum(), fall[1::2].sum()) / (2 * x.size)))
 
 
 def _median_direction(tied: np.ndarray) -> np.ndarray:
@@ -599,8 +584,10 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
     Runs ``trials`` seeded colour subsets; in each, the sphere point(s)
     satisfying the most half-space constraints are reduced to one
     candidate by a renormalized componentwise median. Across trials, the
-    candidate whose induced mapping has the lowest monotone-fit residual
-    on the full pair set wins.
+    candidate with the lowest ``monotonicity_score`` on the full pair set
+    wins, the lowest trial on a tie. By branch-and-bound (Land & Doig,
+    1960), candidates are scored in increasing order of ``_monotone_bound``,
+    ties by trial, until a bound exceeds the best residual so far.
     """
     _check_type(sphere, SphereSample, "sphere")
     _check_integer(trials, "trials", 1)
@@ -608,8 +595,19 @@ def estimate_row(pairs: PixelPairSet, channel: int, sphere: SphereSample,
              for trial in range(trials)]
     found = _search_trials(sphere, diffs)
     candidates = np.array([_median_direction(sphere.points[tied]) for _, tied in found])
-    residuals = monotonicity_score(pairs, candidates, channel)
-    return candidates[int(np.argmin(residuals))]
+    pool = pairs.unsaturated()
+    bounds = [_monotone_bound(pool.raw @ c, pool.rendered[:, channel - 1]) for c in candidates]
+    best, least = 0, np.inf
+    for i in np.argsort(bounds, kind="stable"):
+        # the bound and the residual sum their terms in different orders,
+        # so a bound may round above a residual it equals: the margin keeps
+        # such a candidate in, where it may tie the best
+        if bounds[i] > least * (1 + 1e-9):
+            break
+        residual = monotonicity_score(pairs, candidates[i], channel)
+        if residual < least or (residual == least and i < best):
+            best, least = i, residual
+    return candidates[best]
 
 
 def rescale_achromatic(m: ColorMatrix, pairs: PixelPairSet) -> ColorMatrix:

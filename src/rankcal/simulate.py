@@ -199,6 +199,7 @@ def make_camera(seed: int = 0, delta: float = 0.25,
 def make_illuminants(count: int, seed: int = 0) -> list[np.ndarray]:
     """Diagonal illuminant gains; the first is always neutral."""
     _check_integer(count, "count", 1)
+    _check_integer(seed, "seed", 0)
     out = [np.ones(3)]
     rng = np.random.default_rng(seed)
     for _ in range(count - 1):

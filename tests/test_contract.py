@@ -42,13 +42,14 @@ from rankcal import (
     serialize_model,
 )
 from rankcal import errors
+from rankcal.dataset import loads_corpus, parse_subset_spec
 from rankcal.gamut import AffineGamutMap, apply_lattice
 from rankcal.model import ColorMatrix, Lattice3, ModelMetadata, ToneCurve
 from rankcal.pipeline import estimate_matrix
 from rankcal.qp import QuadProgram, solve_qp
 from rankcal.ranking import (build_half_spaces, estimate_row, monotonicity_score,
                              rescale_achromatic, sample_sphere)
-from rankcal.simulate import deserialize_camera, render_batch, serialize_camera
+from rankcal.simulate import deserialize_camera, make_illuminants, render_batch, serialize_camera
 from rankcal.tonefit import fit_forward_tones, fit_inverse_tones, fit_monotone
 
 NAN, INF = float("nan"), float("inf")
@@ -208,6 +209,8 @@ CASES = {
         ("overflowing_quoted_raw", lambda: load_corpus(corpus_file(
             "quoted.csv", HEADER + 'c,i,e,p,1,1,1,1,1,1,1\n"c",i,e,p,2,0,0,1,1,1,1e-308\n')),
          "quoted.csv: line 3: raw / white_level overflows"),
+        ("float_path", lambda: load_corpus(2.5),
+         "path must be a str, bytes or os.PathLike, got float"),
     ],
     "save_corpus": [
         ("comma_tag", lambda: save_corpus(pairs(3, patch=("p0", "a,b", "p2")), "out.csv"),
@@ -216,6 +219,8 @@ CASES = {
          "camera tag '#c'"),
         ("text_pairs", lambda: save_corpus("x", "out.csv"),
          "pairs must be a PixelPairSet, got str"),
+        ("none_path", lambda: save_corpus(pairs(3), None),
+         "path must be a str, bytes or os.PathLike, got NoneType"),
     ],
     "select_subset": [
         ("empty_corpus", lambda: select_subset(pairs(0), SubsetSpec("uniform", k=1)), "corpus"),
@@ -441,6 +446,11 @@ def test_bad_argument_raises_named_error(call, cause, tmp_path, monkeypatch):
     assert cause in str(info.value)
 
 
+# min 0.5 |x|^2 - 2 x1 - 2 x2 subject to x1 + x2 <= 1: unconstrained at
+# (2, 2), which violates the row by 3; the answer is (0.5, 0.5)
+ONE_ROW_QP = QuadProgram(np.eye(2), np.array([-2.0, -2.0]), np.array([[1.0, 1.0]]),
+                         np.array([1.0]))
+
 # The stage functions behind calibrate keep its entry checks: an argument
 # of the wrong type raises ValueError naming it. build_half_spaces checks
 # pairs for estimate_row and estimate_matrix.
@@ -465,6 +475,17 @@ STAGE_CASES = {
     "deserialize_camera": (lambda: deserialize_camera(5), "text must be a str, got int"),
     "apply_lattice": (lambda: apply_lattice("lut", ROWS), "lut must be a Lattice3, got str"),
     "solve_qp": (lambda: solve_qp("p"), "prob must be a QuadProgram, got str"),
+    **{f"solve_qp-{label}_tol": (lambda tol=tol: solve_qp(ONE_ROW_QP, tol),
+                                 f"tol must be finite and > 0, got {tol!r}")
+       for label, tol in [("inf", np.inf), ("nan", np.nan), ("negative", -1.0),
+                          ("zero", 0.0), ("text", "a"), ("bool", True)]},
+    "loads_corpus-int": (lambda: loads_corpus(123), "text must be a str, got int"),
+    "loads_corpus-bytes": (lambda: loads_corpus(b"x"), "text must be a str, got bytes"),
+    "parse_subset_spec": (lambda: parse_subset_spec(5), "text must be a str, got int"),
+    "make_illuminants-fractional_seed": (lambda: make_illuminants(2, seed=1.5),
+                                         "seed must be an integer >= 0, got 1.5"),
+    "make_illuminants-negative_seed": (lambda: make_illuminants(2, seed=-1),
+                                       "seed must be an integer >= 0, got -1"),
 }
 
 

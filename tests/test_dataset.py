@@ -496,6 +496,48 @@ class TestSaveCorpus:
         want = ",".join(tags + [_fmt(v) for v in values] + ["1"]) + "\n"
         assert dataset._ROW_TEMPLATE % (*tags, *values) == want
 
+    @pytest.mark.parametrize("save", [False, True])
+    def test_descriptor_refused_and_left_open(self, save):
+        # open() takes an int as a file descriptor and closes it when done
+        pairs = PixelPairSet.from_arrays(np.full((2, 3), 0.5), np.full((2, 3), 0.5))
+        r, w = os.pipe()
+        try:
+            if not save:
+                # so that a read of the pipe would end, not wait
+                os.close(w)
+            with pytest.raises(ValueError, match="^path must be a str, bytes or "
+                                                 r"os\.PathLike, got int$"):
+                save_corpus(pairs, w) if save else load_corpus(r)
+            os.fstat(r)
+            if save:
+                os.close(w)
+                assert os.read(r, 1) == b""  # nothing was written
+        finally:
+            os.close(r)
+
+    @pytest.mark.parametrize("save", [False, True])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_bool_refused_before_opening(self, save, flag, monkeypatch):
+        # a bool is an int to open(): True would be standard output
+        def no_open(*args, **kwargs):
+            raise AssertionError("a file was opened")
+
+        monkeypatch.setattr(dataset, "open", no_open, raising=False)
+        pairs = PixelPairSet.from_arrays(np.full((2, 3), 0.5), np.full((2, 3), 0.5))
+        with pytest.raises(ValueError, match="^path must be a str, bytes or "
+                                             r"os\.PathLike, got bool$"):
+            save_corpus(pairs, flag) if save else load_corpus(flag)
+
+    def test_paths_of_every_kind_round_trip_and_bad_ones_raise_oserror(self, tmp_path):
+        pairs = PixelPairSet.from_arrays(np.full((2, 3), 0.5), np.full((2, 3), 0.5))
+        for path in (tmp_path / "a.csv", str(tmp_path / "b.csv"), bytes(tmp_path / "c.csv")):
+            save_corpus(pairs, path)
+            assert load_corpus(path).raw.tolist() == pairs.raw.tolist()
+        with pytest.raises(OSError):
+            load_corpus(tmp_path / "missing.csv")
+        with pytest.raises(OSError):
+            save_corpus(pairs, tmp_path / "missing" / "c.csv")
+
     def test_hash_allowed_in_other_tags(self, tmp_path):
         pairs = PixelPairSet.from_arrays(np.full((2, 3), 0.5), np.full((2, 3), 0.5),
                                          camera="c#1", illuminant="#i", exposure="#e")

@@ -36,6 +36,7 @@ from rankcal.ranking import (
     sample_sphere,
     _count_true,
     _median_direction,
+    _monotone_bound,
     _pair_indices,
     _search_trials,
 )
@@ -849,12 +850,10 @@ class TestStackedMonotonicityScore:
         ties=st.booleans(),
         levels=st.sampled_from([0, 8, 255]),
         saturated=st.booleans(),
-        batch=st.sampled_from(["one", "pair", "all"]),
         channel=st.integers(1, 3),
         seed=st.integers(0, 2 ** 32 - 1),
     )
-    def test_matches_one_candidate_oracle(self, n, k, ties, levels, saturated, batch,
-                                          channel, seed):
+    def test_matches_one_candidate_oracle(self, n, k, ties, levels, saturated, channel, seed):
         rng = np.random.default_rng(seed)
         raw = rng.uniform(0.0, 0.9, size=(n, 3))
         rows = rng.normal(size=(k, 3))
@@ -872,15 +871,12 @@ class TestStackedMonotonicityScore:
         # so the pool is never empty
         raw[0] = rendered[0] = 0.5
         pairs = PixelPairSet.from_arrays(clipped(raw, flags), rendered)
-        points = {"one": 1, "pair": 2 * int((~pairs.saturated).sum()), "all": 2 ** 20}[batch]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ranking, "_RESIDUAL_POINTS", points)
-            got = monotonicity_score(pairs, rows, channel)
-            single = [monotonicity_score(pairs, row, channel) for row in rows]
+        got = monotonicity_score(pairs, rows, channel)
+        single = [monotonicity_score(pairs, row, channel) for row in rows]
         want = np.array([monotonicity_score_reference(pairs, row, channel) for row in rows])
         assert got.shape == (k,) and all(type(v) is float for v in single)
         assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
-        # a row scores the same bits alone, in a stack and in any batch
+        # a row scores the same bits alone and in a stack
         assert got.tolist() == single
 
     def test_tied_projections_pool_in_pair_order(self):
@@ -940,9 +936,51 @@ class TestStackedMonotonicityScore:
         assert monotonicity_score(pairs, np.ones((0, 3)), 1).shape == (0,)
 
 
+class TestMonotoneBound:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        ties=st.booleans(),
+        levels=st.sampled_from([0, 8, 255]),
+        monotone=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_bounds_the_residual_from_below(self, n, ties, levels, monotone, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.05, 0.9, size=n)
+        if ties:
+            x = np.round(x * 8.0) / 8.0
+        y = 0.1 + 0.8 * x ** 2 if monotone else rng.uniform(0.1, 0.9, size=n)
+        if levels:
+            y = np.round(y * levels) / levels
+        # x is the projection on the first axis, exactly
+        raw = np.column_stack([x, np.full(n, 0.5), np.full(n, 0.5)])
+        pairs = PixelPairSet.from_arrays(raw, np.column_stack([y, y, y]))
+        row = np.array([1.0, 0.0, 0.0])
+        pool = pairs.unsaturated()
+        bound = _monotone_bound(pool.raw @ row, pool.rendered[:, 0])
+        residual = monotonicity_score(pairs, row, 1)
+        assert type(bound) is float
+        assert bound <= residual * (1.0 + 1e-12)
+        if monotone:
+            assert bound == 0.0
+
+    def test_is_tight_on_one_fall_and_counts_odd_starts(self):
+        # a fall from 0.6 to 0.4 costs its pair at least 0.2^2 / 2, and the
+        # fit (0.5, 0.5) pays exactly that
+        pairs = PixelPairSet.from_arrays(np.array([[0.2, 0.5, 0.5], [0.4, 0.5, 0.5]]),
+                                         np.array([[0.6] * 3, [0.4] * 3]))
+        pool = pairs.unsaturated()
+        row = np.array([1.0, 0.0, 0.0])
+        assert _monotone_bound(pool.raw @ row, pool.rendered[:, 0]) == pytest.approx(
+            monotonicity_score(pairs, row, 1), rel=1e-12)
+        # a fall that starts at an odd index counts, spread over all n values
+        assert _monotone_bound(np.arange(3.0), np.array([0.0, 1.0, 0.0])) == np.sqrt(1.0 / 6.0)
+
+
 class TestSplitBatches:
-    """25 candidates over 2,000 unsaturated pairs: the default batch holds
-    16 of them, so the stack is scored in two batches."""
+    """25 candidates over 2,000 unsaturated pairs, as many as a row's
+    trials give, scored as a stack and one at a time."""
 
     @staticmethod
     def corpus(tied):
@@ -967,20 +1005,17 @@ class TestSplitBatches:
         pairs, rows = self.corpus(tied)
         pool = pairs.unsaturated()
         assert len(pool) == 2000
-        assert ranking._RESIDUAL_POINTS // len(pool) < len(rows)
         distinct = [len(np.unique(pool.raw @ row)) for row in rows]
         assert (max(distinct) < len(pool)) if tied else (min(distinct) == len(pool))
         got = monotonicity_score(pairs, rows, 2)
         assert got.tolist() == [monotonicity_score(pairs, row, 2) for row in rows]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ranking, "_RESIDUAL_POINTS", 2 ** 20)
-            assert got.tolist() == monotonicity_score(pairs, rows, 2).tolist()
         want = np.array([monotonicity_score_reference(pairs, row, 2) for row in rows])
         assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
 
     def test_traced_memory_bounded(self):
-        # 25 candidates over 6,000 pairs: batches of 5 keep each (k, n)
-        # work array near 256 KiB, where one batch of all 25 would hold 13 MB
+        # 25 candidates over 6,000 pairs, scored one at a time: each work
+        # array holds one candidate's 6,000 values, where all 25 at once
+        # would hold 1.2 MB an array
         rng = np.random.default_rng(32)
         raw = rng.uniform(0.0, 0.9, size=(6000, 3))
         rendered = np.round(raw ** 0.45 * 255.0) / 255.0
@@ -1004,22 +1039,40 @@ class TestEstimateRow:
         antipodal = np.array([[0.6, 0.0, -0.8], [-0.6, 0.0, 0.8]])
         assert _median_direction(antipodal).tolist() == [0.6, 0.0, -0.8]
 
-    def test_scores_all_candidates_of_a_row_in_one_call(self, monkeypatch):
-        rng = np.random.default_rng(14)
-        pairs = synthetic_channel_pairs(rng, 120, np.array([0.55, 0.35, 0.10]))
-        calls = []
-        score = ranking.monotonicity_score
+    @staticmethod
+    def grey_ramp_pairs(seed):
+        """Raws a hair off a shuffled grey ramp, whose rendered values are
+        noisy: candidates that order the ramp alike score the same bits."""
+        rng = np.random.default_rng(seed)
+        t = rng.permutation(np.linspace(0.1, 0.9, 120))
+        raw = t[:, None] + rng.uniform(-1e-4, 1e-4, size=(120, 3))
+        y = np.clip(t ** 0.45 + rng.normal(0.0, 0.03, size=120), 0.01, 0.9)
+        return PixelPairSet.from_arrays(raw, np.column_stack([y, y, y]))
 
-        def recording(p, m, channel):
-            calls.append((p, np.array(m), channel))
-            return score(p, m, channel)
-
-        monkeypatch.setattr(ranking, "monotonicity_score", recording)
-        row = estimate_row(pairs, 2, sample_sphere(2000), trials=4, rng_seed=6)
-        assert len(calls) == 1
-        p, m, channel = calls[0]
-        assert p is pairs and channel == 2 and m.shape == (4, 3)
-        assert any(np.array_equal(row, candidate) for candidate in m)
+    # On the camera corpora the bounds leave most candidates unscored; on
+    # the grey ramps every candidate is scored and two distinct ones tie.
+    @pytest.mark.parametrize("case, channel, trials, seed, ties", [
+        ("camera", 3, 8, 0, 0), ("camera", 2, 8, 1, 0),
+        ("grey_ramp", 1, 6, 2, 2), ("grey_ramp", 1, 6, 5, 2),
+    ], ids=["camera-seed0", "camera-seed1", "grey_ramp-seed2", "grey_ramp-seed5"])
+    def test_returns_the_first_argmin_over_all_candidates(self, case, channel, trials,
+                                                          seed, ties):
+        if case == "camera":
+            pairs = make_corpus(make_camera(seed=seed), 140, rng_seed=seed)
+        else:
+            pairs = self.grey_ramp_pairs(seed)
+        sphere = sample_sphere(2000)
+        diffs = [build_half_spaces(pairs, channel, rng_seed=seed + trial)
+                 for trial in range(trials)]
+        candidates = np.array([_median_direction(sphere.points[tied])
+                               for _, tied in _search_trials(sphere, diffs)])
+        residuals = monotonicity_score(pairs, candidates, channel)
+        best = np.flatnonzero(residuals == residuals.min())
+        if ties:
+            # distinct candidates share the least residual: the first wins
+            assert len({tuple(c) for c in candidates[best]}) == ties
+        row = estimate_row(pairs, channel, sphere, trials=trials, rng_seed=seed)
+        assert row.tobytes() == candidates[best[0]].tobytes()
 
     def test_recovers_reference_row_direction(self, sphere100k):
         rng = np.random.default_rng(10)
