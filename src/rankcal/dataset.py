@@ -354,7 +354,8 @@ def rmse(predictions, truth, domain: str = "rendered255") -> float:
     """Root mean squared error over all samples and channels.
 
     domain 'rendered255' scales errors by 255 to match 8-bit reporting;
-    'raw01' reports in normalized raw units.
+    'raw01' reports in normalized raw units. Finite inputs give a finite
+    result unless the RMSE itself exceeds the largest float.
     """
     pred = _as_rows(predictions, "predictions")
     ref = _as_rows(truth, "truth")
@@ -370,5 +371,13 @@ def rmse(predictions, truth, domain: str = "rendered255") -> float:
         scale = 1.0
     else:
         raise ValueError(f"unknown rmse domain {domain!r}")
-    err = (pred - ref) * scale
-    return float(np.sqrt(np.mean(err * err)))
+    with np.errstate(over="ignore"):
+        err = (pred - ref) * scale
+        mean = np.mean(err * err)
+    if np.isfinite(mean):
+        return float(np.sqrt(mean))
+    # the squares overflow: halve the inputs, so that no difference does,
+    # and square the errors relative to the largest
+    half = pred * 0.5 - ref * 0.5
+    top = float(np.abs(half).max())
+    return top * float(np.sqrt(np.mean((half / top) ** 2))) * (2.0 * scale)

@@ -8,12 +8,12 @@ constraints. A row's trials are searched one after the other by a
 branch-and-bound over two levels of caps of the sample, which finds
 exactly the points a dense scan would. Each trial's floor is the best
 score of a few points: those the trial before it tied on, or for the
-first trial those of its best cap. Each side of the antipodal sample is
-bounded on its own, and only the points of the (cap, side) pairs whose
-bounds reach the floor are scored: about 0.36% of the half-sphere on the
-benchmark's constraint sets. Repeated trials over random colour subsets
-are arbitrated by how monotone the induced raw-to-rendered relation is,
-scored in increasing order of a lower bound until no bound can win.
+first trial those of its best cap. The caps cover the whole sample, and
+only the points of the caps whose bounds reach the floor are scored:
+about 0.18% of the sample on the benchmark's constraint sets. Repeated
+trials over random colour subsets are arbitrated by how monotone the
+induced raw-to-rendered relation is, scored in increasing order of a
+lower bound until no bound can win.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ _BOUND_ENTRIES = 2 ** 19
 _LANE_WORDS = 255
 
 # Caps of the row search: the upper half of the sample is cut into this
-# many equal-area zones, about 4.5 degrees across. 256 caps prune too
-# little and 4096 spend more on bounds than they save.
+# many equal-area zones, about 4.5 degrees across, and the lower half
+# into their negations. 256 zones prune too little and 4096 spend more
+# on bounds than they save.
 _CAP_CENTRES = 1024
 
 # Cap groups: the caps are grouped in turn by which of this many coarser
@@ -71,8 +72,8 @@ _CAP_MARGIN = 1e-5
 class SphereSample:
     """Unit direction candidates covering the whole sphere, built from
     their even ``count`` >= 6 as ``sample_sphere`` describes: the last
-    half of the points negates the first, so the cap index covers the
-    first half and each cap bound reads one product both ways.
+    half of the points negates the first, so the cap index of the first
+    half, negated, indexes the last.
     """
 
     count: int
@@ -89,7 +90,7 @@ class SphereSample:
 
     @functools.cached_property
     def caps(self) -> CapIndex:
-        """Cap index of the first half of the points, built on first use."""
+        """Cap index of all the points, built on first use."""
         return _build_caps(self.points[:self.count // 2])
 
 
@@ -101,9 +102,8 @@ class CapIndex:
     within ``radius[k]`` radians of ``centres[k]``. Group j holds the
     caps ``group_offsets[j]:group_offsets[j + 1]``, whose points all lie
     within ``group_radius[j]`` radians of ``group_centres[j]``. The
-    index covers the first half of a sample, whose points and centres
-    all lie in the upper hemisphere. Empty caps and empty groups are
-    dropped.
+    index covers every point of a sample. Empty caps and empty groups
+    are dropped.
     """
 
     centres: np.ndarray
@@ -147,10 +147,9 @@ def sample_sphere(n: int) -> SphereSample:
 
     n must be an even integer: a Fibonacci spiral of n / 2 points over
     the open upper hemisphere is followed by its negation, so every
-    direction appears with its negation and the cap bounds can share
-    products between the two. At n = 100000 the largest
-    nearest-neighbour gap is about 0.65 degrees. n = 6 is the
-    axis-aligned octahedron.
+    direction appears with its negation and the caps of the first half
+    serve the last negated. At n = 100000 the largest nearest-neighbour
+    gap is about 0.65 degrees. n = 6 is the axis-aligned octahedron.
 
     The sample is immutable and depends on n alone, so the process keeps
     the last two ``SphereSample(n)`` it built, each with its cap index once
@@ -190,6 +189,8 @@ def _largest_angles(points: np.ndarray, centres: np.ndarray,
 
 
 def _build_caps(scored: np.ndarray) -> CapIndex:
+    """Cap index of the sample whose first half is ``scored``, all in the
+    upper hemisphere, and whose last half negates it."""
     # each point joins its zone of _CAP_CENTRES, and each cap, centred on
     # the normalized mean of its points, the zone of _CAP_GROUPS that its
     # centre lies in; the radii below hold for any such partition
@@ -214,10 +215,18 @@ def _build_caps(scored: np.ndarray) -> CapIndex:
     members = scored[order]
     group_edges = offsets[group_offsets]
     group_centres = _unit_rows(np.add.reduceat(members, group_edges[:-1], axis=0))
-    return CapIndex(centres=centres, order=order, offsets=offsets,
-                    radius=_largest_angles(members, centres, offsets),
-                    group_centres=group_centres, group_offsets=group_offsets,
-                    group_radius=_largest_angles(members, group_centres, group_edges))
+    radius = _largest_angles(members, centres, offsets)
+    group_radius = _largest_angles(members, group_centres, group_edges)
+    # the last half's caps and groups negate the first's, numbered after them
+    half = scored.shape[0]
+    return CapIndex(centres=np.vstack([centres, -centres]),
+                    order=np.concatenate([order, order + half]),
+                    offsets=np.concatenate([offsets, offsets[1:] + half]),
+                    radius=np.tile(radius, 2),
+                    group_centres=np.vstack([group_centres, -group_centres]),
+                    group_offsets=np.concatenate([group_offsets,
+                                                  group_offsets[1:] + centres.shape[0]]),
+                    group_radius=np.tile(group_radius, 2))
 
 
 def _constraint_pool(pairs: PixelPairSet) -> tuple[int, np.ndarray, np.ndarray]:
@@ -320,54 +329,51 @@ def _count_true(mask: np.ndarray) -> np.ndarray:
     return total
 
 
+def _count_above(rows: np.ndarray, cols: np.ndarray, threshold: float) -> np.ndarray:
+    """How many products of each float32 row (n, 3) with the float32
+    columns ``cols`` (3, p) exceed ``threshold``.
+
+    Products are formed in blocks of rows that hold at most
+    _BOUND_ENTRIES values, and never fewer than two rows: numpy forms a
+    one-row product with gemv, which may round differently from a matrix
+    product, as a one-column product does, so a repeated row keeps every
+    product a matrix product.
+    """
+    n = rows.shape[0]
+    block = max(2, _BOUND_ENTRIES // cols.shape[1])
+    if n % block == 1:
+        rows = np.concatenate([rows, rows[-1:]])
+    counts = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, n, block):
+        counts[start:start + block] = _count_true(rows[start:start + block] @ cols > threshold)
+    return counts[:n]
+
+
 def _bound_centres(centres: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Float32 ``centres``, each divided by the sine of its radius plus
-    _CAP_MARGIN, as ``_upper_bounds`` takes them."""
-    return (centres / np.sin(radius + _CAP_MARGIN)[:, None]).astype(np.float32)
+    """Float32 ``centres``, each divided by minus the sine of its radius
+    plus _CAP_MARGIN, as ``_upper_bounds`` takes them."""
+    return (centres / -np.sin(radius + _CAP_MARGIN)[:, None]).astype(np.float32)
 
 
-def _upper_bounds(scaled: np.ndarray, unit: np.ndarray,
-                  size: int) -> tuple[np.ndarray, np.ndarray]:
+def _upper_bounds(scaled: np.ndarray, unit: np.ndarray, size: int) -> np.ndarray:
     """Most constraints any point within a radius of each centre satisfies.
 
     ``unit`` holds one trial's unit constraints as float32 (3, p), padded
     with zeros, and ``size`` their count; ``scaled`` holds the centres as
-    ``_bound_centres`` gives them. Returns (k,) bounds for the points near
-    each centre and for their negations. With g = c . d and s = sin(radius
-    + margin), every such point fails the constraints with g < -s, and its
-    negation those with g > s; each centre is divided by its s, so both
-    tests compare with 1, and a zero constraint never fails. The products
-    are float32, whose error the margin covers, and are taken for pieces
-    of centres that hold at most _BOUND_ENTRIES values.
+    ``_bound_centres`` gives them. Returns (k,) bounds. With g = c . d and
+    s = sin(radius + margin), every point near c fails the constraints
+    with g < -s; each centre is divided by -s, so the test reads a
+    product above 1, and a zero constraint never fails. The products are
+    float32, whose error the margin covers.
     """
-    plus = np.empty(scaled.shape[0], dtype=np.int64)
-    minus = np.empty_like(plus)
-    step = max(1, _BOUND_ENTRIES // unit.shape[1])
-    for start in range(0, scaled.shape[0], step):
-        g = scaled[start:start + step] @ unit
-        plus[start:start + step] = size - _count_true(g < -1.0)
-        minus[start:start + step] = size - _count_true(g > 1.0)
-    return plus, minus
+    return size - _count_above(scaled, unit, 1.0)
 
 
-def _scores(points: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Constraint counts (n,) of float32 points (n, 3) against one
+def _scores(sphere: SphereSample, indices: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Constraint counts of the sphere points ``indices`` against one
     trial's float32 differences ``dt`` (3, p): a point's count is how
-    many of its products are positive. Products are formed in blocks of
-    points that hold at most _BOUND_ENTRIES values, and never fewer than
-    two points.
-    """
-    n = points.shape[0]
-    block = max(2, _BOUND_ENTRIES // dt.shape[1])
-    if n % block == 1:
-        # numpy forms a one-row product with gemv, which may round
-        # differently from a matrix product, as a one-column product
-        # does; a repeated row keeps every product a matrix product
-        points = np.concatenate([points, points[-1:]])
-    counts = np.empty(points.shape[0], dtype=np.int64)
-    for start in range(0, n, block):
-        counts[start:start + block] = _count_true(points[start:start + block] @ dt > 0.0)
-    return counts[:n]
+    many of its float32 products are positive."""
+    return _count_above(sphere.points[indices].astype(np.float32), dt, 0.0)
 
 
 def _search_trials(sphere: SphereSample,
@@ -398,21 +404,6 @@ def _search_trials(sphere: SphereSample,
     return found
 
 
-def _best_cap_points(sphere: SphereSample, centres: np.ndarray, unit: np.ndarray,
-                     size: int, group_plus: np.ndarray,
-                     group_minus: np.ndarray) -> np.ndarray:
-    """Sphere indices of the points of one trial's best-bounded cap in its
-    best-bounded group, on the cap's better side, given the trial's group
-    bounds and its caps' ``_bound_centres``."""
-    caps = sphere.caps
-    top = int(np.argmax(np.maximum(group_plus, group_minus)))
-    near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
-    plus, minus = _upper_bounds(centres[near], unit, size)
-    best = int(np.argmax(np.maximum(plus, minus)))
-    side = 0 if plus[best] >= minus[best] else sphere.count // 2
-    return np.sort(_members(caps, near[best:best + 1])) + side
-
-
 def _search_trial(sphere: SphereSample, groups: np.ndarray, centres: np.ndarray,
                   unit: np.ndarray, dt: np.ndarray, size: int,
                   floor_points: np.ndarray | None) -> tuple[int, np.ndarray]:
@@ -420,27 +411,27 @@ def _search_trial(sphere: SphereSample, groups: np.ndarray, centres: np.ndarray,
 
     ``groups`` and ``centres`` are the ``_bound_centres`` of the index's
     groups and caps. ``unit`` and ``dt`` (3, p) hold the trial's unit and
-    raw differences as float32, padded with zeros: a zero product counts
-    for no side, and zero columns leave the other products as the dense
+    raw differences as float32, padded with zeros: a zero product is not
+    positive, and zero columns leave the other products as the dense
     blocks form them. The floor is the best score of the sphere indices
-    ``floor_points``, or of ``_best_cap_points`` when there are none. The
-    caps of every group whose bound reaches it on either side are
-    bounded, and the points of each (cap, side) whose cap bound reaches
-    it are scored, a minus side by its members' negations. The floor is
-    a score that some point reaches, so every tied point is among them.
+    ``floor_points``, or, when there are none, of the points of the
+    best-bounded cap of the best-bounded group. The caps of every group
+    whose bound reaches it are bounded, and the points of each cap whose
+    bound reaches it are scored. The floor is a score that some point
+    reaches, so every tied point is among them.
     """
     caps = sphere.caps
-    group_plus, group_minus = _upper_bounds(groups, unit, size)
+    group_bounds = _upper_bounds(groups, unit, size)
     if floor_points is None:
-        floor_points = _best_cap_points(sphere, centres, unit, size, group_plus, group_minus)
-    floor = _scores(sphere.points[floor_points].astype(np.float32), dt).max()
+        top = int(np.argmax(group_bounds))
+        near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
+        cap = near[np.argmax(_upper_bounds(centres[near], unit, size))]
+        floor_points = caps.order[caps.offsets[cap]:caps.offsets[cap + 1]]
+    floor = _scores(sphere, floor_points, dt).max()
 
-    open_groups = np.maximum(group_plus, group_minus) >= floor
-    near = np.flatnonzero(np.repeat(open_groups, np.diff(caps.group_offsets)))
-    cap_plus, cap_minus = _upper_bounds(centres[near], unit, size)
-    rows = np.concatenate([_members(caps, near[cap_plus >= floor]),
-                           _members(caps, near[cap_minus >= floor]) + sphere.count // 2])
-    scores = _scores(sphere.points[rows].astype(np.float32), dt)
+    near = np.flatnonzero(np.repeat(group_bounds >= floor, np.diff(caps.group_offsets)))
+    rows = _members(caps, near[_upper_bounds(centres[near], unit, size) >= floor])
+    scores = _scores(sphere, rows, dt)
     best = int(scores.max())
     return best, np.sort(rows[scores == best])
 

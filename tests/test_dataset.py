@@ -759,6 +759,20 @@ class TestRmse:
         with pytest.raises(ValueError, match=f"{name} row 1 is not finite"):
             rmse(arrays["predictions"], arrays["truth"], "raw01")
 
+    @pytest.mark.parametrize("pred, truth, domain, want", [
+        # squared errors overflow
+        ([[1e200] * 3], [[-1e200] * 3], "raw01", 2e200),
+        ([[1e200] * 3], [[-1e200] * 3], "rendered255", 255 * 2e200),
+        ([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]], np.zeros((2, 3)), "raw01", 1e200 / np.sqrt(6)),
+        # so does the difference itself, though the RMSE does not
+        ([[1e308, 0.0, 0.0]], [[-1e308, 0.0, 0.0]], "raw01", 1e308 * (2 / np.sqrt(3))),
+        # the RMSE is past the largest float
+        ([[1e308] * 3], [[-1e308] * 3], "raw01", np.inf),
+    ])
+    def test_large_errors_do_not_overflow(self, pred, truth, domain, want):
+        # warnings are errors under pytest, so no overflow warning escapes
+        assert rmse(pred, truth, domain) == pytest.approx(want, rel=1e-15)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse(np.zeros((2, 3)), np.zeros((3, 3)), "raw01")

@@ -39,6 +39,7 @@ from rankcal.ranking import (
     _monotone_bound,
     _pair_indices,
     _search_trials,
+    _unit_rows,
 )
 
 
@@ -437,7 +438,7 @@ class TestTiedPoints:
     def test_caps_partition_scored_points_within_radius(self, n):
         sphere = sample_sphere(n)
         caps = sphere.caps
-        assert np.array_equal(np.sort(caps.order), np.arange(n // 2))
+        assert np.array_equal(np.sort(caps.order), np.arange(n))
         sizes = np.diff(caps.offsets)
         assert caps.offsets[0] == 0 and np.all(sizes > 0)
         centre = np.repeat(caps.centres, sizes, axis=0)
@@ -478,16 +479,16 @@ class TestTiedPoints:
 
     @pytest.mark.parametrize("n", (6, 1000))
     def test_one_point_incumbent_matches_dense_scan(self, n, monkeypatch):
-        # the floor comes from scoring one cap's points on one side; a cap
-        # of one point must score as it does within the final pass's blocks.
+        # the floor comes from scoring one cap's points; a cap of one
+        # point must score as it does within the final pass's blocks.
         # Both samples have fewer points than caps, each cap holding one
         sphere = sample_sphere(n)
         calls = []
         score = ranking._scores
 
-        def spy(points, dt):
-            calls.append(points.shape[0])
-            return score(points, dt)
+        def spy(sample, indices, dt):
+            calls.append(indices.size)
+            return score(sample, indices, dt)
 
         monkeypatch.setattr(ranking, "_scores", spy)
         rng = np.random.default_rng(n)
@@ -541,6 +542,42 @@ class TestTiedPoints:
         assert sphere.caps is sphere.caps
 
 
+class TestCapBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from((6, 2000, 20000)), m=st.integers(1, 300),
+           zero_share=st.sampled_from([0.0, 0.1, 1.0]),
+           near_share=st.sampled_from([0.0, 0.5, 1.0]),
+           scale=st.integers(-4, 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bounds_reach_the_dense_score_of_every_point(self, search_spheres, n, m,
+                                                          zero_share, near_share, scale,
+                                                          seed):
+        # near-plane constraints pass within 1e-12 to 1e-5 rad of a sample
+        # point, where its float32 sign may err; zero constraints count
+        # for no point. Every cap and group, of both halves, bounds the
+        # dense score of each of its points
+        sphere = search_spheres[n]
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=(m, 3))
+        near = rng.random(m) < near_share
+        anchor = sphere.points[rng.integers(sphere.count, size=near.sum())]
+        tilt = rng.choice([-1.0, 1.0], (near.sum(), 1)) * 10.0 ** rng.uniform(
+            -12, -5, (near.sum(), 1))
+        d[near] = _unit_rows(np.cross(anchor, d[near])) + tilt * anchor
+        d[rng.random(m) < zero_share] = 0.0
+        d *= 10.0 ** scale
+        unit = np.zeros((3, -(-m // 8) * 8), dtype=np.float32)
+        norm = np.linalg.norm(d, axis=1)
+        unit[:, :m] = (d / np.where(norm > 0.0, norm, 1.0)[:, None]).T
+        caps = sphere.caps
+        cap_best = np.maximum.reduceat(score_all(sphere, d)[caps.order], caps.offsets[:-1])
+        group_best = np.maximum.reduceat(cap_best, caps.group_offsets[:-1])
+        for centres, radius, best in ((caps.centres, caps.radius, cap_best),
+                                      (caps.group_centres, caps.group_radius, group_best)):
+            bounds = ranking._upper_bounds(ranking._bound_centres(centres, radius), unit, m)
+            assert bounds.shape == best.shape
+            assert np.all(bounds >= best)
+
+
 class TestCountTrue:
     def test_matches_count_nonzero_at_every_lane_length(self):
         # up to 2040 entries the byte lanes of one word sum hold at most
@@ -563,7 +600,8 @@ class TestCountTrue:
 class TestPruning:
     # measured: 0.32% of the half-sphere per search at 140 pairs and
     # 0.35% at 8000, the floor points included; a floor 33 constraints
-    # low, as cap hit counts give, scores about 2%
+    # low, as cap hit counts give, scores about 2%. The share is taken of
+    # half the sample, as it was when the caps indexed only that half
     MAX_SCORED_SHARE = 0.007
 
     @pytest.mark.parametrize("pairs", [140, 8000])
@@ -577,12 +615,12 @@ class TestPruning:
         score = ranking._scores
 
         def count_search(sphere, diffs):
-            searched.append((len(diffs), sphere.caps.order.size))
+            searched.append((len(diffs), sphere.count // 2))
             return search(sphere, diffs)
 
-        def count_scored(points, dt):
-            scored.append(points.shape[0])
-            return score(points, dt)
+        def count_scored(sample, indices, dt):
+            scored.append(indices.size)
+            return score(sample, indices, dt)
 
         monkeypatch.setattr(ranking, "_search_trials", count_search)
         monkeypatch.setattr(ranking, "_scores", count_scored)
@@ -641,7 +679,8 @@ class TestCapPartition:
         monkeypatch.setattr(ranking, "_CAP_GROUPS", 16)
         sample_sphere.cache_clear()
         try:
-            assert sample_sphere(20000).caps.centres.shape[0] <= 256
+            # 256 zones of each half
+            assert sample_sphere(20000).caps.centres.shape[0] <= 512
             coarse = model_text("coarse")
         finally:
             sample_sphere.cache_clear()
