@@ -58,20 +58,25 @@ def solve_affine_gamut(points) -> AffineGamutMap:
     programs sharing the same design matrix, which is how the QP is
     solved here; the combined optimum is identical. (T = 0, o = 0.5) is
     always feasible, so the program cannot be infeasible; coplanar input
-    raises DegenerateGeometry, and a point that is not finite ValueError.
+    raises DegenerateGeometry, and a point that is not finite, or points
+    whose sums of products overflow, ValueError naming them.
     """
     v = _as_rows(points, "points")
     _check_rows(v, "points", finite=True)
     n = v.shape[0]
     if n < 4:
         raise DegenerateGeometry(f"need at least 4 points, have {n}")
+    design = np.hstack([v, np.ones((n, 1))])
+    with np.errstate(over="ignore"):
+        gram = 2.0 * (design.T @ design)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError(f"points are too large to fit: the sums of their products "
+                         f"overflow (largest |component| is {np.abs(v).max():.3g})")
     centered = v - v.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[2] <= 1e-9 * max(1.0, svals[0]):
         raise DegenerateGeometry("points are coplanar")
 
-    design = np.hstack([v, np.ones((n, 1))])
-    gram = 2.0 * (design.T @ design)
     a = np.vstack([design, -design])
     b = np.concatenate([np.ones(n), np.zeros(n)])
 

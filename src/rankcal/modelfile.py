@@ -8,6 +8,8 @@ scalar bit-for-bit, and serialize(deserialize(text)) reproduces the text.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ModelParseError, SingularMatrix
@@ -21,6 +23,27 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# The keys of each array in a keyed-text file, in the order np.ravel gives
+# its entries: the writer and the reader both take them from here.
+def _matrix_keys(prefix: str) -> list[str]:
+    return [f"{prefix}.r{i}.c{j}" for i, j in itertools.product(range(1, 4), repeat=2)]
+
+
+def _tone_keys(direction: str, degree: int) -> list[str]:
+    return [f"tone.{direction}.{k}.c{i}"
+            for k, i in itertools.product(range(1, 4), range(degree + 1))]
+
+
+def _lut_keys(name: str, r: int) -> list[str]:
+    return [f"lut.{name}.node.{i}.{j}.{k}.{ch}"
+            for i, j, k, ch in itertools.product(range(r), range(r), range(r), _CHANNEL_NAMES)]
+
+
+def _emit(lines: list[str], keys: list[str], values) -> None:
+    """Append ``key = value`` for each key and entry of ``values`` in ravel order."""
+    lines.extend(f"{key} = {_fmt(value)}" for key, value in zip(keys, np.ravel(values)))
+
+
 def serialize_model(model: PipelineModel) -> str:
     """Render a model as the canonical keyed text document."""
     _check_type(model, PipelineModel, "model")
@@ -32,32 +55,14 @@ def serialize_model(model: PipelineModel) -> str:
         lines.append(f"meta.setting.{key} = {value}")
     degree = model.forward_tones[0].degree
     lines.append(f"tone.degree = {degree}")
-    for i in range(3):
-        for j in range(3):
-            lines.append(f"matrix.r{i + 1}.c{j + 1} = {_fmt(model.matrix.rows[i, j])}")
-    _emit_tones(lines, "forward", model.forward_tones)
-    _emit_lut(lines, "forward", model.forward_lut)
-    _emit_tones(lines, "inverse", model.inverse_tones)
-    _emit_lut(lines, "backward", model.backward_lut)
+    _emit(lines, _matrix_keys("matrix"), model.matrix.rows)
+    for direction, curves, name, lut in (
+            ("forward", model.forward_tones, "forward", model.forward_lut),
+            ("inverse", model.inverse_tones, "backward", model.backward_lut)):
+        _emit(lines, _tone_keys(direction, degree), [c.coefficients for c in curves])
+        lines.append(f"lut.{name}.resolution = {lut.resolution}")
+        _emit(lines, _lut_keys(name, lut.resolution), lut.nodes)
     return "\n".join(lines) + "\n"
-
-
-def _emit_tones(lines: list[str], direction: str, curves) -> None:
-    for k, curve in enumerate(curves, start=1):
-        for i, c in enumerate(curve.coefficients):
-            lines.append(f"tone.{direction}.{k}.c{i} = {_fmt(c)}")
-
-
-def _emit_lut(lines: list[str], name: str, lut: Lattice3) -> None:
-    r = lut.resolution
-    lines.append(f"lut.{name}.resolution = {r}")
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for c, ch in enumerate(_CHANNEL_NAMES):
-                    lines.append(
-                        f"lut.{name}.node.{i}.{j}.{k}.{ch} = {_fmt(lut.nodes[i, j, k, c])}"
-                    )
 
 
 class _Reader:
@@ -94,6 +99,9 @@ class _Reader:
         if not np.isfinite(parsed):
             raise ModelParseError(f"non-finite value for key {expected_key!r}")
         return parsed
+
+    def take_floats(self, keys: list[str]) -> np.ndarray:
+        return np.array([self.take_float(key) for key in keys])
 
     def take_int(self, expected_key: str) -> int:
         value = self.take(expected_key)
@@ -141,11 +149,7 @@ def deserialize_model(text: str) -> PipelineModel:
         raise ModelParseError(f"tone.degree must be >= 1, got {degree}")
     reader.expect_lines(6 * (degree + 1), f"tone.degree = {degree}")
 
-    rows = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            rows[i, j] = reader.take_float(f"matrix.r{i + 1}.c{j + 1}")
-
+    rows = reader.take_floats(_matrix_keys("matrix")).reshape(3, 3)
     forward_tones = _read_tones(reader, "forward", degree)
     forward_lut = _read_lut(reader, "forward")
     inverse_tones = _read_tones(reader, "inverse", degree)
@@ -167,13 +171,11 @@ def deserialize_model(text: str) -> PipelineModel:
 
 
 def _read_tones(reader: _Reader, direction: str, degree: int):
+    coef = reader.take_floats(_tone_keys(direction, degree)).reshape(3, degree + 1)
     curves = []
-    for ch in (1, 2, 3):
-        coef = np.empty(degree + 1)
-        for i in range(degree + 1):
-            coef[i] = reader.take_float(f"tone.{direction}.{ch}.c{i}")
+    for ch, row in enumerate(coef, start=1):
         try:
-            curves.append(ToneCurve(coef))
+            curves.append(ToneCurve(row))
         except ValueError as exc:
             raise ModelParseError(f"tone.{direction}.{ch}: {exc}") from exc
     return tuple(curves)
@@ -184,10 +186,4 @@ def _read_lut(reader: _Reader, name: str) -> Lattice3:
     if r < 2:
         raise ModelParseError(f"lut.{name}.resolution must be >= 2, got {r}")
     reader.expect_lines(3 * r ** 3, f"lut.{name}.resolution = {r}")
-    nodes = np.empty((r, r, r, 3))
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for c, ch in enumerate(_CHANNEL_NAMES):
-                    nodes[i, j, k, c] = reader.take_float(f"lut.{name}.node.{i}.{j}.{k}.{ch}")
-    return Lattice3(nodes)
+    return Lattice3(reader.take_floats(_lut_keys(name, r)).reshape(r, r, r, 3))

@@ -45,10 +45,6 @@ _GAUGE_HEADROOM = 1.02
 # bounded, and points scored, in pieces that keep within it.
 _BOUND_ENTRIES = 2 ** 19
 
-# uint64 words that ``_count_true`` sums at once: each of a sum's 8 byte
-# lanes then counts at most 255 entries.
-_LANE_WORDS = 255
-
 # Caps of the row search: the upper half of the sample is cut into this
 # many equal-area zones, about 4.5 degrees across, and the lower half
 # into their negations. 256 zones prune too little and 4096 spend more
@@ -310,25 +306,6 @@ def build_half_spaces(pairs: PixelPairSet, channel: int, *,
     return diffs
 
 
-def _count_true(mask: np.ndarray) -> np.ndarray:
-    """True entries along the last axis of a C-contiguous bool array
-    whose last axis is a multiple of 8 long, as every padded constraint
-    stack is.
-
-    Its bytes are read as uint64 words and summed _LANE_WORDS words at a
-    time, so each of the 8 byte lanes of a sum counts at most 255
-    entries and none carries into the next; the lanes are then added.
-    This is several times faster than ``np.count_nonzero(mask, axis=-1)``.
-    """
-    words = mask.view(np.uint64)
-    total = np.zeros(words.shape[:-1], dtype=np.int64)
-    for start in range(0, words.shape[-1], _LANE_WORDS):
-        lanes = words[..., start:start + _LANE_WORDS].sum(
-            axis=-1, keepdims=True, dtype=np.uint64)
-        total += lanes.view(np.uint8).sum(axis=-1, dtype=np.int64)
-    return total
-
-
 def _count_above(rows: np.ndarray, cols: np.ndarray, threshold: float) -> np.ndarray:
     """How many products of each float32 row (n, 3) with the float32
     columns ``cols`` (3, p) exceed ``threshold``.
@@ -337,7 +314,9 @@ def _count_above(rows: np.ndarray, cols: np.ndarray, threshold: float) -> np.nda
     _BOUND_ENTRIES values, and never fewer than two rows: numpy forms a
     one-row product with gemv, which may round differently from a matrix
     product, as a one-column product does, so a repeated row keeps every
-    product a matrix product.
+    product a matrix product. Each block's signs are summed as bytes
+    into uint16, which cannot wrap: a trial has at most C(MAX_COLORS, 2)
+    = 1225 constraints.
     """
     n = rows.shape[0]
     block = max(2, _BOUND_ENTRIES // cols.shape[1])
@@ -345,7 +324,8 @@ def _count_above(rows: np.ndarray, cols: np.ndarray, threshold: float) -> np.nda
         rows = np.concatenate([rows, rows[-1:]])
     counts = np.empty(rows.shape[0], dtype=np.int64)
     for start in range(0, n, block):
-        counts[start:start + block] = _count_true(rows[start:start + block] @ cols > threshold)
+        above = rows[start:start + block] @ cols > threshold
+        counts[start:start + block] = above.view(np.uint8).sum(axis=1, dtype=np.uint16)
     return counts[:n]
 
 
@@ -355,23 +335,22 @@ def _bound_centres(centres: np.ndarray, radius: np.ndarray) -> np.ndarray:
     return (centres / -np.sin(radius + _CAP_MARGIN)[:, None]).astype(np.float32)
 
 
-def _upper_bounds(scaled: np.ndarray, unit: np.ndarray, size: int) -> np.ndarray:
+def _upper_bounds(scaled: np.ndarray, unit: np.ndarray) -> np.ndarray:
     """Most constraints any point within a radius of each centre satisfies.
 
-    ``unit`` holds one trial's unit constraints as float32 (3, p), padded
-    with zeros, and ``size`` their count; ``scaled`` holds the centres as
-    ``_bound_centres`` gives them. Returns (k,) bounds. With g = c . d and
-    s = sin(radius + margin), every point near c fails the constraints
-    with g < -s; each centre is divided by -s, so the test reads a
-    product above 1, and a zero constraint never fails. The products are
-    float32, whose error the margin covers.
+    ``unit`` holds one trial's m unit constraints as float32 (3, m), and
+    ``scaled`` the centres as ``_bound_centres`` gives them. Returns (k,)
+    bounds. With g = c . d and s = sin(radius + margin), every point near
+    c fails the constraints with g < -s; each centre is divided by -s, so
+    the test reads a product above 1, and a zero constraint never fails.
+    The products are float32, whose error the margin covers.
     """
-    return size - _count_above(scaled, unit, 1.0)
+    return unit.shape[1] - _count_above(scaled, unit, 1.0)
 
 
 def _scores(sphere: SphereSample, indices: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """Constraint counts of the sphere points ``indices`` against one
-    trial's float32 differences ``dt`` (3, p): a point's count is how
+    trial's float32 differences ``dt`` (3, m): a point's count is how
     many of its float32 products are positive."""
     return _count_above(sphere.points[indices].astype(np.float32), dt, 0.0)
 
@@ -379,58 +358,52 @@ def _scores(sphere: SphereSample, indices: np.ndarray, dt: np.ndarray) -> np.nda
 def _search_trials(sphere: SphereSample,
                    diffs: list[np.ndarray]) -> list[tuple[int, np.ndarray]]:
     """Most constraints any sphere point satisfies, and the points that
-    do, for each of a stack of trials' differences (m, 3).
+    do, for each of a list of trials' differences (m, 3).
 
     The indices come in ascending order and equal those of scoring every
     point. The trials are searched one after the other, each floored on
-    the points the trial before it tied on. Differences are padded by
-    zero rows to a common multiple of 8.
+    the points the trial before it tied on.
     """
-    sizes = [d.shape[0] for d in diffs]
-    width = -(-max(sizes) // 8) * 8
-    padded = np.zeros((len(diffs), 3, width))
-    for row, d in enumerate(diffs):
-        padded[row, :, :d.shape[0]] = d.T
-    norm = np.sqrt(padded[:, 0] ** 2 + padded[:, 1] ** 2 + padded[:, 2] ** 2)[:, None]
-    unit = (padded / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
-    dt = padded.astype(np.float32)
     caps = sphere.caps
     groups = _bound_centres(caps.group_centres, caps.group_radius)
     centres = _bound_centres(caps.centres, caps.radius)
     found = []
-    for size, trial_unit, trial_dt in zip(sizes, unit, dt):
-        found.append(_search_trial(sphere, groups, centres, trial_unit, trial_dt, size,
+    for d in diffs:
+        dt = d.T.copy()
+        # the squares of a tiny difference may underflow: its unit column stays zero
+        norm = np.sqrt(dt[0] ** 2 + dt[1] ** 2 + dt[2] ** 2)
+        unit = (dt / np.where(norm > 0.0, norm, 1.0)).astype(np.float32)
+        found.append(_search_trial(sphere, groups, centres, unit, dt.astype(np.float32),
                                    found[-1][1] if found else None))
     return found
 
 
 def _search_trial(sphere: SphereSample, groups: np.ndarray, centres: np.ndarray,
-                  unit: np.ndarray, dt: np.ndarray, size: int,
+                  unit: np.ndarray, dt: np.ndarray,
                   floor_points: np.ndarray | None) -> tuple[int, np.ndarray]:
     """Branch-and-bound over the cap index for one trial.
 
     ``groups`` and ``centres`` are the ``_bound_centres`` of the index's
-    groups and caps. ``unit`` and ``dt`` (3, p) hold the trial's unit and
-    raw differences as float32, padded with zeros: a zero product is not
-    positive, and zero columns leave the other products as the dense
-    blocks form them. The floor is the best score of the sphere indices
-    ``floor_points``, or, when there are none, of the points of the
-    best-bounded cap of the best-bounded group. The caps of every group
-    whose bound reaches it are bounded, and the points of each cap whose
-    bound reaches it are scored. The floor is a score that some point
-    reaches, so every tied point is among them.
+    groups and caps. ``unit`` and ``dt`` (3, m) hold the trial's unit and
+    raw differences as float32; a zero difference scores for no point
+    and fails within no cap. The floor is the best score of the sphere
+    indices ``floor_points``, or, when there are none, of the points of
+    the best-bounded cap of the best-bounded group. The caps of every
+    group whose bound reaches it are bounded, and the points of each cap
+    whose bound reaches it are scored. The floor is a score that some
+    point reaches, so every tied point is among them.
     """
     caps = sphere.caps
-    group_bounds = _upper_bounds(groups, unit, size)
+    group_bounds = _upper_bounds(groups, unit)
     if floor_points is None:
         top = int(np.argmax(group_bounds))
         near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
-        cap = near[np.argmax(_upper_bounds(centres[near], unit, size))]
+        cap = near[np.argmax(_upper_bounds(centres[near], unit))]
         floor_points = caps.order[caps.offsets[cap]:caps.offsets[cap + 1]]
     floor = _scores(sphere, floor_points, dt).max()
 
     near = np.flatnonzero(np.repeat(group_bounds >= floor, np.diff(caps.group_offsets)))
-    rows = _members(caps, near[_upper_bounds(centres[near], unit, size) >= floor])
+    rows = _members(caps, near[_upper_bounds(centres[near], unit) >= floor])
     scores = _scores(sphere, rows, dt)
     best = int(scores.max())
     return best, np.sort(rows[scores == best])
@@ -449,15 +422,35 @@ def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.nd
     The stack runs on Python floats, which round exactly as float64 array
     elements do and cost far less to index one at a time. Values must be
     finite and weights finite and > 0, or ValueError names the argument.
+    When a pooled sum overflows, the fit is taken again with the values
+    and weights scaled down by powers of two, just far enough that no sum
+    of all of them can overflow, and scaled back. That is exact but for
+    entries so far below the largest that the scaling takes them out of
+    float64's normal range.
     """
     y = _as_float_array(values, (None,), "values")
     w = np.ones_like(y) if weights is None else _as_float_array(weights, y.shape, "weights")
     if w.size and w.min() <= 0.0:
         raise ValueError(f"weights must be > 0, got {float(w.min())}")
+    fit = _pool_adjacent_violators(y.tolist(), w.tolist())
+    if not np.all(np.isfinite(fit)):
+        # |y| < 2**y_bits, w < 2**w_bits and n < 2**spare, so after the
+        # shifts the weights, and the weighted values, each sum below 2**1023
+        spare = y.size.bit_length()
+        w_bits, y_bits = np.frexp(w.max())[1], np.frexp(np.abs(y).max())[1]
+        w_shift = max(0, w_bits + spare - 1023)
+        y_shift = max(0, w_bits - w_shift + y_bits + spare - 1023)
+        fit = np.ldexp(_pool_adjacent_violators(np.ldexp(y, -y_shift).tolist(),
+                                                np.ldexp(w, -w_shift).tolist()), y_shift)
+    return fit
+
+
+def _pool_adjacent_violators(y: list[float], w: list[float]) -> np.ndarray:
+    """``isotonic_fit`` of the checked values ``y`` and weights ``w``."""
     level: list[float] = []
     weight: list[float] = []
     length: list[int] = []
-    for y_new, w_new in zip(y.tolist(), w.tolist()):
+    for y_new, w_new in zip(y, w):
         count = 1
         while level and level[-1] >= y_new:
             w_old = weight.pop()

@@ -17,7 +17,7 @@ from .errors import ModelParseError
 from .gamut import AffineGamutMap, solve_affine_gamut
 from .model import (ColorMatrix, PixelPairSet, _as_rows, _check_finite, _check_integer,
                     _check_rows, _check_type)
-from .modelfile import _fmt, _Reader
+from .modelfile import _emit, _fmt, _matrix_keys, _Reader
 from .pipeline import _map_in_blocks
 
 TONE_FAMILIES = ("gamma", "srgb", "filmic")
@@ -290,25 +290,26 @@ def make_corpus(camera: SyntheticCamera, n_patches: int,
     )
 
 
+def _gamut_keys() -> tuple[list[str], list[str]]:
+    """Keys of a sidecar's gamut map: ``gamut.t.rI.cJ`` and ``gamut.o.I``."""
+    return _matrix_keys("gamut.t"), [f"gamut.o.{i}" for i in range(1, 4)]
+
+
 def serialize_camera(camera: SyntheticCamera) -> str:
     """Sidecar ground-truth document in the keyed text style."""
     _check_type(camera, SyntheticCamera, "camera")
     lines = ["camera.version = 1"]
     lines.append(f"camera.id = {camera.camera_id}")
     lines.append(f"camera.seed = {camera.seed}")
-    for i in range(3):
-        for j in range(3):
-            lines.append(f"matrix.r{i + 1}.c{j + 1} = {_fmt(camera.matrix.rows[i, j])}")
+    _emit(lines, _matrix_keys("matrix"), camera.matrix.rows)
     lines.append(f"tone.family = {camera.tone.family}")
     lines.append(f"tone.gamma = {_fmt(camera.tone.gamma)}")
     lines.append(f"gamut.mode = "
                  f"{'none' if camera.gamut is None else ('warped' if camera.warp_scale > 0 else 'affine')}")
     if camera.gamut is not None:
-        for i in range(3):
-            for j in range(3):
-                lines.append(f"gamut.t.r{i + 1}.c{j + 1} = {_fmt(camera.gamut.t[i, j])}")
-        for i in range(3):
-            lines.append(f"gamut.o.{i + 1} = {_fmt(camera.gamut.o[i])}")
+        t_keys, o_keys = _gamut_keys()
+        _emit(lines, t_keys, camera.gamut.t)
+        _emit(lines, o_keys, camera.gamut.o)
     lines.append(f"warp.scale = {_fmt(camera.warp_scale)}")
     lines.append(f"noise.sigma = {_fmt(camera.noise_sigma)}")
     lines.append(f"quantize = {1 if camera.quantize else 0}")
@@ -324,10 +325,7 @@ def deserialize_camera(text: str) -> SyntheticCamera:
         raise ModelParseError(f"unknown camera version {version!r}")
     camera_id = reader.take("camera.id")
     seed = reader.take_int("camera.seed")
-    rows = np.array([
-        [reader.take_float(f"matrix.r{i + 1}.c{j + 1}") for j in range(3)]
-        for i in range(3)
-    ])
+    rows = reader.take_floats(_matrix_keys("matrix")).reshape(3, 3)
     family = reader.take("tone.family")
     gamma = reader.take_float("tone.gamma")
     mode = reader.take("gamut.mode")
@@ -335,12 +333,9 @@ def deserialize_camera(text: str) -> SyntheticCamera:
         raise ModelParseError(f"unknown gamut.mode {mode!r}")
     gamut = None
     if mode != "none":
-        t = np.array([
-            [reader.take_float(f"gamut.t.r{i + 1}.c{j + 1}") for j in range(3)]
-            for i in range(3)
-        ])
-        o = np.array([reader.take_float(f"gamut.o.{i + 1}") for i in range(3)])
-        gamut = AffineGamutMap(t, o)
+        t_keys, o_keys = _gamut_keys()
+        gamut = AffineGamutMap(reader.take_floats(t_keys).reshape(3, 3),
+                               reader.take_floats(o_keys))
     warp_scale = reader.take_float("warp.scale")
     noise_sigma = reader.take_float("noise.sigma")
     quantize = reader.take("quantize") == "1"

@@ -68,7 +68,8 @@ def fit_monotone(x, y) -> ToneCurve:
 
     The curve is non-decreasing on all of [0, 1]. Raises InsufficientData
     with fewer than TONE_DEGREE + 1 samples and DegenerateSpan when the x
-    values cover less than 0.2 of [0, 1].
+    values cover less than 0.2 of [0, 1]; ValueError names y when it is
+    so large that the fit's sums overflow.
     """
     # views, not copies: a copy of a strided y would change the order of
     # the sums in v.T @ y, and so the last digits of the coefficients
@@ -92,7 +93,11 @@ def fit_monotone(x, y) -> ToneCurve:
 
     v = _power_basis(x, TONE_DEGREE)
     q = 2.0 * (v.T @ v + TONE_SMOOTHNESS * curvature_matrix(TONE_DEGREE))
-    c = -2.0 * (v.T @ y)
+    with np.errstate(over="ignore"):
+        c = -2.0 * (v.T @ y)
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"y is too large to fit: the sums of its products with powers "
+                         f"of x overflow (largest |y| is {np.abs(y).max():.3g})")
     rises = _rise_rows(TONE_DEGREE)
     prob = QuadProgram(q=q, c=c, a=-rises, b=np.zeros(rises.shape[0]))
     coef = solve_qp(prob, _QP_TOL).x

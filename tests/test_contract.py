@@ -43,7 +43,7 @@ from rankcal import (
 )
 from rankcal import errors
 from rankcal.dataset import loads_corpus, parse_subset_spec
-from rankcal.gamut import AffineGamutMap, apply_lattice
+from rankcal.gamut import AffineGamutMap, apply_lattice, solve_affine_gamut
 from rankcal.model import ColorMatrix, Lattice3, ModelMetadata, ToneCurve
 from rankcal.pipeline import estimate_matrix
 from rankcal.qp import QuadProgram, solve_qp
@@ -506,6 +506,12 @@ STAGE_ARRAY_CASES = {
     "fit_monotone-complex_y": (lambda: fit_monotone(np.linspace(0, 1, 20),
                                                     np.linspace(0, 1, 20) + 0j),
                                "y must be an array of real numbers, got dtype complex128"),
+    "fit_monotone-overflowing_y": (lambda: fit_monotone(np.linspace(0, 1, 20),
+                                                        np.full(20, 1e307)),
+                                   "y is too large to fit"),
+    "solve_affine_gamut-overflowing_points": (
+        lambda: solve_affine_gamut(np.random.default_rng(0).uniform(0, 1, (10, 3)) * 1e300),
+        "points are too large to fit"),
     "AffineGamutMap.apply-complex": (lambda: AffineGamutMap(np.eye(3), np.zeros(3)).apply(
         ROWS + 0j), "v must be an array of real numbers, got dtype complex128"),
     "apply_lattice-ragged": (lambda: apply_lattice(Lattice3.identity(2),

@@ -1,6 +1,7 @@
 """Tests for sphere sampling, half-space scoring, and row estimation."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,7 @@ from rankcal.ranking import (
     monotonicity_score,
     rescale_achromatic,
     sample_sphere,
-    _count_true,
+    _count_above,
     _median_direction,
     _monotone_bound,
     _pair_indices,
@@ -420,7 +421,7 @@ class TestTiedPoints:
            bound_entries=st.sampled_from([2 ** 19, 4096, 1]))
     def test_stack_matches_dense_scan(self, search_spheres, sphere100k, diffs, n,
                                       bound_entries):
-        # trials of mixed sizes padded to one width, m = 1 among them;
+        # trials of mixed sizes, m = 1 among them, each on its own arrays;
         # small product budgets split the caps into pieces of one centre
         # and the scored points into blocks of two. A set and its negation
         # in turn floor each trial on the points that score lowest under it
@@ -510,9 +511,9 @@ class TestTiedPoints:
         floors = []
         search_trial = ranking._search_trial
 
-        def spy(sample, groups, centres, unit, dt, size, floor_points):
+        def spy(sample, groups, centres, unit, dt, floor_points):
             floors.append(floor_points)
-            return search_trial(sample, groups, centres, unit, dt, size, floor_points)
+            return search_trial(sample, groups, centres, unit, dt, floor_points)
 
         monkeypatch.setattr(ranking, "_search_trial", spy)
         rng = np.random.default_rng(3)
@@ -523,19 +524,28 @@ class TestTiedPoints:
             assert np.array_equal(floors[k], found[k - 1][1])
 
     def test_every_product_keeps_to_the_budget(self, sphere100k, monkeypatch):
-        # every bound and score product's sign mask passes through
-        # _count_true; none may hold more than _BOUND_ENTRIES values
-        sizes = []
-        count_true = ranking._count_true
+        # every bound and score product is formed in _count_above, with the
+        # constraints on its right; none may hold more than _BOUND_ENTRIES
+        # values, but for a product of the two-row minimum
+        shapes = []
 
-        def spy(mask):
-            sizes.append(mask.size)
-            return count_true(mask)
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                out = getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+                if ufunc is np.matmul:
+                    shapes.append(out.shape)
+                return out
 
-        monkeypatch.setattr(ranking, "_count_true", spy)
+        count_above = ranking._count_above
+
+        def spy(rows, cols, threshold):
+            return count_above(rows, cols.view(Recorded), threshold)
+
+        monkeypatch.setattr(ranking, "_count_above", spy)
         rng = np.random.default_rng(11)
         _search_trials(sphere100k, [rng.normal(size=(300, 3)) for _ in range(6)])
-        assert sizes and max(sizes) <= ranking._BOUND_ENTRIES
+        assert shapes
+        assert all(rows * cols <= ranking._BOUND_ENTRIES or rows == 2 for rows, cols in shapes)
 
     def test_index_built_once_per_sample(self):
         sphere = sample_sphere(2000)
@@ -565,36 +575,54 @@ class TestCapBounds:
         d[near] = _unit_rows(np.cross(anchor, d[near])) + tilt * anchor
         d[rng.random(m) < zero_share] = 0.0
         d *= 10.0 ** scale
-        unit = np.zeros((3, -(-m // 8) * 8), dtype=np.float32)
         norm = np.linalg.norm(d, axis=1)
-        unit[:, :m] = (d / np.where(norm > 0.0, norm, 1.0)[:, None]).T
+        unit = np.ascontiguousarray((d / np.where(norm > 0.0, norm, 1.0)[:, None]).T,
+                                    dtype=np.float32)
         caps = sphere.caps
         cap_best = np.maximum.reduceat(score_all(sphere, d)[caps.order], caps.offsets[:-1])
         group_best = np.maximum.reduceat(cap_best, caps.group_offsets[:-1])
         for centres, radius, best in ((caps.centres, caps.radius, cap_best),
                                       (caps.group_centres, caps.group_radius, group_best)):
-            bounds = ranking._upper_bounds(ranking._bound_centres(centres, radius), unit, m)
+            bounds = ranking._upper_bounds(ranking._bound_centres(centres, radius), unit)
             assert bounds.shape == best.shape
             assert np.all(bounds >= best)
 
 
-class TestCountTrue:
-    def test_matches_count_nonzero_at_every_lane_length(self):
-        # up to 2040 entries the byte lanes of one word sum hold at most
-        # 255 each; all-True rows fill them
-        rng = np.random.default_rng(5)
-        for length in range(8, 2041, 8):
-            mask = np.vstack([rng.random((3, length)) < p for p in (0.02, 0.5, 0.98)]
-                             + [np.ones((1, length), dtype=bool),
-                                np.zeros((1, length), dtype=bool)])
-            assert np.array_equal(_count_true(mask), np.count_nonzero(mask, axis=1))
+class TestCountAbove:
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 1232).filter(lambda w: w % 8),
+           block=st.integers(1, 40), blocks=st.integers(0, 4),
+           rest=st.one_of(st.just(1), st.integers(0, 39)),
+           threshold=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_count_nonzero(self, width, block, blocks, rest, threshold, seed):
+        # the budget is set to give blocks of the drawn size, or of the
+        # two-row minimum at size 1; n = 1 takes the gemv guard, and
+        # n % block == 1 the repeated row. Zero and unit columns form
+        # products of exactly 0 and 1, which count for neither threshold
+        n = max(1, blocks * block + rest % max(block, 2))
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, 3)).astype(np.float32)
+        rows[rng.random(n) < 0.3, 0] = 1.0
+        cols = rng.normal(size=(3, width)).astype(np.float32)
+        cols[:, rng.random(width) < 0.1] = 0.0
+        cols[:, rng.random(width) < 0.1] = [[1.0], [0.0], [0.0]]
+        # the oracle forms one matrix product, of two rows when n = 1
+        want = np.count_nonzero(np.vstack([rows, rows])[:max(n, 2)] @ cols > threshold,
+                                axis=1)[:n]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ranking, "_BOUND_ENTRIES", block * width)
+            got = _count_above(rows, cols, threshold)
+        assert got.shape == (n,)
+        assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("length", [2048, 4080, 4088, 6000])
-    def test_longer_rows_are_summed_in_pieces(self, length):
-        rng = np.random.default_rng(length)
-        mask = np.vstack([rng.random((2, 3, length)) < 0.7,
-                          np.ones((1, 3, length), dtype=bool)])
-        assert np.array_equal(_count_true(mask), np.count_nonzero(mask, axis=2))
+    def test_counts_of_a_full_trial_do_not_wrap(self):
+        # each block is summed in uint16, exact up to 65535 entries a row;
+        # a trial has at most C(MAX_COLORS, 2) constraints
+        width = math.comb(ranking.MAX_COLORS, 2)
+        assert width < 2 ** 16
+        rows = np.ones((5, 3), dtype=np.float32)
+        cols = np.ones((3, width), dtype=np.float32)
+        assert np.array_equal(_count_above(rows, cols, 0.0), np.full(5, width))
 
 
 class TestPruning:
@@ -758,6 +786,18 @@ class TestIsotonic:
         want = isotonic_fit_reference(y, w)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("values, weights, want", [
+        ([1e308, 1e308], None, [1e308, 1e308]),  # the pooled value sum overflows
+        ([2.0, 1.0], [1e308, 1e308], [1.5, 1.5]),  # and the pooled weight
+        ([1e-300, 1e308, 1e308], None, [1e-300, 1e308, 1e308]),
+        ([-1.5e308, 1.5e308, -1.5e308, 2.0, 1.0], [1.0, 1.0, 1.0, 1e308, 1e308],
+         [-1.5e308, 0.0, 0.0, 1.5, 1.5]),
+    ])
+    def test_pooled_sums_that_overflow_are_scaled(self, values, weights, want):
+        # powers of two scale exactly, and only as far as the sums need:
+        # a value far below the others keeps its bits
+        assert isotonic_fit(values, weights).tolist() == want
 
     def test_weight_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="weights"):
