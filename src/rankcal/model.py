@@ -234,7 +234,7 @@ class PixelPairSet:
         return self.subset(np.flatnonzero(~self.saturated))
 
     @functools.cached_property
-    def _rank_pool(self) -> tuple[int, np.ndarray, np.ndarray]:
+    def _rank_pool(self) -> tuple[np.ndarray, np.ndarray]:
         """Rank evidence of the set, built on first use; see
         ``ranking._constraint_pool``."""
         from .ranking import _constraint_pool  # ranking imports this module
@@ -393,6 +393,11 @@ class ModelMetadata:
         for text in (self.camera, *(t for pair in pairs for t in pair)):
             if "\r" in text or "\n" in text:
                 raise ValueError(f"model metadata {text!r} holds a line break")
+        # the reader splits a line at its first " = " and strips the key
+        for key, _ in pairs:
+            if " = " in key + " " or key != key.rstrip():
+                raise ValueError(f"settings key {key!r} holds ' = ', or ends in ' =' or "
+                                 f"white space: a model file cannot read it back")
 
     @classmethod
     def from_dict(cls, camera: str, samples: int, settings: dict) -> "ModelMetadata":

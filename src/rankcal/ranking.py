@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CalibrationError, DegenerateChannel, InsufficientData
 from .model import (SATURATION_FRACTION, ColorMatrix, PixelPairSet, _as_float_array,
-                    _as_rows, _check_channel, _check_integer, _check_rows, _check_type)
+                    _check_channel, _check_integer, _check_type)
 
 DEFAULT_SPHERE_COUNT = 100_000
 DEFAULT_TRIALS = 25
@@ -225,13 +225,13 @@ def _build_caps(scored: np.ndarray) -> CapIndex:
                     group_radius=np.tile(group_radius, 2))
 
 
-def _constraint_pool(pairs: PixelPairSet) -> tuple[int, np.ndarray, np.ndarray]:
+def _constraint_pool(pairs: PixelPairSet) -> tuple[np.ndarray, np.ndarray]:
     """Rank evidence of a pair set, which no trial changes.
 
     Rows are eligible when unflagged and no rendered component is at or
-    above SATURATION_FRACTION, too near the clip to rank. Returns how many
-    are, and the raw and rendered rows of the first eligible occurrence of
-    each distinct raw row, in order. A set keeps its pool as
+    above SATURATION_FRACTION, too near the clip to rank. Returns the raw
+    and rendered rows of the first eligible occurrence of each distinct
+    raw row, in order. A set keeps its pool as
     ``PixelPairSet._rank_pool``, so a calibration builds it once.
     """
     ok = ~pairs.saturated & (pairs.rendered < SATURATION_FRACTION).all(axis=1)
@@ -241,7 +241,7 @@ def _constraint_pool(pairs: PixelPairSet) -> tuple[int, np.ndarray, np.ndarray]:
     rendered = pairs.rendered[ok][first]
     for a in (raws, rendered):
         a.setflags(write=False)
-    return raw.shape[0], raws, rendered
+    return raws, rendered
 
 
 def _first_of_each_row(rows: np.ndarray) -> np.ndarray:
@@ -280,10 +280,10 @@ def build_half_spaces(pairs: PixelPairSet, channel: int, *,
     _check_type(pairs, PixelPairSet, "pairs")
     _check_channel(channel)
     _check_integer(rng_seed, "rng_seed", 0)
-    eligible, raws, rendered = pairs._rank_pool
-    if eligible < 2:
+    raws, rendered = pairs._rank_pool
+    if raws.shape[0] < 2:
         raise InsufficientData(
-            f"need at least 2 unsaturated entries, have {eligible}"
+            f"need at least 2 distinct unsaturated raw colours, have {raws.shape[0]}"
         )
     rend = rendered[:, channel - 1]
     if raws.shape[0] > MAX_COLORS:
@@ -416,37 +416,14 @@ def _members(caps: CapIndex, which: np.ndarray) -> np.ndarray:
     return caps.order[np.repeat(shift, sizes) + np.arange(sizes.sum())]
 
 
-def isotonic_fit(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Best non-decreasing L2 fit by pool-adjacent-violators.
+def _pool_adjacent_violators(y: list[float], w: list[float]) -> np.ndarray:
+    """Best non-decreasing L2 fit of ``y`` with weights ``w``, by
+    pool-adjacent-violators.
 
     The stack runs on Python floats, which round exactly as float64 array
-    elements do and cost far less to index one at a time. Values must be
-    finite and weights finite and > 0, or ValueError names the argument.
-    When a pooled sum overflows, the fit is taken again with the values
-    and weights scaled down by powers of two, just far enough that no sum
-    of all of them can overflow, and scaled back. That is exact but for
-    entries so far below the largest that the scaling takes them out of
-    float64's normal range.
+    elements do and cost far less to index one at a time. The values must
+    be finite and the weights > 0, and no pooled sum may overflow.
     """
-    y = _as_float_array(values, (None,), "values")
-    w = np.ones_like(y) if weights is None else _as_float_array(weights, y.shape, "weights")
-    if w.size and w.min() <= 0.0:
-        raise ValueError(f"weights must be > 0, got {float(w.min())}")
-    fit = _pool_adjacent_violators(y.tolist(), w.tolist())
-    if not np.all(np.isfinite(fit)):
-        # |y| < 2**y_bits, w < 2**w_bits and n < 2**spare, so after the
-        # shifts the weights, and the weighted values, each sum below 2**1023
-        spare = y.size.bit_length()
-        w_bits, y_bits = np.frexp(w.max())[1], np.frexp(np.abs(y).max())[1]
-        w_shift = max(0, w_bits + spare - 1023)
-        y_shift = max(0, w_bits - w_shift + y_bits + spare - 1023)
-        fit = np.ldexp(_pool_adjacent_violators(np.ldexp(y, -y_shift).tolist(),
-                                                np.ldexp(w, -w_shift).tolist()), y_shift)
-    return fit
-
-
-def _pool_adjacent_violators(y: list[float], w: list[float]) -> np.ndarray:
-    """``isotonic_fit`` of the checked values ``y`` and weights ``w``."""
     level: list[float] = []
     weight: list[float] = []
     length: list[int] = []
@@ -464,28 +441,21 @@ def _pool_adjacent_violators(y: list[float], w: list[float]) -> np.ndarray:
     return np.repeat(np.array(level, dtype=float), np.array(length, dtype=np.int64))
 
 
-def monotonicity_score(pairs: PixelPairSet, m: np.ndarray,
-                       channel: int) -> float | np.ndarray:
+def monotonicity_score(pairs: PixelPairSet, m: np.ndarray, channel: int) -> float:
     """RMS residual of the best monotone fit of rendered on corrected raw.
 
-    ``m`` is one candidate row (3,), which gives a float, or a stack of
-    k rows (k, 3), which gives their k residuals; each row of a stack is
-    scored on its own, so a row scores the same bits either way. Pairs
-    with identical projections are pooled first (a monotone function must
-    map them to one value), so the residual includes their spread. ``m``
-    takes the rows rule of ``map_forward``: a row that is not finite
-    raises ValueError naming it.
+    ``m`` is one candidate row (3,); any other shape, or a value that is
+    not finite, raises ValueError naming it. Pairs with identical
+    projections are pooled first (a monotone function must map them to
+    one value), so the residual includes their spread.
     """
     _check_type(pairs, PixelPairSet, "pairs")
     _check_channel(channel)
-    stack = _as_rows(m, "m")
-    _check_rows(stack, "m", finite=True)
+    row = _as_float_array(m, (3,), "m")
     pool = pairs.unsaturated()
     if len(pool) == 0:
         raise InsufficientData("no unsaturated pairs to score")
-    y = pool.rendered[:, channel - 1]
-    residuals = np.array([_monotone_residual(pool.raw @ row, y) for row in stack])
-    return float(residuals[0]) if np.ndim(m) == 1 else residuals
+    return _monotone_residual(pool.raw @ row, pool.rendered[:, channel - 1])
 
 
 def _monotone_residual(x: np.ndarray, y: np.ndarray) -> float:
@@ -495,8 +465,10 @@ def _monotone_residual(x: np.ndarray, y: np.ndarray) -> float:
     block into its left neighbour when that one's mean is not lower. The
     order in which violators are pooled does not change the fit (Barlow
     et al., 1972). When a round would merge fewer than 1/8 of the blocks,
-    as when one outlier cascades through the rest, the fit is finished on
-    the ``isotonic_fit`` stack, which bounds the rounds. When no two
+    as when one outlier cascades through the rest, the fit is finished by
+    ``_pool_adjacent_violators`` one block at a time, which bounds the
+    rounds; the block means lie within the range of ``y`` and the weights
+    are counts of at most n, so no pooled sum can overflow. When no two
     projections are equal, the usual case, the tie re-order and pooling
     are skipped: each pair starts as its own block.
     """
@@ -531,7 +503,7 @@ def _monotone_residual(x: np.ndarray, y: np.ndarray) -> float:
         sums = np.add.reduceat(sums, heads)
         counts = np.add.reduceat(counts, heads)
     if merges:
-        means = isotonic_fit(means, counts)
+        means = _pool_adjacent_violators(means.tolist(), counts.astype(float).tolist())
     return float(np.sqrt(np.mean((ys - np.repeat(means, counts)) ** 2)))
 
 

@@ -143,8 +143,8 @@ def isotonic_fit_reference(values, weights=None) -> np.ndarray:
 
 
 def monotonicity_score_reference(pairs, m, channel: int) -> float:
-    """Residual of one candidate row, pooled on the ``isotonic_fit`` stack
-    alone: the stacked scorer's oracle."""
+    """Residual of one candidate row, pooled by ``isotonic_fit_reference``
+    alone: the oracle of ``monotonicity_score``."""
     m = np.asarray(m, dtype=float).reshape(3)
     pool = pairs.unsaturated()
     x = pool.raw @ m
@@ -158,7 +158,7 @@ def monotonicity_score_reference(pairs, m, channel: int) -> float:
     ends = np.concatenate([boundary, [xs.size]])
     counts = (ends - starts).astype(float)
     means = np.add.reduceat(ys, starts) / counts
-    fit = np.repeat(ranking.isotonic_fit(means, counts), ends - starts)
+    fit = np.repeat(isotonic_fit_reference(means, counts), ends - starts)
     return float(np.sqrt(np.mean((ys - fit) ** 2)))
 
 

@@ -294,3 +294,12 @@ def test_metadata_normalizes_settings():
 def test_metadata_refuses_line_breaks(camera, settings, bad):
     with pytest.raises(ValueError, match=re.escape(f"model metadata {bad!r} holds a line break")):
         ModelMetadata.from_dict(camera, 140, settings)
+
+
+@pytest.mark.parametrize("key", ["a = b", "a =", "x ", "x\t", " = ", "k\u2028"],
+                         ids=["holds_equals", "ends_in_equals", "ends_in_space", "ends_in_tab",
+                              "is_equals", "ends_in_line_separator"])
+def test_metadata_refuses_keys_a_model_file_cannot_read_back(key):
+    # a model file line is split at its first " = " and its key stripped
+    with pytest.raises(ValueError, match=re.escape(f"settings key {key!r} holds ' = '")):
+        ModelMetadata(camera="cam", samples=1, settings=((key, "v"),))

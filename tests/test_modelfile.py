@@ -1,5 +1,6 @@
 """Round-trip and rejection tests for the model text format."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,28 @@ def test_identity_model_roundtrip():
     for a, b in zip(back.forward_tones, model.forward_tones):
         assert np.array_equal(a.coefficients, b.coefficients)
     assert back.metadata == model.metadata
+
+
+# Text without line breaks, rich in the characters a model file line is
+# split and stripped at.
+METADATA_TEXT = st.text(st.one_of(st.sampled_from(" =a.\t\u00a0\u2028\x1c"),
+                                  st.characters(blacklist_characters="\r\n")),
+                        max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(camera=METADATA_TEXT, settings_=st.lists(st.tuples(METADATA_TEXT, METADATA_TEXT),
+                                                 max_size=4))
+@example(camera=" = x ", settings_=[("a=", " = v "), ("", ""), (" =a", "=")])
+def test_metadata_is_refused_or_round_trips(camera, settings_):
+    try:
+        metadata = ModelMetadata(camera=camera, samples=140, settings=tuple(settings_))
+    except ValueError:
+        return
+    text = serialize_model(dataclasses.replace(PipelineModel.identity(), metadata=metadata))
+    back = deserialize_model(text)
+    assert back.metadata == metadata
+    assert serialize_model(back) == text
 
 
 # A calibrated model written while the tone fit still had a

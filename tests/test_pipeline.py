@@ -106,6 +106,15 @@ class TestCalibrate:
         with pytest.raises(DegenerateChannel, match="matrix"):
             calibrate(pairs, fast_config())
 
+    def test_one_raw_colour_fails_naming_the_distinct_colours(self):
+        # the rendered values differ, but a single raw colour gives no
+        # pair to rank
+        rendered = np.random.default_rng(4).uniform(0.1, 0.9, size=(40, 3))
+        pairs = PixelPairSet.from_arrays(np.full((40, 3), 0.4), rendered)
+        with pytest.raises(InsufficientData, match="stage 'matrix': need at least 2 distinct "
+                                                   "unsaturated raw colours, have 1"):
+            calibrate(pairs, fast_config())
+
     def test_deterministic_serialized_models(self):
         camera = make_camera(seed=5, delta=0.25, tone=ToneSpec("gamma", 1 / 2.2),
                              gamut_mode="affine")

@@ -31,7 +31,6 @@ from rankcal.ranking import (
     SphereSample,
     build_half_spaces,
     estimate_row,
-    isotonic_fit,
     monotonicity_score,
     rescale_achromatic,
     sample_sphere,
@@ -39,6 +38,7 @@ from rankcal.ranking import (
     _median_direction,
     _monotone_bound,
     _pair_indices,
+    _pool_adjacent_violators,
     _search_trials,
     _unit_rows,
 )
@@ -174,7 +174,8 @@ class TestBuildHalfSpaces:
         # the second set's second row is too near the clip to rank
         raw = [[0.5, 0.5, 0.5], [0.2, 0.3, 0.4]][:len(rendered)]
         pairs = PixelPairSet.from_arrays(raw, rendered)
-        with pytest.raises(InsufficientData, match="need at least 2 unsaturated entries, have 1"):
+        with pytest.raises(InsufficientData,
+                           match="need at least 2 distinct unsaturated raw colours, have 1"):
             build_half_spaces(pairs, 1)
 
     def test_three_colours_ordered(self):
@@ -264,14 +265,13 @@ class TestBuildHalfSpaces:
         flagged = PixelPairSet.from_arrays(
             clipped(np.vstack([pairs.raw, pairs.raw]), rng.uniform(size=400) < 0.2),
             np.vstack([pairs.rendered, 0.9 * pairs.rendered]))
-        eligible, raws, rendered = flagged._rank_pool
-        assert flagged._rank_pool[1] is raws
+        raws, rendered = flagged._rank_pool
+        assert flagged._rank_pool[0] is raws
         ok = ~flagged.saturated
         ok &= (flagged.raw < SATURATION_FRACTION).all(axis=1)
         ok &= (flagged.rendered < SATURATION_FRACTION).all(axis=1)
         _, first = np.unique(flagged.raw[ok], axis=0, return_index=True)
         first = np.sort(first)
-        assert eligible == ok.sum()
         assert np.array_equal(raws, flagged.raw[ok][first])
         assert np.array_equal(rendered, flagged.rendered[ok][first])
         assert not raws.flags.writeable and not rendered.flags.writeable
@@ -744,20 +744,27 @@ class TestMemoOracle:
         assert model_bytes("fresh") == memoised == again
 
 
+def pav(values, weights=None) -> np.ndarray:
+    """``_pool_adjacent_violators`` of float arrays, weighted 1 by default."""
+    y = np.asarray(values, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    return _pool_adjacent_violators(y.tolist(), w.tolist())
+
+
 class TestIsotonic:
     def test_monotone_input_unchanged(self):
         y = np.array([0.1, 0.2, 0.2, 0.7, 0.9])
-        assert np.allclose(isotonic_fit(y), y)
+        assert np.allclose(pav(y), y)
 
     def test_decreasing_input_collapses_to_mean(self):
         y = np.array([0.9, 0.5, 0.1])
-        assert np.allclose(isotonic_fit(y), [0.5, 0.5, 0.5])
+        assert np.allclose(pav(y), [0.5, 0.5, 0.5])
 
     def test_output_is_non_decreasing(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             y = rng.normal(size=30)
-            fit = isotonic_fit(y)
+            fit = pav(y)
             assert np.all(np.diff(fit) >= -1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -782,38 +789,10 @@ class TestIsotonic:
             "float": rng.uniform(0.01, 100.0, size=y.size),
             "integer": rng.integers(1, 50, size=y.size),
         }[weights]
-        got = isotonic_fit(y, w)
+        got = pav(y, w)
         want = isotonic_fit_reference(y, w)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("values, weights, want", [
-        ([1e308, 1e308], None, [1e308, 1e308]),  # the pooled value sum overflows
-        ([2.0, 1.0], [1e308, 1e308], [1.5, 1.5]),  # and the pooled weight
-        ([1e-300, 1e308, 1e308], None, [1e-300, 1e308, 1e308]),
-        ([-1.5e308, 1.5e308, -1.5e308, 2.0, 1.0], [1.0, 1.0, 1.0, 1e308, 1e308],
-         [-1.5e308, 0.0, 0.0, 1.5, 1.5]),
-    ])
-    def test_pooled_sums_that_overflow_are_scaled(self, values, weights, want):
-        # powers of two scale exactly, and only as far as the sums need:
-        # a value far below the others keeps its bits
-        assert isotonic_fit(values, weights).tolist() == want
-
-    def test_weight_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="weights"):
-            isotonic_fit(np.arange(4.0), np.ones(3))
-
-    @pytest.mark.parametrize("values, weights, name", [
-        ([2.0, 1.0], [0.0, 0.0], "weights"),  # the pooled weight would divide by 0
-        ([2.0, 1.0], [1.0, -1.0], "weights"),
-        ([2.0, 1.0], [1.0, np.inf], "weights"),
-        ([2.0, 1.0], [np.nan, 1.0], "weights"),
-        ([2.0, np.nan], None, "values"),
-        ([-np.inf, 1.0], [1.0, 1.0], "values"),
-    ])
-    def test_bad_values_and_weights_rejected_by_name(self, values, weights, name):
-        with pytest.raises(ValueError, match=f"^{name} "):
-            isotonic_fit(values, weights)
 
 
 def dp_isotonic_residual(x, y):
@@ -922,6 +901,9 @@ def cascade_pairs(n=600, outliers=5):
 
 
 class TestStackedMonotonicityScore:
+    """k candidate rows, each scored alone, as ``estimate_row`` scores
+    them, against the one-candidate oracle."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 60),
@@ -950,13 +932,11 @@ class TestStackedMonotonicityScore:
         # so the pool is never empty
         raw[0] = rendered[0] = 0.5
         pairs = PixelPairSet.from_arrays(clipped(raw, flags), rendered)
-        got = monotonicity_score(pairs, rows, channel)
-        single = [monotonicity_score(pairs, row, channel) for row in rows]
-        want = np.array([monotonicity_score_reference(pairs, row, channel) for row in rows])
-        assert got.shape == (k,) and all(type(v) is float for v in single)
-        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
-        # a row scores the same bits alone and in a stack
-        assert got.tolist() == single
+        for row in rows:
+            got = monotonicity_score(pairs, row, channel)
+            want = monotonicity_score_reference(pairs, row, channel)
+            assert type(got) is float
+            assert abs(got - want) <= 1e-12 * want + 1e-15
 
     def test_tied_projections_pool_in_pair_order(self):
         # 40 runs of equal x whose pooled means already rise, so nothing
@@ -969,50 +949,53 @@ class TestStackedMonotonicityScore:
         y = (level + rng.uniform(0.0, 1.0, size=800)) / 41.0
         pairs = PixelPairSet.from_arrays(raw, np.column_stack([y, y, y]))
         rows = np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
-        want = [monotonicity_score_reference(pairs, row, 1) for row in rows]
-        assert monotonicity_score(pairs, rows, 1).tolist() == want
+        for row in rows:
+            assert monotonicity_score(pairs, row, 1) == monotonicity_score_reference(pairs, row, 1)
 
     def test_outlier_cascade_is_finished_on_the_stack(self, monkeypatch):
         pairs = cascade_pairs()
         rows = np.array([[1.0, 0.0, 0.0], [0.99, 0.1, 0.0], [0.98, 0.0, 0.1]])
         stacked = []
 
-        def counting_fit(values, weights=None):
+        def counting_fit(values, weights):
             stacked.append(len(values))
-            return isotonic_fit(values, weights)
+            return _pool_adjacent_violators(values, weights)
 
-        monkeypatch.setattr(ranking, "isotonic_fit", counting_fit)
-        got = monotonicity_score(pairs, rows, 1)
-        assert stacked, "no candidate reached the stack"
-        want = np.array([monotonicity_score_reference(pairs, row, 1) for row in rows])
-        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        monkeypatch.setattr(ranking, "_pool_adjacent_violators", counting_fit)
+        for row in rows:
+            stacked.clear()
+            got = monotonicity_score(pairs, row, 1)
+            assert stacked, f"row {row} did not reach the stack"
+            want = monotonicity_score_reference(pairs, row, 1)
+            assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("m, match", [
-        ([np.nan, 1.0, 0.0], r"m row 0 is not finite: \[nan +1\. +0\.\]"),
-        ([np.inf, 1.0, 0.0], "m row 0 is not finite"),
-        ([[1.0, 0.0, 0.0], [0.0, -np.inf, 1.0]], "m row 1 is not finite"),
+        ([np.nan, 1.0, 0.0], "^m contains non-finite values$"),
+        ([np.inf, 1.0, 0.0], "^m contains non-finite values$"),
+        # a stack of rows is refused by its shape, before its values are read
+        ([[1.0, 0.0, 0.0], [0.0, -np.inf, 1.0]], r"^m must have shape \(3,\), got \(2, 3\)$"),
         ([[1.0, 0.0, 0.0], [1.0]], "m must be an array of real numbers, got a ragged nesting"),
         ([None, 1.0, 0.0], "m must be an array of real numbers, got dtype object"),
-        (np.ones(4), r"m must have shape \(n, 3\) or \(3,\), got \(4,\)"),
+        (np.ones(4), r"m must have shape \(3,\), got \(4,\)"),
         (np.ones(0), r"got \(0,\)"),
         (np.ones((2, 4)), r"got \(2, 4\)"),
         (np.ones((3, 1)), r"got \(3, 1\)"),
         (np.ones((1, 2, 3)), r"got \(1, 2, 3\)"),
         ([1j, 0.0, 0.0], "m must be an array of real numbers, got dtype complex128"),
         ("abc", "m must be an array of real numbers, got dtype <U3"),
+        (np.ones((1, 3)), r"m must have shape \(3,\), got \(1, 3\)"),
+        (np.ones((0, 3)), r"m must have shape \(3,\), got \(0, 3\)"),
     ])
     def test_rejects_bad_rows_at_entry(self, m, match):
         with pytest.raises(ValueError, match=match):
             monotonicity_score(cascade_pairs(60), m, 1)
 
-    def test_zero_rows_and_empty_stacks_are_scored(self):
-        # m takes the rows rule of map_forward: a zero row projects every
-        # pair to 0, so its fit is the mean, and no rows give no residuals
+    def test_zero_row_is_scored(self):
+        # a zero row projects every pair to 0, so its fit is the mean
         pairs = cascade_pairs(60)
         y = pairs.unsaturated().rendered[:, 0]
         spread = np.sqrt(np.mean((y - y.mean()) ** 2))
         assert monotonicity_score(pairs, [0.0, 0.0, 0.0], 1) == pytest.approx(spread, rel=1e-12)
-        assert monotonicity_score(pairs, np.ones((0, 3)), 1).shape == (0,)
 
 
 class TestMonotoneBound:
@@ -1059,7 +1042,7 @@ class TestMonotoneBound:
 
 class TestSplitBatches:
     """25 candidates over 2,000 unsaturated pairs, as many as a row's
-    trials give, scored as a stack and one at a time."""
+    trials give, scored one at a time as ``estimate_row`` scores them."""
 
     @staticmethod
     def corpus(tied):
@@ -1080,16 +1063,16 @@ class TestSplitBatches:
         return pairs, rows
 
     @pytest.mark.parametrize("tied", [False, True])
-    def test_same_bits_in_any_batch(self, tied):
+    def test_each_candidate_matches_the_oracle(self, tied):
         pairs, rows = self.corpus(tied)
         pool = pairs.unsaturated()
         assert len(pool) == 2000
         distinct = [len(np.unique(pool.raw @ row)) for row in rows]
         assert (max(distinct) < len(pool)) if tied else (min(distinct) == len(pool))
-        got = monotonicity_score(pairs, rows, 2)
-        assert got.tolist() == [monotonicity_score(pairs, row, 2) for row in rows]
-        want = np.array([monotonicity_score_reference(pairs, row, 2) for row in rows])
-        assert np.all(np.abs(got - want) <= 1e-12 * want + 1e-15)
+        for row in rows:
+            got = monotonicity_score(pairs, row, 2)
+            want = monotonicity_score_reference(pairs, row, 2)
+            assert abs(got - want) <= 1e-12 * want + 1e-15
 
     def test_traced_memory_bounded(self):
         # 25 candidates over 6,000 pairs, scored one at a time: each work
@@ -1103,7 +1086,8 @@ class TestSplitBatches:
         rows = rng.normal(size=(25, 3))
         tracemalloc.start()
         try:
-            monotonicity_score(pairs, rows, 1)
+            for row in rows:
+                monotonicity_score(pairs, row, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1145,7 +1129,7 @@ class TestEstimateRow:
                  for trial in range(trials)]
         candidates = np.array([_median_direction(sphere.points[tied])
                                for _, tied in _search_trials(sphere, diffs)])
-        residuals = monotonicity_score(pairs, candidates, channel)
+        residuals = np.array([monotonicity_score(pairs, c, channel) for c in candidates])
         best = np.flatnonzero(residuals == residuals.min())
         if ties:
             # distinct candidates share the least residual: the first wins
