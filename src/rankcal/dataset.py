@@ -150,7 +150,8 @@ def _read_table(fh, origin: str, rows: list | None):
     divided by the white level.
 
     Blank lines and lines whose first field starts with '#' are skipped;
-    the first other line must be the header. Plain lines (no quote, CR,
+    a comment whose quote runs past its line raises, naming that line.
+    The first other line must be the header. Plain lines (no quote, CR,
     NUL or escaped byte, none longer than the csv field limit) are split
     on commas at C speed. From the first block that is not plain, or that
     fails a check, the rest of the input goes through ``csv.reader``; a
@@ -217,6 +218,7 @@ def _read_table(fh, origin: str, rows: list | None):
         block = []
 
     reader = csv.reader(chain(block, fh))
+    last = 0  # the reader's line count after the last record
     while True:
         records, count, failure = [], 0, None
         try:
@@ -224,6 +226,12 @@ def _read_table(fh, origin: str, rows: list | None):
                 count += 1
                 if row and not row[0].lstrip().startswith("#"):
                     records.append((offset + reader.line_num, row))
+                elif reader.line_num > last + 1:
+                    # a quote that a comment opens would hide the lines after it
+                    failure = CorpusFormatError(
+                        f"{origin}: line {offset + last + 1}: comment spans several lines")
+                    break
+                last = reader.line_num
         except csv.Error as exc:
             # raised after the records read before it are checked
             failure = CorpusFormatError(f"{origin}: line {offset + reader.line_num}: {exc}")

@@ -10,7 +10,7 @@ exactly the points a dense scan would. Each trial's floor is the best
 score of a few points: those the trial before it tied on, or for the
 first trial those of its best cap. The caps cover the whole sample, and
 only the points of the caps whose bounds reach the floor are scored:
-about 0.18% of the sample on the benchmark's constraint sets. Repeated
+about 0.14% of the sample on the benchmark's constraint sets. Repeated
 trials over random colour subsets are arbitrated by how monotone the
 induced raw-to-rendered relation is, scored in increasing order of a
 lower bound until no bound can win.
@@ -45,16 +45,16 @@ _GAUGE_HEADROOM = 1.02
 # bounded, and points scored, in pieces that keep within it.
 _BOUND_ENTRIES = 2 ** 19
 
-# Caps of the row search: the upper half of the sample is cut into this
-# many equal-area zones, about 4.5 degrees across, and the lower half
-# into their negations. 256 zones prune too little and 4096 spend more
-# on bounds than they save.
-_CAP_CENTRES = 1024
-
-# Cap groups: the caps are grouped in turn by which of this many coarser
-# equal-area zones holds their centre, so that a search bounds the groups
-# first and the caps of the groups it opens.
-_CAP_GROUPS = 64
+# Caps of the row search: each face of the cube is cut into this many
+# by this many cells of equal angle, 3.75 degrees across, and a cap is
+# the sample's points in one cell (Ronchi, Iacono & Paolucci, J. Comput.
+# Phys. 124, 1996). A group is a square of _GROUP_CELLS by _GROUP_CELLS
+# cells, bounded before its caps. On the benchmark's matrix stage (warm,
+# one OpenBLAS thread, 2 cores), 24 and 8 took 26-31 ms at 140 pairs,
+# against 30-41 ms for 1024 equal-area zones in 64 groups; grids of 16,
+# 20, 28 and 32 cells and groups of 4, 10 and 12 cells were slower.
+_CUBE_CELLS = 24
+_GROUP_CELLS = 8
 
 # Angular margin (radians) added to each cap radius. The float32 sign
 # test errs only for constraints within about 1e-6 rad of a point's
@@ -67,43 +67,40 @@ _CAP_MARGIN = 1e-5
 @dataclass(frozen=True, eq=False)
 class SphereSample:
     """Unit direction candidates covering the whole sphere, built from
-    their even ``count`` >= 6 as ``sample_sphere`` describes: the last
-    half of the points negates the first, so the cap index of the first
-    half, negated, indexes the last.
+    their even ``count`` >= 6 as ``sample_sphere`` describes, with the
+    cap index of the row search. The first half of the points is stored
+    cap by cap, and the last half negates it, so the caps of the first
+    half, negated, are those of the last.
     """
 
     count: int
     points: np.ndarray = field(init=False)
+    caps: CapIndex = field(init=False)
     # read by perfbench's sample_sphere counter; ROADMAP item 1 drops both
     antipodal: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _check_sphere_count(self.count, "count")
         upper = np.eye(3) if self.count == 6 else _hemisphere_spiral(self.count // 2)
+        upper, caps = _build_caps(upper)
         points = np.vstack([upper, -upper])
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
-
-    @functools.cached_property
-    def caps(self) -> CapIndex:
-        """Cap index of all the points, built on first use."""
-        return _build_caps(self.points[:self.count // 2])
+        object.__setattr__(self, "caps", caps)
 
 
 @dataclass(frozen=True, eq=False)
 class CapIndex:
-    """Scored sphere points grouped into caps, and caps into groups.
+    """Sphere points grouped into caps, and caps into groups.
 
-    Cap k holds the points ``order[offsets[k]:offsets[k + 1]]``, each
-    within ``radius[k]`` radians of ``centres[k]``. Group j holds the
-    caps ``group_offsets[j]:group_offsets[j + 1]``, whose points all lie
-    within ``group_radius[j]`` radians of ``group_centres[j]``. The
-    index covers every point of a sample. Empty caps and empty groups
-    are dropped.
+    Cap k holds the points ``offsets[k]:offsets[k + 1]`` of its sample,
+    each within ``radius[k]`` radians of ``centres[k]``. Group j holds
+    the caps ``group_offsets[j]:group_offsets[j + 1]``, whose points all
+    lie within ``group_radius[j]`` radians of ``group_centres[j]``. The
+    index covers every point of a sample, and no cap or group is empty.
     """
 
     centres: np.ndarray
-    order: np.ndarray
     offsets: np.ndarray
     radius: np.ndarray
     group_centres: np.ndarray
@@ -148,33 +145,29 @@ def sample_sphere(n: int) -> SphereSample:
     gap is about 0.65 degrees. n = 6 is the axis-aligned octahedron.
 
     The sample is immutable and depends on n alone, so the process keeps
-    the last two ``SphereSample(n)`` it built, each with its cap index once
-    searched: at n = 100000 that is about 3 MB.
+    the last two ``SphereSample(n)`` it built, each with its cap index:
+    at n = 100000 that is about 2.5 MB.
     """
     _check_sphere_count(n, "n")
     return SphereSample(n)
 
 
-def _zone_labels(points: np.ndarray, count: int) -> np.ndarray:
-    """Region of each unit row of ``points``, which lie in the upper
-    hemisphere, in an equal-area partition of it into ``count`` regions
-    (Leopardi, ETNA 25, 2006).
-
-    Region 0 is a polar cap. Below it lie collars about as tall as a
-    region is wide, each cut into equal azimuth sectors; the count of
-    regions above each collar edge is rounded to whole regions, and the
-    edge put where they fill the area above it, at z = 1 - above / count.
-    """
-    polar = np.arccos(1.0 - 1.0 / count)
-    collars = max(1, round((np.pi / 2 - polar) / np.sqrt(2 * np.pi / count)))
-    edges = np.append(0.0, np.linspace(polar, np.pi / 2, collars + 1))
-    above = np.rint(count * (1.0 - np.cos(edges))).astype(np.int64)  # 0, 1, ..., count
-    zone = np.clip(np.searchsorted(above, count * (1.0 - points[:, 2]), side="right") - 1,
-                   0, collars)
-    sectors = np.diff(above)[zone]
-    azimuth = np.arctan2(points[:, 1], points[:, 0]) % (2 * np.pi)
-    return above[zone] + np.minimum((azimuth * sectors / (2 * np.pi)).astype(np.int64),
-                                    sectors - 1)
+def _cube_cells(points: np.ndarray) -> np.ndarray:
+    """Cell of each unit row of ``points`` in a grid of _CUBE_CELLS by
+    _CUBE_CELLS cells of equal angle on each face of the cube, numbered so
+    that each square of _GROUP_CELLS by _GROUP_CELLS cells takes
+    consecutive numbers, all below 6 * _CUBE_CELLS ** 2, as uint16. The
+    face is the signed axis of the largest component, and the cell along
+    each other axis is the angle of that component over the largest."""
+    k, s, g = _CUBE_CELLS, _GROUP_CELLS, _CUBE_CELLS // _GROUP_CELLS
+    axis = np.argmax(np.abs(points), axis=1)
+    # the largest component of each row, then the two after it in turn
+    p = np.take_along_axis(points, np.take([[0, 1, 2], [1, 2, 0], [2, 0, 1]], axis, axis=0),
+                           axis=1)
+    face = 2 * axis.astype(np.uint16) + (p[:, 0] < 0.0)
+    cell = (np.arctan(p[:, 1:] / p[:, :1]) / (np.pi / 4) + 1.0) * (k / 2)
+    group, inner = np.divmod(np.clip(cell, 0, k - 1).astype(np.uint16), s)
+    return ((face * g + group[:, 0]) * g + group[:, 1]) * s * s + inner[:, 0] * s + inner[:, 1]
 
 
 def _largest_angles(points: np.ndarray, centres: np.ndarray,
@@ -184,45 +177,31 @@ def _largest_angles(points: np.ndarray, centres: np.ndarray,
     return np.arccos(np.clip(np.minimum.reduceat(cosine, edges[:-1]), -1.0, 1.0))
 
 
-def _build_caps(scored: np.ndarray) -> CapIndex:
-    """Cap index of the sample whose first half is ``scored``, all in the
-    upper hemisphere, and whose last half negates it."""
-    # each point joins its zone of _CAP_CENTRES, and each cap, centred on
-    # the normalized mean of its points, the zone of _CAP_GROUPS that its
-    # centre lies in; the radii below hold for any such partition
-    label = _zone_labels(scored, _CAP_CENTRES)
-    counts = np.bincount(label, minlength=_CAP_CENTRES)
-    used = np.flatnonzero(counts)
-    centres = _unit_rows(np.column_stack([
-        np.bincount(label, weights=column, minlength=_CAP_CENTRES)[used]
-        for column in scored.T]))
-    owner = _zone_labels(centres, _CAP_GROUPS)
-    # the non-empty caps are numbered group by group, so that a group's
-    # caps are contiguous
-    by_group = np.argsort(owner, kind="stable")
-    centres, zones = centres[by_group], used[by_group]
-    rank = np.empty(_CAP_CENTRES, dtype=np.int64)
-    rank[zones] = np.arange(zones.size)
-    # the ranks fit 16 bits, and a 16-bit key is sorted by radix, several times faster
-    order = np.argsort(rank[label].astype(np.uint16), kind="stable")
-    offsets = np.concatenate([[0], np.cumsum(counts[zones])])
-    group_sizes = np.bincount(owner, minlength=_CAP_GROUPS)
-    group_offsets = np.concatenate([[0], np.cumsum(group_sizes[group_sizes > 0])])
-    members = scored[order]
+def _build_caps(scored: np.ndarray) -> tuple[np.ndarray, CapIndex]:
+    """``scored``, unit rows in the upper hemisphere, in cap order, and the
+    cap index of them and their negation. A cap is the points of one cell
+    of ``_cube_cells``, centred on their normalized mean; the radii hold
+    for any partition."""
+    label = _cube_cells(scored)
+    # a 16-bit key is sorted by radix, several times faster
+    order = np.argsort(label, kind="stable")
+    label, members = label[order], scored[order]
+    offsets = np.append(np.flatnonzero(np.diff(label, prepend=-1)), label.size)
+    group = label[offsets[:-1]] // _GROUP_CELLS ** 2
+    group_offsets = np.append(np.flatnonzero(np.diff(group, prepend=-1)), group.size)
     group_edges = offsets[group_offsets]
+    centres = _unit_rows(np.add.reduceat(members, offsets[:-1], axis=0))
     group_centres = _unit_rows(np.add.reduceat(members, group_edges[:-1], axis=0))
     radius = _largest_angles(members, centres, offsets)
     group_radius = _largest_angles(members, group_centres, group_edges)
     # the last half's caps and groups negate the first's, numbered after them
-    half = scored.shape[0]
-    return CapIndex(centres=np.vstack([centres, -centres]),
-                    order=np.concatenate([order, order + half]),
-                    offsets=np.concatenate([offsets, offsets[1:] + half]),
-                    radius=np.tile(radius, 2),
-                    group_centres=np.vstack([group_centres, -group_centres]),
-                    group_offsets=np.concatenate([group_offsets,
-                                                  group_offsets[1:] + centres.shape[0]]),
-                    group_radius=np.tile(group_radius, 2))
+    return members, CapIndex(
+        centres=np.vstack([centres, -centres]),
+        offsets=np.concatenate([offsets, offsets[1:] + label.size]),
+        radius=np.tile(radius, 2),
+        group_centres=np.vstack([group_centres, -group_centres]),
+        group_offsets=np.concatenate([group_offsets, group_offsets[1:] + group.size]),
+        group_radius=np.tile(group_radius, 2))
 
 
 def _constraint_pool(pairs: PixelPairSet) -> tuple[np.ndarray, np.ndarray]:
@@ -399,21 +378,22 @@ def _search_trial(sphere: SphereSample, groups: np.ndarray, centres: np.ndarray,
         top = int(np.argmax(group_bounds))
         near = np.arange(caps.group_offsets[top], caps.group_offsets[top + 1])
         cap = near[np.argmax(_upper_bounds(centres[near], unit))]
-        floor_points = caps.order[caps.offsets[cap]:caps.offsets[cap + 1]]
+        floor_points = np.arange(caps.offsets[cap], caps.offsets[cap + 1])
     floor = _scores(sphere, floor_points, dt).max()
 
     near = np.flatnonzero(np.repeat(group_bounds >= floor, np.diff(caps.group_offsets)))
     rows = _members(caps, near[_upper_bounds(centres[near], unit) >= floor])
     scores = _scores(sphere, rows, dt)
     best = int(scores.max())
-    return best, np.sort(rows[scores == best])
+    # the caps come in order, and so do their points
+    return best, rows[scores == best]
 
 
 def _members(caps: CapIndex, which: np.ndarray) -> np.ndarray:
-    """Scored points of the caps ``which``, cap after cap."""
+    """Points of the caps ``which``, cap after cap."""
     sizes = caps.offsets[which + 1] - caps.offsets[which]
     shift = caps.offsets[which] - (np.cumsum(sizes) - sizes)
-    return caps.order[np.repeat(shift, sizes) + np.arange(sizes.sum())]
+    return np.repeat(shift, sizes) + np.arange(sizes.sum())
 
 
 def _pool_adjacent_violators(y: list[float], w: list[float]) -> np.ndarray:
@@ -528,7 +508,7 @@ def _median_direction(tied: np.ndarray) -> np.ndarray:
     med = ordered[half] if ordered.shape[0] % 2 else (ordered[half - 1] + ordered[half]) / 2
     norm = np.linalg.norm(med)
     if norm < 1e-12:
-        # antipodal tie cluster; fall back to the first point
+        # antipodal tie cluster; fall back to the first tied point, in cap order
         return tied[0]
     return med / norm
 

@@ -288,12 +288,17 @@ def data_rows(fh, origin: str):
     """(line number, fields) of each data row of a corpus CSV, in file order.
 
     Blank lines and lines whose first field starts with '#' are skipped;
-    the first other line must be the header. A row's line number is that
+    a comment record that spans several lines raises, naming its first.
+    The first other line must be the header. A row's line number is that
     of its last physical line.
     """
     header = False
     reader = csv.reader(fh)
+    last = 0
     for row in reader:
+        first, last = last + 1, reader.line_num
+        if row and row[0].lstrip().startswith("#") and last > first:
+            raise CorpusFormatError(f"{origin}: line {first}: comment spans several lines")
         if not row or row[0].lstrip().startswith("#"):
             continue
         if not header:

@@ -272,6 +272,23 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=f"^<string>: {message}"):
             loads_corpus(text)
 
+    @pytest.mark.parametrize("before, after, line", [(0, 10, 2), (5, 5, 7), (9, 1, 11)])
+    def test_comment_whose_quote_runs_on_raises(self, before, after, line):
+        # the comment's second field opens a quote that the csv reader
+        # would read to the end of the input, swallowing the rows after it
+        rows = [f"c,i0,e0,p{i},1,2,3,4,5,6,1000\n" for i in range(before + after)]
+        text = HEADER + "\n" + "".join(rows[:before]) + '#,"note\n' + "".join(rows[before:])
+        message = f"^<string>: line {line}: comment spans several lines$"
+        for load in (loads_corpus, loads_corpus_reference):
+            with pytest.raises(CorpusFormatError, match=message):
+                load(text)
+        # a fault in an earlier row is named first
+        bad = HEADER + "\nc,i0,e0,p,1,x,3,4,5,6,1000\n" + text[len(HEADER) + 1:]
+        with pytest.raises(CorpusFormatError, match="^<string>: line 2: non-numeric value$"):
+            loads_corpus(bad)
+        # on the last line, the quote hides nothing
+        assert len(loads_corpus(HEADER + "\n" + "".join(rows) + '#,"note\n')) == len(rows)
+
 
 def _numbers(low: float, high: float):
     """Decimal text of values in [low, high] as writers spell them, at
@@ -347,6 +364,7 @@ class TestFastParse:
     @given(text=corpus_texts())
     @example(text=HEADER + "\nc,i,e,p,0,0,0,1,1,1,1e-320\nc,i,e,p,0,1,0,1,1,1,1e-320\n")
     @example(text=HEADER + '\n"c",i,e,p,0,0,0,1,1,1,1e-320\nc,i,e,p,0,1,0,1,1,1,1e-320\n')
+    @example(text=HEADER + '\nc,i,e,p,0,0,0,1,1,1,1\n#,"note\nc,i,e,p,0,1,0,1,1,1,1\n')
     def test_matches_row_parser(self, text):
         try:
             want, texts, white = loads_corpus_reference(text)

@@ -405,6 +405,7 @@ def half_space_sets(draw):
 
 
 class TestTiedPoints:
+    @pytest.mark.row_search
     @settings(max_examples=300, deadline=None)
     @given(diffs=half_space_sets(), n=st.sampled_from(SEARCH_SPHERE_COUNTS))
     def test_matches_dense_scan(self, search_spheres, diffs, n):
@@ -414,6 +415,7 @@ class TestTiedPoints:
         assert best == dense_best
         assert np.array_equal(tied, dense_tied)
 
+    @pytest.mark.row_search
     @settings(max_examples=150, deadline=None)
     @given(diffs=st.lists(half_space_sets(), min_size=1, max_size=8)
            | half_space_sets().map(lambda d: [d, -d, d, -d]),
@@ -435,33 +437,22 @@ class TestTiedPoints:
             assert best == dense_best
             assert np.array_equal(tied, dense_tied)
 
+    @pytest.mark.row_search
     @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
     def test_caps_partition_scored_points_within_radius(self, n):
         sphere = sample_sphere(n)
         caps = sphere.caps
-        assert np.array_equal(np.sort(caps.order), np.arange(n))
         sizes = np.diff(caps.offsets)
-        assert caps.offsets[0] == 0 and np.all(sizes > 0)
+        assert caps.offsets[0] == 0 and caps.offsets[-1] == n and np.all(sizes > 0)
+        assert caps.centres.shape[0] == sizes.size == caps.radius.size
+        # the points of cap k are those of its slice of the sample
         centre = np.repeat(caps.centres, sizes, axis=0)
         radius = np.repeat(caps.radius, sizes)
-        cosine = np.einsum("ij,ij->i", sphere.points[caps.order], centre)
+        cosine = np.einsum("ij,ij->i", sphere.points, centre)
         assert np.all(cosine >= np.cos(radius) - 1e-12)
         assert np.degrees(caps.radius.max()) <= 5.0
 
-    def test_zones_hold_equal_shares_of_a_uniform_sample(self):
-        # the spiral is uniform in z and azimuth, so each equal-area zone
-        # takes about count / zones of its points
-        points = ranking._hemisphere_spiral(200_000)
-        for zones in (16, 64, 256, 1024):
-            shares = np.bincount(ranking._zone_labels(points, zones), minlength=zones)
-            assert shares.size == zones
-            assert np.abs(shares / (points.shape[0] / zones) - 1.0).max() < 0.05
-            # the pole, the equator and azimuths that wrap to 2 pi stay in range
-            edge = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, -1e-300, 0.0],
-                             [0.0, -1.0, 0.0], [0.0, 0.0, 1.0 + 2e-16]])
-            labels = ranking._zone_labels(edge, zones)
-            assert labels[0] == labels[4] == 0 and labels.max() < zones
-
+    @pytest.mark.row_search
     @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
     def test_groups_partition_caps_within_radius(self, n):
         sphere = sample_sphere(n)
@@ -470,14 +461,44 @@ class TestTiedPoints:
         assert caps.group_offsets[0] == 0 and np.all(sizes > 0)
         assert caps.group_offsets[-1] == caps.centres.shape[0]
         assert caps.group_centres.shape[0] == sizes.size == caps.group_radius.size
-        # every scored point lies within its cap's group radius
-        points = np.diff(caps.offsets)
-        per_group = np.add.reduceat(points, caps.group_offsets[:-1])
-        centre = np.repeat(caps.group_centres, per_group, axis=0)
-        radius = np.repeat(caps.group_radius, per_group)
-        cosine = np.einsum("ij,ij->i", sphere.points[caps.order], centre)
+        # the points of group j are the slice of the sample that its caps span
+        edges = caps.offsets[caps.group_offsets]
+        centre = np.repeat(caps.group_centres, np.diff(edges), axis=0)
+        radius = np.repeat(caps.group_radius, np.diff(edges))
+        cosine = np.einsum("ij,ij->i", sphere.points, centre)
         assert np.all(cosine >= np.cos(radius) - 1e-12)
 
+    def test_cell_labels_fit_the_sort_key(self):
+        # the caps are sorted by a 16-bit key, and a group is a square of
+        # whole cells on one face
+        k, s = ranking._CUBE_CELLS, ranking._GROUP_CELLS
+        assert 6 * k ** 2 <= 2 ** 16
+        assert k % s == 0
+        # axes, edges and corners of the cube, where a component ties the
+        # largest or a face coordinate reaches 1, stay in range
+        edge = _unit_rows(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 1.0, 0.0],
+                                    [-1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [0.0, -1.0, 1e-300],
+                                    [1.0, 1.0, 1.0 + 2e-16]]))
+        labels = ranking._cube_cells(edge)
+        assert labels.dtype == np.uint16 and labels.max() < 6 * k ** 2
+
+    @pytest.mark.row_search
+    @pytest.mark.parametrize("n", SEARCH_SPHERE_COUNTS + (100_000,))
+    def test_caps_are_cells_stored_group_by_group(self, n):
+        # every cap's points share one cell, its negation's in the last
+        # half, and the group of the caps never falls within a half
+        sphere = sample_sphere(n)
+        caps = sphere.caps
+        label = np.tile(ranking._cube_cells(sphere.points[:n // 2]), 2)
+        starts, sizes = caps.offsets[:-1], np.diff(caps.offsets)
+        assert np.array_equal(label, np.repeat(label[starts], sizes))
+        group = label[starts] // ranking._GROUP_CELLS ** 2
+        for half in np.split(group, 2):
+            assert np.all(half[1:] >= half[:-1])
+        assert np.array_equal(group, np.repeat(group[caps.group_offsets[:-1]],
+                                               np.diff(caps.group_offsets)))
+
+    @pytest.mark.row_search
     @pytest.mark.parametrize("n", (6, 1000))
     def test_one_point_incumbent_matches_dense_scan(self, n, monkeypatch):
         # the floor comes from scoring one cap's points; a cap of one
@@ -547,11 +568,23 @@ class TestTiedPoints:
         assert shapes
         assert all(rows * cols <= ranking._BOUND_ENTRIES or rows == 2 for rows, cols in shapes)
 
-    def test_index_built_once_per_sample(self):
-        sphere = sample_sphere(2000)
-        assert sphere.caps is sphere.caps
+    def test_index_built_once_per_sample(self, monkeypatch):
+        # the sample builds its index, and no search builds another
+        built = []
+        build = ranking._build_caps
+
+        def counting(scored):
+            built.append(scored.shape[0])
+            return build(scored)
+
+        monkeypatch.setattr(ranking, "_build_caps", counting)
+        sphere = SphereSample(2000)
+        rng = np.random.default_rng(5)
+        _search_trials(sphere, [rng.normal(size=(50, 3)) for _ in range(3)])
+        assert built == [1000]
 
 
+@pytest.mark.row_search
 class TestCapBounds:
     @settings(max_examples=200, deadline=None)
     @given(n=st.sampled_from((6, 2000, 20000)), m=st.integers(1, 300),
@@ -579,7 +612,7 @@ class TestCapBounds:
         unit = np.ascontiguousarray((d / np.where(norm > 0.0, norm, 1.0)[:, None]).T,
                                     dtype=np.float32)
         caps = sphere.caps
-        cap_best = np.maximum.reduceat(score_all(sphere, d)[caps.order], caps.offsets[:-1])
+        cap_best = np.maximum.reduceat(score_all(sphere, d), caps.offsets[:-1])
         group_best = np.maximum.reduceat(cap_best, caps.group_offsets[:-1])
         for centres, radius, best in ((caps.centres, caps.radius, cap_best),
                                       (caps.group_centres, caps.group_radius, group_best)):
@@ -588,6 +621,7 @@ class TestCapBounds:
             assert np.all(bounds >= best)
 
 
+@pytest.mark.row_search
 class TestCountAbove:
     @settings(max_examples=300, deadline=None)
     @given(width=st.integers(1, 1232).filter(lambda w: w % 8),
@@ -626,9 +660,9 @@ class TestCountAbove:
 
 
 class TestPruning:
-    # measured: 0.32% of the half-sphere per search at 140 pairs and
-    # 0.35% at 8000, the floor points included; a floor 33 constraints
-    # low, as cap hit counts give, scores about 2%. The share is taken of
+    # measured: 0.24% of the half-sphere per search at 140 pairs and
+    # 0.27% at 8000, the floor points included; a floor 33 constraints
+    # low, as cap hit counts give, scored about 2%. The share is taken of
     # half the sample, as it was when the caps indexed only that half
     MAX_SCORED_SHARE = 0.007
 
@@ -661,6 +695,7 @@ class TestPruning:
         assert sum(scored) / total <= self.MAX_SCORED_SHARE
 
 
+@pytest.mark.row_search
 class TestDenseOracle:
     """Model files are byte-identical to those of the dense scan."""
 
@@ -689,30 +724,34 @@ class TestDenseOracle:
 
 
 class TestCapPartition:
+    @pytest.mark.row_search
     def test_model_bytes_do_not_depend_on_the_partition(self, tmp_path, monkeypatch):
         # the search finds exactly the dense scan's points for any cap
-        # partition, so a coarser one must write the same model
+        # partition, so a coarser or a finer one must write the same model
         corpus = tmp_path / "c.csv"
         assert cli_main(["simulate", "--out", str(corpus), "--patches", "140",
                          "--seed", "9", "--noise", "0.004", "--quantize"]) == 0
 
-        def model_text(tag):
+        def model_bytes(tag):
             out = tmp_path / f"{tag}.txt"
             assert cli_main(["calibrate", "--data", str(corpus), "--out", str(out),
                              "--sphere-count", "20000", "--trials", "3"]) == 0
-            return out.read_text()
+            return out.read_bytes()
 
-        default = model_text("default")
-        monkeypatch.setattr(ranking, "_CAP_CENTRES", 256)
-        monkeypatch.setattr(ranking, "_CAP_GROUPS", 16)
-        sample_sphere.cache_clear()
-        try:
-            # 256 zones of each half
-            assert sample_sphere(20000).caps.centres.shape[0] <= 512
-            coarse = model_text("coarse")
-        finally:
+        default = model_bytes("default")
+        # 6 cells a face in groups of 3 by 3, and 12 in one group a face
+        for cells, group, groups in ((6, 3, 4), (12, 12, 1)):
+            monkeypatch.setattr(ranking, "_CUBE_CELLS", cells)
+            monkeypatch.setattr(ranking, "_GROUP_CELLS", group)
             sample_sphere.cache_clear()
-        assert coarse == default
+            try:
+                caps = sample_sphere(20000).caps
+                # the upper half meets five faces, and the lower half their negations
+                assert caps.centres.shape[0] <= 2 * 5 * cells ** 2
+                assert caps.group_centres.shape[0] <= 2 * 5 * groups
+                assert model_bytes(f"cube{cells}x{group}") == default
+            finally:
+                sample_sphere.cache_clear()
 
 
 class TestMemoOracle:
@@ -828,6 +867,27 @@ def dp_isotonic_residual(x, y):
     return float(np.sqrt(best / n))
 
 
+def candidate_corpus(tied):
+    """2,400 pairs, 2,000 of them unsaturated, and 25 candidate rows, as
+    many as a row's trials give; with ``tied``, every candidate ties some
+    projections."""
+    rng = np.random.default_rng(31 if tied else 30)
+    raw = rng.uniform(0.0, 0.9, size=(2400, 3))
+    rows = rng.normal(size=(25, 3))
+    if tied:
+        # dyadic raws and small integer rows give exactly equal projections
+        raw = np.round(raw * 8.0) / 8.0
+        # a black raw renders black, which the set flags
+        raw[~raw.any(axis=1)] = 0.125
+        rows = rng.integers(-2, 3, size=(25, 3)).astype(float)
+        rows[~rows.any(axis=1), 0] = 1.0
+    rendered = np.round(np.clip(raw @ np.array([0.6, 0.3, 0.1]), 0.0, 1.0) ** 0.45
+                        * 255.0) / 255.0
+    rendered = np.column_stack([rendered, rendered[::-1], rendered])
+    pairs = PixelPairSet.from_arrays(clipped(raw, np.arange(2400) % 6 == 0), rendered)
+    return pairs, rows
+
+
 class TestMonotonicityScore:
     def test_perfectly_monotone_scores_zero(self):
         rng = np.random.default_rng(0)
@@ -888,6 +948,40 @@ class TestMonotonicityScore:
                 assert monotonicity_score(
                     PixelPairSet.from_arrays(raw[keep], rendered[keep]), m, channel) == want
 
+    @pytest.mark.row_search
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_each_candidate_matches_the_oracle(self, tied):
+        # 25 candidates over 2,000 unsaturated pairs, scored one at a time
+        # as estimate_row scores them
+        pairs, rows = candidate_corpus(tied)
+        pool = pairs.unsaturated()
+        assert len(pool) == 2000
+        distinct = [len(np.unique(pool.raw @ row)) for row in rows]
+        assert (max(distinct) < len(pool)) if tied else (min(distinct) == len(pool))
+        for row in rows:
+            got = monotonicity_score(pairs, row, 2)
+            want = monotonicity_score_reference(pairs, row, 2)
+            assert abs(got - want) <= 1e-12 * want + 1e-15
+
+    def test_traced_memory_bounded(self):
+        # 25 candidates over 6,000 pairs, scored one at a time: each work
+        # array holds one candidate's 6,000 values, where all 25 at once
+        # would hold 1.2 MB an array
+        rng = np.random.default_rng(32)
+        raw = rng.uniform(0.0, 0.9, size=(6000, 3))
+        rendered = np.round(raw ** 0.45 * 255.0) / 255.0
+        pairs = PixelPairSet.from_arrays(raw, rendered)
+        pairs.unsaturated()
+        rows = rng.normal(size=(25, 3))
+        tracemalloc.start()
+        try:
+            for row in rows:
+                monotonicity_score(pairs, row, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+
 
 def cascade_pairs(n=600, outliers=5):
     """Rendered channel 1 rises with raw channel 1, except that the
@@ -904,6 +998,7 @@ class TestStackedMonotonicityScore:
     """k candidate rows, each scored alone, as ``estimate_row`` scores
     them, against the one-candidate oracle."""
 
+    @pytest.mark.row_search
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 60),
@@ -998,6 +1093,7 @@ class TestStackedMonotonicityScore:
         assert monotonicity_score(pairs, [0.0, 0.0, 0.0], 1) == pytest.approx(spread, rel=1e-12)
 
 
+@pytest.mark.row_search
 class TestMonotoneBound:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1038,60 +1134,6 @@ class TestMonotoneBound:
             monotonicity_score(pairs, row, 1), rel=1e-12)
         # a fall that starts at an odd index counts, spread over all n values
         assert _monotone_bound(np.arange(3.0), np.array([0.0, 1.0, 0.0])) == np.sqrt(1.0 / 6.0)
-
-
-class TestSplitBatches:
-    """25 candidates over 2,000 unsaturated pairs, as many as a row's
-    trials give, scored one at a time as ``estimate_row`` scores them."""
-
-    @staticmethod
-    def corpus(tied):
-        rng = np.random.default_rng(31 if tied else 30)
-        raw = rng.uniform(0.0, 0.9, size=(2400, 3))
-        rows = rng.normal(size=(25, 3))
-        if tied:
-            # dyadic raws and small integer rows give exactly equal projections
-            raw = np.round(raw * 8.0) / 8.0
-            # a black raw renders black, which the set flags
-            raw[~raw.any(axis=1)] = 0.125
-            rows = rng.integers(-2, 3, size=(25, 3)).astype(float)
-            rows[~rows.any(axis=1), 0] = 1.0
-        rendered = np.round(np.clip(raw @ np.array([0.6, 0.3, 0.1]), 0.0, 1.0) ** 0.45
-                            * 255.0) / 255.0
-        rendered = np.column_stack([rendered, rendered[::-1], rendered])
-        pairs = PixelPairSet.from_arrays(clipped(raw, np.arange(2400) % 6 == 0), rendered)
-        return pairs, rows
-
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_each_candidate_matches_the_oracle(self, tied):
-        pairs, rows = self.corpus(tied)
-        pool = pairs.unsaturated()
-        assert len(pool) == 2000
-        distinct = [len(np.unique(pool.raw @ row)) for row in rows]
-        assert (max(distinct) < len(pool)) if tied else (min(distinct) == len(pool))
-        for row in rows:
-            got = monotonicity_score(pairs, row, 2)
-            want = monotonicity_score_reference(pairs, row, 2)
-            assert abs(got - want) <= 1e-12 * want + 1e-15
-
-    def test_traced_memory_bounded(self):
-        # 25 candidates over 6,000 pairs, scored one at a time: each work
-        # array holds one candidate's 6,000 values, where all 25 at once
-        # would hold 1.2 MB an array
-        rng = np.random.default_rng(32)
-        raw = rng.uniform(0.0, 0.9, size=(6000, 3))
-        rendered = np.round(raw ** 0.45 * 255.0) / 255.0
-        pairs = PixelPairSet.from_arrays(raw, rendered)
-        pairs.unsaturated()
-        rows = rng.normal(size=(25, 3))
-        tracemalloc.start()
-        try:
-            for row in rows:
-                monotonicity_score(pairs, row, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2 ** 20
 
 
 class TestEstimateRow:
